@@ -4,8 +4,7 @@ Subcommands: ``optimize`` (build and persist a probability table),
 ``round`` (round values interactively), and ``experiment`` with the study
 runners ``sum``, ``sqrt``, ``dot``, ``varbound`` and ``contour``.  All
 randomness flows from ``--seed`` (default 0, never wall-clock), and equal
-invocations produce byte-identical output files.  ``SRLAB_THREADS`` caps
-worker parallelism of the offline optimizer.
+invocations produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -316,18 +315,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "optimize":
-        return _cmd_optimize(args, parser)
-    if args.command == "round":
-        return _cmd_round(args, parser)
     handlers = {
+        "optimize": _cmd_optimize,
+        "round": _cmd_round,
         "sum": _cmd_exp_sum,
         "sqrt": _cmd_exp_sqrt,
         "dot": _cmd_exp_dot,
         "varbound": _cmd_exp_varbound,
         "contour": _cmd_exp_contour,
     }
-    return handlers[args.experiment](args, parser)
+    handler = handlers[args.experiment if args.command == "experiment" else args.command]
+    try:
+        return handler(args, parser)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -10,15 +10,13 @@ be computed offline and persisted; rounding never re-runs the optimizer.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .rounding import ProbabilityTable
-from .streams import RandomStream, draws_at
+from .streams import RandomStream, draws_at, substream_phases
 
 __all__ = [
     "MopConfig",
@@ -216,17 +214,10 @@ def pso_minimize(fitness, cfg: PsoConfig, stream: RandomStream | None = None):
     return float(g[0]), float(fg[0])
 
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is None:
-        threads = int(os.environ.get("SRLAB_THREADS", "1"))
-    return max(1, threads)
-
-
 def optimize_table(
     preset_or_cfg,
     grid_size: int = 1001,
     pso: PsoConfig | None = None,
-    threads: int | None = None,
     label: str | None = None,
 ) -> ProbabilityTable:
     """Optimize the rounding probability at each fraction grid node.
@@ -234,9 +225,9 @@ def optimize_table(
     The objective depends on the input only through its grid fraction, so
     each node f_j = j/(grid_size - 1) is an independent scalar problem; node
     j draws from substream j of the swarm seed, which makes the result
-    independent of chunking and thread count.  The variance-only presets
+    independent of how the nodes are batched.  The variance-only presets
     have the two exact optima p = 0 and p = 1; the floor/ceiling preset
-    names pin which endpoint the table stores.
+    names pin which endpoint the table stores, and no swarm runs for them.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
@@ -246,26 +237,11 @@ def optimize_table(
         raise TypeError("expected a Preset or MopConfig")
     pso = pso or PsoConfig()
     fgrid = np.linspace(0.0, 1.0, grid_size)
-    root = RandomStream(pso.seed)
-    phases = np.asarray([root.substream(j).phase for j in range(grid_size)], dtype=np.uint64)
-
-    def solve(chunk: slice):
-        f = fgrid[chunk, None]
-        return _pso_batch(lambda p: objective(p, f, cfg), phases[chunk], pso)
-
-    n_workers = _resolve_threads(threads)
-    if n_workers == 1:
-        p_star, _ = solve(slice(0, grid_size))
-    else:
-        bounds = np.linspace(0, grid_size, n_workers + 1).astype(int)
-        chunks = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(solve, chunks))
-        p_star = np.concatenate([p for p, _ in parts])
-    if preset is Preset.VAR_MIN_FLOOR:
-        p_star = np.ones_like(p_star)
-    elif preset is Preset.VAR_MIN_CEIL:
-        p_star = np.zeros_like(p_star)
     if label is None:
         label = preset.value if preset is not None else "custom"
+    if preset in (Preset.VAR_MIN_FLOOR, Preset.VAR_MIN_CEIL):
+        p_star = np.full(grid_size, 1.0 if preset is Preset.VAR_MIN_FLOOR else 0.0)
+    else:
+        phases = substream_phases(RandomStream(pso.seed).phase, np.arange(grid_size))
+        p_star, _ = _pso_batch(lambda p: objective(p, fgrid[:, None], cfg), phases, pso)
     return ProbabilityTable(grid=fgrid, p=p_star, label=label)

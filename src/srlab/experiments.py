@@ -2,10 +2,10 @@
 products, and the variance-bound validation grid.
 
 Every study is parameterized by a rounding mode and a seed.  Repetition r
-of an experiment draws from substream ``16 + r`` of the root stream, so
-repetitions can run in any order or in parallel with identical results;
-input data comes from the low-numbered substreams and is generated once
-per seed, independent of the rounding mode under test.
+draws ``draws_at(phase_r, j)``, j = 0, 1, ..., from substream ``16 + r`` of
+the root stream, so blocks of repetitions give the same results as one at a
+time; input data comes from the low-numbered substreams and is generated
+once per seed, independent of the rounding mode under test.
 """
 
 from __future__ import annotations
@@ -23,12 +23,11 @@ from .rounding import (
     ProbabilityTable,
     RoundingMode,
     RoundingSpec,
-    round_stochastic,
     round_values,
     stochastic_round_with,
 )
 from .stats import StatsSummary, sr_variance_theoretical, summarize, variance_bound
-from .streams import RandomStream, draws_at
+from .streams import RandomStream, draws_at, substream_phases
 
 __all__ = [
     "CaseId",
@@ -51,6 +50,9 @@ __all__ = [
 ]
 
 _REP_STREAM_BASE = 16
+# A block holds whole repetitions of at most this many draws in all, or one
+# repetition if larger: never more than one paper-size (10 000) repetition.
+_BLOCK_DRAWS = 1 << 14
 
 SQRT_TEST_VALUES = (0.30146, 6.55501, 51.16904, 357.00272, 8133.27762)
 DOT_SIZES = (50, 200, 400, 600, 800, 1000)
@@ -124,8 +126,51 @@ def _digest(arr: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()[:16]
 
 
-def _rep_stream(root: RandomStream, r: int) -> RandomStream:
-    return root.substream(_REP_STREAM_BASE + r)
+def _rep_phases(seed: int, n_reps: int) -> np.ndarray:
+    """Stream phases of repetitions 0 .. n_reps - 1 (substreams 16 + r)."""
+    if n_reps < 1:
+        raise ValueError(f"n_reps must be at least 1, got {n_reps}")
+    return substream_phases(RandomStream(seed).phase, _REP_STREAM_BASE + np.arange(n_reps))
+
+
+def _repeat(seed: int, n_reps: int, n_draws: int, outcome) -> np.ndarray:
+    """One outcome per repetition, computed in blocks of repetitions.
+
+    ``outcome(rows, u)`` maps a slice of repetitions and their uniforms to
+    one value per repetition; row r of ``u`` is ``draws_at(phase_r, 0 ..
+    n_draws - 1)``, the draws a scalar routine takes from substream 16 + r.
+    """
+    phases = _rep_phases(seed, n_reps)[:, None]
+    counters = np.arange(n_draws, dtype=np.uint64)
+    block = max(1, _BLOCK_DRAWS // n_draws)
+    out = np.empty(n_reps)
+    for start in range(0, n_reps, block):
+        rows = slice(start, start + block)
+        out[rows] = outcome(rows, draws_at(phases[rows], counters))
+    return out
+
+
+def _rounding_study(values, exact, combine, mode, subject, n_reps, seed) -> ExperimentReport:
+    """Summarize ``combine`` over rows of integer roundings of ``values``.
+
+    ``combine`` maps (rows, values.size) rounded values to one outcome per
+    row.  A deterministic mode gives one row; a stochastic one gives row r
+    of ``_repeat``, where element j takes draw j of repetition r.
+    """
+    spec = RoundingSpec()
+    if isinstance(mode, DeterministicMode):
+        outcomes = combine(round_values(values, mode, spec)[None, :])
+    else:
+        outcomes = _repeat(seed, n_reps, values.size, lambda rows, u: combine(
+            stochastic_round_with(np.broadcast_to(values, u.shape), mode, spec, u)))
+    return ExperimentReport(
+        label=mode_label(mode),
+        subject=subject,
+        summary=summarize(outcomes, exact),
+        seed=seed,
+        n_reps=outcomes.size,
+        digest=_digest(values),
+    )
 
 
 def gen_case_inputs(case: CaseId, seed: int) -> np.ndarray:
@@ -158,23 +203,7 @@ def run_summation_experiment(case: CaseId, mode: RoundingMode, n_reps: int = 10_
     zero); stochastic modes run ``n_reps`` repetitions on fresh substreams.
     """
     xs = gen_case_inputs(case, seed)
-    exact = float(np.sum(xs))
-    spec = RoundingSpec()
-    if isinstance(mode, DeterministicMode):
-        outcomes = np.asarray([rounded_sum(xs, mode, spec)])
-    else:
-        root = RandomStream(seed)
-        outcomes = np.empty(n_reps)
-        for r in range(n_reps):
-            outcomes[r] = rounded_sum(xs, mode, spec, _rep_stream(root, r))
-    return ExperimentReport(
-        label=mode_label(mode),
-        subject=case.value,
-        summary=summarize(outcomes, exact),
-        seed=seed,
-        n_reps=outcomes.size,
-        digest=_digest(xs),
-    )
+    return _rounding_study(xs, float(np.sum(xs)), lambda r: np.sum(r, axis=1), mode, case.value, n_reps, seed)
 
 
 def newton_sqrt_rounded(a: float, mode: RoundingMode | None, cfg: NewtonConfig, rng: RandomStream | None = None):
@@ -270,6 +299,8 @@ def run_sqrt_experiment(
     not solvable.
     """
     cfg = cfg or NewtonConfig()
+    if not a > 0.0:
+        raise ValueError(f"radicand must be positive, got {a!r}")
     exact = math.sqrt(a)
     if isinstance(mode, DeterministicMode):
         try:
@@ -285,9 +316,7 @@ def run_sqrt_experiment(
             n_break = 1
         n_total = 1
     else:
-        root = RandomStream(seed)
-        phases = np.asarray([_rep_stream(root, r).phase for r in range(n_reps)], dtype=np.uint64)
-        value, n_it, convs, breakdown = _newton_many(a, mode, cfg, phases)
+        value, n_it, convs, breakdown = _newton_many(a, mode, cfg, _rep_phases(seed, n_reps))
         values = value[~breakdown]
         n_its = n_it[~breakdown]
         convs = convs[~breakdown]
@@ -340,23 +369,10 @@ def rounded_inner_product(x, y, mode: RoundingMode, spec: RoundingSpec = Roundin
 def run_inner_product_experiment(size: int, mode: RoundingMode, n_reps: int = 10_000, seed: int = 0) -> ExperimentReport:
     """Repeat the integer-rounded inner product of the sine vectors of ``size``."""
     x, y = gen_sine_vectors(size)
-    exact = float(np.dot(x, y))
-    spec = RoundingSpec()
-    if isinstance(mode, DeterministicMode):
-        outcomes = np.asarray([rounded_inner_product(x, y, mode, spec)])
-    else:
-        root = RandomStream(seed)
-        outcomes = np.empty(n_reps)
-        for r in range(n_reps):
-            outcomes[r] = rounded_inner_product(x, y, mode, spec, _rep_stream(root, r))
-    return ExperimentReport(
-        label=mode_label(mode),
-        subject=str(size),
-        summary=summarize(outcomes, exact),
-        seed=seed,
-        n_reps=outcomes.size,
-        digest=_digest(np.concatenate([x, y])),
-    )
+    # x takes draws 0 .. size-1 and y takes size .. 2*size-1, as in
+    # rounded_inner_product; the integer grid needs no product rounding
+    return _rounding_study(np.concatenate([x, y]), float(np.dot(x, y)),
+                           lambda r: np.sum(r[:, :size] * r[:, size:], axis=1), mode, str(size), n_reps, seed)
 
 
 @dataclass(frozen=True)
@@ -376,15 +392,17 @@ def validate_variance_bound(
     draws: int = 10_000,
     seed: int = 0,
 ) -> VarianceBoundGrid:
-    """Empirical vs. theoretical rounding variance over a fine x grid."""
+    """Empirical vs. theoretical rounding variance over a fine x grid; grid
+    point j is repetition j, so its ``draws`` roundings use substream 16 + j."""
+    if not (step > 0.0 and 0.0 <= x_max < math.inf):
+        raise ValueError(f"need step > 0 and a finite x_max >= 0, got step={step!r}, x_max={x_max!r}")
+    if draws < 1:
+        raise ValueError(f"draws must be at least 1, got {draws}")
     spec = RoundingSpec(n_bits, 2)
     n_pts = int(round(x_max / step)) + 1
     xs = np.arange(n_pts) * step
-    root = RandomStream(seed)
-    v_emp = np.empty(n_pts)
-    for j in range(n_pts):
-        outs = round_stochastic(np.full(draws, xs[j]), SR, spec, _rep_stream(root, j))
-        v_emp[j] = np.var(outs)
+    v_emp = _repeat(seed, n_pts, draws, lambda rows, u: np.var(
+        stochastic_round_with(np.broadcast_to(xs[rows, None], u.shape), SR, spec, u), axis=1))
     return VarianceBoundGrid(
         x=xs,
         v_empirical=v_emp,

@@ -13,6 +13,7 @@ uniform draw per rounded element, including elements already on the grid.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -54,6 +55,8 @@ class RoundingSpec:
             raise ValueError(f"fractional-digit count must be a non-negative integer, got {self.n!r}")
         if self.base not in (2, 10):
             raise ValueError(f"base must be 2 or 10, got {self.base!r}")
+        if self.base ** self.n > sys.float_info.max:
+            raise ValueError(f"grid scale {self.base}**{self.n} overflows a double")
 
     @property
     def theta(self) -> float:

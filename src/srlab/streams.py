@@ -16,29 +16,18 @@ from __future__ import annotations
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
 _SEED_SALT = 0xD1B54A32D192ED03
-_STREAM_SALT = 0x8BB84B93962EACC9
-_MUL1 = 0xBF58476D1CE4E5B9
-_MUL2 = 0x94D049BB133111EB
 
-_U_GOLDEN = np.uint64(_GOLDEN)
-_U_MUL1 = np.uint64(_MUL1)
-_U_MUL2 = np.uint64(_MUL2)
+_U_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_U_STREAM_SALT = np.uint64(0x8BB84B93962EACC9)
+_U_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
+_U_MUL2 = np.uint64(0x94D049BB133111EB)
 _U_1 = np.uint64(1)
 _U_11 = np.uint64(11)
 _U_27 = np.uint64(27)
 _U_30 = np.uint64(30)
 _U_31 = np.uint64(31)
 _INV_2_53 = 2.0 ** -53
-
-
-def _mix64_int(z: int) -> int:
-    """SplitMix64 finalizer on Python integers (exact 64-bit arithmetic)."""
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * _MUL1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MUL2) & _MASK64
-    return z ^ (z >> 31)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -63,6 +52,16 @@ def draws_at(phase, counters) -> np.ndarray:
     return u.reshape(np.broadcast_shapes(p.shape, c.shape))
 
 
+def substream_phases(phase, indices) -> np.ndarray:
+    """Phases of the substreams ``indices`` of the stream with ``phase``.
+
+    Element k equals ``s.substream(indices[k]).phase`` for a stream ``s``
+    with that phase; indices are interpreted as uint64.
+    """
+    k = _mix64(np.atleast_1d(np.asarray(indices, dtype=np.uint64)) ^ _U_STREAM_SALT)
+    return _mix64(np.uint64(phase) ^ k)
+
+
 class RandomStream:
     """A seeded stream of uniform [0, 1) doubles with substream support.
 
@@ -75,7 +74,7 @@ class RandomStream:
     def __init__(self, seed: int, *, _phase: int | None = None):
         self.seed = int(seed) & _MASK64
         if _phase is None:
-            _phase = _mix64_int(self.seed ^ _SEED_SALT)
+            _phase = int(_mix64(np.asarray([self.seed ^ _SEED_SALT], dtype=np.uint64))[0])
         self.phase = _phase
         self._counter = 0
 
@@ -86,8 +85,8 @@ class RandomStream:
 
     def substream(self, index: int) -> "RandomStream":
         """Derive an independent child stream for ``index``."""
-        k = _mix64_int((int(index) & _MASK64) ^ _STREAM_SALT)
-        return RandomStream(self.seed, _phase=_mix64_int(self.phase ^ k))
+        phase = substream_phases(self.phase, int(index) & _MASK64)[0]
+        return RandomStream(self.seed, _phase=int(phase))
 
     def uniform(self, size=None):
         """Draw uniforms in [0, 1); a scalar when ``size`` is None."""

@@ -5,6 +5,7 @@ asserts at the stated tolerance.  Expected total runtime is a few minutes;
 the heavy optimized tables are built once per session by the fixtures.
 """
 
+import hashlib
 import math
 import sys
 
@@ -286,12 +287,15 @@ def test_c10_worst_case_grid():
     report("c10", "worst-case product error grid (200x200)", failures)
 
 
-def test_c11_cli_reproducibility(tmp_path, capsys):
-    failures = []
+def _c11_invocations(tmp_path):
+    """c11's canonical CLI runs at seed 1: (output name, argv without --out).
+
+    Writes the d1 table that the sum run loads to ``tmp_path / "d1.json"``.
+    """
     d1_path = tmp_path / "d1.json"
     cli_main(["optimize", "--preset", "d1", "--grid-size", "41", "--iterations", "60",
               "--seed", "1", "--out", str(d1_path)])
-    invocations = [
+    return [
         ("optimize.json", ["optimize", "--preset", "d2", "--grid-size", "41",
                            "--iterations", "60", "--seed", "1"]),
         ("sum.csv", ["experiment", "sum", "--case", "I,III", "--modes", "sr,cr,d1",
@@ -304,6 +308,11 @@ def test_c11_cli_reproducibility(tmp_path, capsys):
                           "--seed", "1"]),
         ("contour.csv", ["experiment", "contour", "--res", "50", "--seed", "1"]),
     ]
+
+
+def test_c11_cli_reproducibility(tmp_path, capsys):
+    failures = []
+    invocations = _c11_invocations(tmp_path)
     for name, args in invocations:
         first = tmp_path / ("a_" + name)
         second = tmp_path / ("b_" + name)
@@ -320,3 +329,27 @@ def test_c11_cli_reproducibility(tmp_path, capsys):
     if once != capsys.readouterr().out:
         failures.append("round output not reproducible")
     report("c11", "CLI runs byte-identical for equal seeds", failures)
+
+
+# sha256 of every output of c11's runs.  The reproducibility contract makes
+# these fixed; a change that alters one changes program output and must say so.
+C11_DIGESTS = {
+    "d1.json": "b99783e8de169de6a5192425c9b14d4034f03b2ff4bcb5c4a47d0ef0cd41b8e0",
+    "optimize.json": "4fb3b93b65e66238f0fe6e340eee1e79bea790ded11aa600df39e93f145be852",
+    "sum.csv": "abe1caf390090aedbcbf72d28be428292aef69785893171ea45524c937788ac6",
+    "sqrt.csv": "96c180c381bfefb8728f606a9c6b5967846a26d6fa503547106f1733e025be52",
+    "dot.csv": "a13b61234257e772f3dfc4ddc4a2bb19dccd153b5d4779261a4d0867ddf7c2b7",
+    "varbound.csv": "97e605f85e6132d5aee29e59064eac0ab964c293f53793c535c3964685935eee",
+    "contour.csv": "be6e523b8c5035b9ba79f11df67b3626694f853b9e7a0bb0100cea07e803a33a",
+}
+
+
+def test_c11_output_fingerprints(tmp_path, capsys):
+    invocations = _c11_invocations(tmp_path)
+    for name, args in invocations:
+        assert cli_main(args + ["--out", str(tmp_path / name)]) == 0
+    got = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ["d1.json"] + [name for name, _ in invocations]
+    }
+    assert got == C11_DIGESTS

@@ -191,11 +191,6 @@ class TestOptimizeTable:
         assert np.all(table.p[f < 0.45] >= 0.99)
         assert np.all(table.p[f > 0.55] <= 0.01)
 
-    def test_thread_count_does_not_change_result(self):
-        a = optimize_table(Preset.D1, grid_size=51, threads=1)
-        b = optimize_table(Preset.D1, grid_size=51, threads=3)
-        assert np.array_equal(a.p, b.p)
-
     def test_nodes_match_scalar_solver(self, d1_table):
         cfg = preset_config(Preset.D1)
         pso = PsoConfig()

@@ -9,7 +9,6 @@ from srlab.experiments import (
     CaseId,
     NewtonConfig,
     _newton_many,
-    _rep_stream,
     gen_case_inputs,
     gen_sine_vectors,
     mode_label,
@@ -21,7 +20,8 @@ from srlab.experiments import (
     run_summation_experiment,
     validate_variance_bound,
 )
-from srlab.rounding import SR, DeterministicMode, RoundingSpec
+from srlab.rounding import SR, DeterministicMode, RoundingSpec, round_stochastic
+from srlab.stats import summarize
 from srlab.streams import RandomStream
 
 D = DeterministicMode
@@ -99,6 +99,55 @@ class TestSummationExperiment:
         assert a == b
 
 
+class TestRepetitionEngine:
+    """The blocked studies against the scalar routines on substream 16 + r.
+
+    Repetition counts cross block boundaries and end in a partial block
+    wherever a block holds more than one repetition.
+    """
+
+    @pytest.mark.parametrize("case, n_reps", [(CaseId.III, 2000), (CaseId.I, 3)])
+    def test_summation_matches_scalar(self, case, n_reps, d1_table):
+        xs = gen_case_inputs(case, seed=4)
+        root = RandomStream(4)
+        for mode in (SR, d1_table):
+            rep = run_summation_experiment(case, mode, n_reps=n_reps, seed=4)
+            ref = [rounded_sum(xs, mode, INT, root.substream(16 + r)) for r in range(n_reps)]
+            assert rep.summary == summarize(ref, float(np.sum(xs)))
+
+    @pytest.mark.parametrize("size, n_reps", [(50, 400), (200, 100)])
+    def test_inner_product_matches_scalar(self, size, n_reps):
+        x, y = gen_sine_vectors(size)
+        root = RandomStream(6)
+        rep = run_inner_product_experiment(size, SR, n_reps=n_reps, seed=6)
+        ref = [rounded_inner_product(x, y, SR, INT, root.substream(16 + r)) for r in range(n_reps)]
+        assert rep.summary == summarize(ref, float(np.dot(x, y)))
+
+    def test_variance_bound_matches_scalar(self):
+        grid = validate_variance_bound(step=0.01, draws=500, seed=2)
+        spec = RoundingSpec(4, 2)
+        root = RandomStream(2)
+        for j, x in enumerate(grid.x):
+            outs = round_stochastic(np.full(500, x), SR, spec, root.substream(16 + j))
+            assert grid.v_empirical[j] == np.var(outs)
+
+    def test_bad_counts_rejected(self):
+        with pytest.raises(ValueError):
+            run_summation_experiment(CaseId.III, SR, n_reps=0)
+        with pytest.raises(ValueError):
+            run_inner_product_experiment(50, SR, n_reps=0)
+        with pytest.raises(ValueError):
+            run_sqrt_experiment(2.0, SR, n_reps=0)
+        with pytest.raises(ValueError):
+            run_sqrt_experiment(-1.0, SR)
+        with pytest.raises(ValueError):
+            validate_variance_bound(step=0.0)
+        with pytest.raises(ValueError):
+            validate_variance_bound(x_max=-1.0)
+        with pytest.raises(ValueError):
+            validate_variance_bound(draws=0)
+
+
 class TestNewton:
     def test_plain_double_precision(self):
         cfg = NewtonConfig()
@@ -139,10 +188,10 @@ class TestNewton:
     def test_vectorized_path_matches_scalar(self):
         cfg = NewtonConfig()
         root = RandomStream(7)
-        phases = np.asarray([_rep_stream(root, r).phase for r in range(50)], dtype=np.uint64)
+        phases = np.asarray([root.substream(16 + r).phase for r in range(50)], dtype=np.uint64)
         value, n_it, conv, breakdown = _newton_many(6.55501, SR, cfg, phases)
         for r in range(50):
-            got = newton_sqrt_rounded(6.55501, SR, cfg, _rep_stream(root, r))
+            got = newton_sqrt_rounded(6.55501, SR, cfg, root.substream(16 + r))
             assert got == (value[r], n_it[r], conv[r])
         assert not breakdown.any()
 

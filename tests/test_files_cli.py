@@ -235,3 +235,28 @@ class TestExperimentCommands:
             assert run_cli(*args, "--out", str(first)) == 0
             assert run_cli(*args, "--out", str(second)) == 0
             assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment", "sum", "--case", "III", "--reps", "0"],
+        ["experiment", "varbound", "--step", "0"],
+        ["experiment", "varbound", "--draws", "0"],
+        ["experiment", "varbound", "--xmax", "-1"],
+        ["experiment", "sqrt", "--values", "-1"],
+        ["experiment", "contour", "--res", "0"],
+        ["optimize", "--preset", "d1", "--grid-size", "1"],
+        ["optimize", "--preset", "d1", "--swarm", "1"],
+        ["round", "1.5", "--n", "400", "--base", "10"],
+    ],
+)
+def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, *([] if argv[0] == "round" else ["--out", str(out)]))
+    assert exc.value.code == 2
+    usage, message = capsys.readouterr().err.splitlines()
+    assert usage.startswith("usage: srlab")
+    assert message.startswith("srlab: error: ")
+    assert not out.exists()

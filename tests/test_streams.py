@@ -1,6 +1,6 @@
 import numpy as np
 
-from srlab.streams import RandomStream, draws_at
+from srlab.streams import RandomStream, draws_at, substream_phases
 
 
 def test_reproducible_for_seed():
@@ -63,6 +63,13 @@ def test_substreams_independent_and_stable():
     assert np.array_equal(a, RandomStream(5).substream(0).uniform(50))
     nested = root.substream(0).substream(0).uniform(50)
     assert not np.array_equal(nested, a)
+
+
+def test_substream_phases_match_substreams():
+    root = RandomStream(12)
+    idx = np.array([0, 1, 16, 9999, 2**63, 2**64 - 1], dtype=np.uint64)
+    expected = [root.substream(int(i)).phase for i in idx]
+    assert substream_phases(root.phase, idx).tolist() == expected
 
 
 def test_substream_order_matters():
