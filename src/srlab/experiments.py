@@ -5,7 +5,9 @@ Every study is parameterized by a rounding mode and a seed.  Repetition r
 draws ``draws_at(phase_r, j)``, j = 0, 1, ..., from substream ``16 + r`` of
 the root stream, so blocks of repetitions give the same results as one at a
 time; input data comes from the low-numbered substreams and is generated
-once per seed, independent of the rounding mode under test.
+once per seed, independent of the rounding mode under test.  Studies that
+round the same values in every repetition work out each value's rounding
+threshold once per study, so a repetition costs one comparison per draw.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .rounding import (
     RoundingMode,
     RoundingSpec,
     round_values,
+    rounding_thresholds,
     stochastic_round_with,
 )
 from .stats import StatsSummary, sr_variance_theoretical, summarize, variance_bound
@@ -161,8 +164,8 @@ def _rounding_study(values, exact, combine, mode, subject, n_reps, seed) -> Expe
     if isinstance(mode, DeterministicMode):
         outcomes = combine(round_values(values, mode, spec)[None, :])
     else:
-        outcomes = _repeat(seed, n_reps, values.size, lambda rows, u: combine(
-            stochastic_round_with(np.broadcast_to(values, u.shape), mode, spec, u)))
+        lower, t = rounding_thresholds(values, mode, spec)
+        outcomes = _repeat(seed, n_reps, values.size, lambda rows, u: combine(lower + (u >= t)))
     return ExperimentReport(
         label=mode_label(mode),
         subject=subject,
@@ -401,8 +404,9 @@ def validate_variance_bound(
     spec = RoundingSpec(n_bits, 2)
     n_pts = int(round(x_max / step)) + 1
     xs = np.arange(n_pts) * step
+    lower, t = rounding_thresholds(xs, SR, spec)
     v_emp = _repeat(seed, n_pts, draws, lambda rows, u: np.var(
-        stochastic_round_with(np.broadcast_to(xs[rows, None], u.shape), SR, spec, u), axis=1))
+        (lower[rows, None] + (u >= t[rows, None])) / spec.theta, axis=1))
     return VarianceBoundGrid(
         x=xs,
         v_empirical=v_emp,

@@ -13,6 +13,7 @@ uniform draw per rounded element, including elements already on the grid.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -34,6 +35,7 @@ __all__ = [
     "sr_probabilities",
     "table_probability",
     "round_stochastic",
+    "rounding_thresholds",
     "stochastic_round_with",
     "round_values",
 ]
@@ -132,10 +134,16 @@ SR = _StochasticSR()
 RoundingMode = Union[DeterministicMode, _StochasticSR, ProbabilityTable]
 
 
-def _prepare(x):
+def _prepare(x, spec: RoundingSpec):
+    """(values, scalar flag); the values must be finite, also once scaled."""
     arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    # IEEE rounding is monotonic, so the largest |x| decides whether any
+    # theta*x overflows; Python floats give inf there without a warning.
+    largest = float(np.abs(arr).max(initial=0.0))
+    if not math.isfinite(largest):
         raise ValueError("values to round must be finite")
+    if math.isinf(largest * spec.theta):
+        raise ValueError(f"values scaled by the grid scale {spec.base}**{spec.n} overflow a double")
     return arr, np.isscalar(x) or arr.ndim == 0
 
 
@@ -153,7 +161,7 @@ def _ret(values: np.ndarray, scalar: bool):
 
 def floor_to_grid(x, spec: RoundingSpec):
     """Largest grid multiple <= x."""
-    arr, scalar = _prepare(x)
+    arr, scalar = _prepare(x, spec)
     return _ret(np.floor(_scaled(arr, spec)) / spec.theta, scalar)
 
 
@@ -163,7 +171,7 @@ def grid_fraction(x, spec: RoundingSpec):
     Defined via the floor convention, so negative values use the grid point
     below them.
     """
-    arr, scalar = _prepare(x)
+    arr, scalar = _prepare(x, spec)
     xt = _scaled(arr, spec)
     return _ret(xt - np.floor(xt), scalar)
 
@@ -176,7 +184,7 @@ def round_deterministic(x, mode: DeterministicMode, spec: RoundingSpec):
     """
     if not isinstance(mode, DeterministicMode):
         raise TypeError(f"expected a DeterministicMode, got {mode!r}")
-    arr, scalar = _prepare(x)
+    arr, scalar = _prepare(x, spec)
     xt = _scaled(arr, spec)
     lower = np.floor(xt)
     if mode is DeterministicMode.FLOOR:
@@ -202,7 +210,7 @@ def sr_probabilities(x, spec: RoundingSpec):
     p_up is the scaled grid fraction and p_down = 1 - p_up, so the pair sums
     to one exactly and grid points get p_down = 1.
     """
-    arr, scalar = _prepare(x)
+    arr, scalar = _prepare(x, spec)
     p_up = grid_fraction(arr, spec)
     p_up = np.asarray(p_up, dtype=np.float64)
     p_down = 1.0 - p_up
@@ -219,33 +227,45 @@ def table_probability(f, table: ProbabilityTable):
     return float(p) if (np.isscalar(f) or arr.ndim == 0) else p
 
 
-def stochastic_round_with(x, mode: RoundingMode, spec: RoundingSpec, uniforms):
-    """Stochastic rounding driven by caller-supplied uniforms in [0, 1).
+def rounding_thresholds(x, mode: RoundingMode, spec: RoundingSpec):
+    """Per-value half of stochastic rounding: ``(lower, t)`` on the scaled grid.
 
-    ``uniforms`` must have one draw per element of ``x``.  An element rounds
-    up exactly when its draw is >= its probability of rounding down; grid
-    points never move.
+    ``lower`` is the scaled grid floor of x and ``t`` its probability of
+    rounding down; grid points get ``t = 2.0``, above every draw.  A draw u
+    in [0, 1) rounds x to ``(lower + (u >= t)) / theta``, so repeated
+    roundings of the same values work out ``(lower, t)`` only once.
     """
-    arr, scalar = _prepare(x)
-    u = np.asarray(uniforms, dtype=np.float64)
-    if u.shape != arr.shape:
-        raise ValueError(f"need one uniform per element: {u.shape} vs {arr.shape}")
+    arr, _ = _prepare(x, spec)
     xt = _scaled(arr, spec)
     lower = np.floor(xt)
     frac = xt - lower
     if mode is SR:
         p_down = 1.0 - frac
     elif isinstance(mode, ProbabilityTable):
-        p_down = table_probability(frac, mode)
+        p_down = np.clip(np.interp(frac, mode.grid, mode.p), 0.0, 1.0)
     else:
         raise TypeError(f"expected a stochastic mode, got {mode!r}")
-    up = (u >= p_down) & (frac > 0.0)
-    return _ret((lower + up) / spec.theta, scalar)
+    return lower, np.where(frac > 0.0, p_down, 2.0)
+
+
+def stochastic_round_with(x, mode: RoundingMode, spec: RoundingSpec, uniforms):
+    """Stochastic rounding driven by caller-supplied uniforms in [0, 1).
+
+    ``uniforms`` must have one draw per element of ``x``.  An element rounds
+    up exactly when its draw is >= its probability of rounding down; grid
+    points never move.  The thresholds come from :func:`rounding_thresholds`,
+    once per value.
+    """
+    lower, t = rounding_thresholds(x, mode, spec)
+    u = np.asarray(uniforms, dtype=np.float64)
+    if u.shape != lower.shape:
+        raise ValueError(f"need one uniform per element: {u.shape} vs {lower.shape}")
+    return _ret((lower + (u >= t)) / spec.theta, lower.ndim == 0)
 
 
 def round_stochastic(x, mode: RoundingMode, spec: RoundingSpec, rng: RandomStream):
     """Round stochastically, consuming one draw from ``rng`` per element."""
-    arr, _ = _prepare(x)
+    arr, _ = _prepare(x, spec)
     u = rng.uniform(arr.shape)
     return stochastic_round_with(x, mode, spec, u)
 

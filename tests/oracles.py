@@ -74,6 +74,30 @@ def elementwise_sum_distribution(xs):
     return dist
 
 
+def elementwise_sum_moments(xs, table=None):
+    """Exact (mean, variance) of the sum of independently integer-rounded
+    terms: sum(floor(x) + 1 - p_down) and sum(p_down * (1 - p_down)).
+
+    Each fraction f comes from exact rational arithmetic on the double.
+    p_down is 1 - f for proximity stochastic rounding (``table=None``) and
+    the table's own linear interpolation at f otherwise; grid points never
+    move, whatever the table says at f = 0.
+    """
+    values, counts = np.unique(np.asarray(xs, dtype=np.float64), return_counts=True)
+    mean = var = Fraction(0)
+    for x, count in zip(values.tolist(), counts.tolist()):
+        q = Fraction(x)
+        lo = math.floor(q)
+        f = q - lo
+        if f == 0:
+            mean += count * lo
+            continue
+        p_down = 1 - f if table is None else Fraction(float(np.interp(float(f), table.grid, table.p)))
+        mean += count * (lo + 1 - p_down)
+        var += count * p_down * (1 - p_down)
+    return float(mean), float(var)
+
+
 def rounded_radicand_sqrt_error(a, table, digits):
     """Expected relative error E|sqrt(fl(a)) - sqrt(a)| / sqrt(a) when a is
     rounded once to ``digits`` decimal places by a probability table.

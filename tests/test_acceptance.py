@@ -353,3 +353,17 @@ def test_c11_output_fingerprints(tmp_path, capsys):
         for name in ["d1.json"] + [name for name, _ in invocations]
     }
     assert got == C11_DIGESTS
+
+
+# sha256 of a summation run at the paper's 10 000 repetitions, on case III
+# with c11's d1 table; fixed by the reproducibility contract like C11_DIGESTS.
+PAPER_SUM_DIGEST = "e904ecf51dc60c3bcbce5c4f8398adfcf30709871182b3162654e103144893ec"
+
+
+def test_paper_count_sum_fingerprint(tmp_path, capsys):
+    _c11_invocations(tmp_path)
+    out = tmp_path / "sum.csv"
+    assert cli_main(["experiment", "sum", "--case", "III", "--modes", "sr,cr,d1",
+                     "--table", str(tmp_path / "d1.json"), "--reps", "10000",
+                     "--seed", "1", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PAPER_SUM_DIGEST

@@ -20,7 +20,7 @@ from srlab.experiments import (
     run_summation_experiment,
     validate_variance_bound,
 )
-from srlab.rounding import SR, DeterministicMode, RoundingSpec, round_stochastic
+from srlab.rounding import SR, DeterministicMode, ProbabilityTable, RoundingSpec, round_stochastic
 from srlab.stats import summarize
 from srlab.streams import RandomStream
 
@@ -29,7 +29,7 @@ INT = RoundingSpec()
 MILLI = RoundingSpec(3, 10)
 
 
-from oracles import varhat_mean_std
+from oracles import elementwise_sum_moments, varhat_mean_std
 
 
 class TestCaseInputs:
@@ -92,6 +92,18 @@ class TestSummationExperiment:
         cr = run_summation_experiment(CaseId.I, D.HALF_EVEN, seed=0)
         assert sr.summary.variance > 0.0
         assert cr.summary.mean_abs_rel_err > sr.summary.mean_abs_rel_err
+
+    def test_case_one_matches_exact_moments(self, d1_table):
+        # Within 4 standard errors of the closed forms; the sum of 10 000
+        # two-point terms is close to normal, so a sample variance has a
+        # standard error of about var * sqrt(2 / n).
+        n = 10_000
+        xs = gen_case_inputs(CaseId.I, seed=0)
+        for mode, table in ((SR, None), (d1_table, d1_table)):
+            mean, var = elementwise_sum_moments(xs, table)
+            s = run_summation_experiment(CaseId.I, mode, n_reps=n, seed=0).summary
+            assert abs(s.mu - mean) < 4 * math.sqrt(var / n), mode_label(mode)
+            assert abs(s.variance - var) < 4 * var * math.sqrt(2 / n), mode_label(mode)
 
     def test_reproducible_reports(self):
         a = run_summation_experiment(CaseId.III, SR, n_reps=500, seed=3)
@@ -282,6 +294,28 @@ class TestInnerProduct:
         rep = run_inner_product_experiment(50, D.HALF_EVEN)
         assert rep.summary.variance == 0.0
         assert rep.n_reps == 1
+
+    def test_experiment_keeps_exact_zero_terms_at_zero(self):
+        # p = 0.5 at f = 0 as well, so only the grid-point rule keeps
+        # x[0] = y[0] = 0 at zero.  The reference rounds by hand from the
+        # draws of substream 16 + r: x takes 0 .. size-1, y size .. 2*size-1.
+        half = ProbabilityTable(grid=[0.0, 1.0], p=[0.5, 0.5], label="half")
+        size, n_reps = 50, 200
+        x, y = gen_sine_vectors(size)
+        v = np.concatenate([x, y])
+        lower = np.floor(v)
+        off_grid = v != lower
+        assert not off_grid[0] and not off_grid[size]
+        root = RandomStream(5)
+        kept, moved = [], []
+        for r in range(n_reps):
+            up = root.substream(16 + r).uniform(2 * size) >= 0.5
+            for out, rounded in ((kept, lower + (up & off_grid)), (moved, lower + up)):
+                out.append(float(np.sum(rounded[:size] * rounded[size:])))
+        exact = float(np.dot(x, y))
+        rep = run_inner_product_experiment(size, half, n_reps=n_reps, seed=5)
+        assert rep.summary == summarize(kept, exact)
+        assert summarize(moved, exact) != summarize(kept, exact)
 
     def test_experiment_reproducible(self):
         a = run_inner_product_experiment(50, SR, n_reps=200, seed=8)

@@ -249,6 +249,7 @@ class TestExperimentCommands:
         ["optimize", "--preset", "d1", "--grid-size", "1"],
         ["optimize", "--preset", "d1", "--swarm", "1"],
         ["round", "1.5", "--n", "400", "--base", "10"],
+        ["round", "1e300", "--n", "1023"],
     ],
 )
 def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):

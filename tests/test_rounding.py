@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from srlab.rounding import (
     round_deterministic,
     round_stochastic,
     round_values,
+    rounding_thresholds,
     sr_probabilities,
     stochastic_round_with,
     table_probability,
@@ -39,6 +42,23 @@ class TestRoundingSpec:
             RoundingSpec(-1)
         with pytest.raises(ValueError):
             RoundingSpec(2, 3)
+
+    def test_scaled_overflow_rejected_without_warnings(self):
+        # 2**1023 itself is finite; 1e300 * 2**1023 is not
+        spec = RoundingSpec(1023, 2)
+        calls = [
+            lambda: floor_to_grid(1e300, spec),
+            lambda: grid_fraction(-1e300, spec),
+            lambda: round_deterministic(1e300, D.HALF_EVEN, spec),
+            lambda: stochastic_round_with(1e300, SR, spec, 0.5),
+            lambda: rounding_thresholds(np.array([1.0, -1e300]), SR, spec),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(ValueError, match="overflow"):
+                    call()
+        assert floor_to_grid(1.5, spec) == 1.5
 
 
 # Deterministic rule tables: value -> expected result per mode at delta = 1.
@@ -197,6 +217,22 @@ class TestRoundStochastic:
         ceilish = ProbabilityTable(grid=[0.0, 1.0], p=[0.0, 0.0], label="zero")
         rng = RandomStream(5)
         assert round_stochastic(3.0, ceilish, INT, rng) == 3.0
+        # p = 0.5 at f = 0 as well: a draw of 0.9 moves 2.25 up, no grid point
+        half = ProbabilityTable(grid=[0.0, 1.0], p=[0.5, 0.5], label="half")
+        g = np.arange(-5.0, 6.0)
+        assert np.array_equal(stochastic_round_with(g, half, INT, np.full(g.shape, 0.9)), g)
+        assert stochastic_round_with(2.25, half, INT, 0.9) == 3.0
+
+    def test_thresholds(self):
+        lower, t = rounding_thresholds(np.array([0.25, 2.0, -1.75]), SR, INT)
+        assert np.array_equal(lower, [0.0, 2.0, -2.0])
+        assert np.array_equal(t, [0.75, 2.0, 0.75])
+        table = ProbabilityTable(grid=[0.0, 0.5, 1.0], p=[1.0, 0.4, 0.0])
+        lower, t = rounding_thresholds(np.array([0.25, 3.0]), table, INT)
+        assert np.array_equal(lower, [0.0, 3.0])
+        assert np.array_equal(t, [0.7, 2.0])
+        with pytest.raises(TypeError):
+            rounding_thresholds(0.5, D.FLOOR, INT)
 
     def test_uniform_shape_mismatch(self):
         with pytest.raises(ValueError):
