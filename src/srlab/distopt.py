@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .rounding import ProbabilityTable
-from .streams import RandomStream, draws_at, substream_phases
+from .streams import RandomStream, _draw_blocks, substream_phases
 
 __all__ = [
     "MopConfig",
@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 PENALTY_DEFAULT = 1e10
+_ONE_BITS = np.float64(1.0).view(np.uint64)
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,11 @@ class MopConfig:
 
 @dataclass(frozen=True)
 class PsoConfig:
-    """Swarm hyperparameters; the search interval is fixed to [0, 1]."""
+    """Swarm hyperparameters; the search interval is fixed to [0, 1].
+
+    The coefficients must be finite and the velocity clamp in (0, 1], so a
+    particle that leaves [0, 1] is back inside after one reflection.
+    """
 
     swarm_size: int = 50
     iterations: int = 200
@@ -81,6 +86,9 @@ class PsoConfig:
             raise ValueError("swarm_size must be at least 2")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
+        if not (np.all(np.isfinite([self.inertia, self.cognitive, self.social]))
+                and 0.0 < self.velocity_clamp <= 1.0):
+            raise ValueError("coefficients must be finite and velocity_clamp in (0, 1]")
 
 
 class Preset(Enum):
@@ -109,24 +117,24 @@ def preset_config(preset: Preset) -> MopConfig:
     raise ValueError(f"unknown preset {preset!r}")
 
 
+def _unit_interval(x, name: str) -> np.ndarray:
+    arr = np.asarray(x, dtype=np.float64)
+    if np.any(arr < 0.0) or np.any(arr > 1.0):
+        raise ValueError(f"{name} must lie in [0, 1]")
+    return arr
+
+
 def variance_of_p(p, delta: float = 1.0):
     """Rounding variance delta^2 (p - p^2); maximal at p = 1/2."""
-    arr = np.asarray(p, dtype=np.float64)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise ValueError("p must lie in [0, 1]")
+    arr = _unit_interval(p, "p")
     v = (delta * delta) * (arr - arr * arr)
     return float(v) if v.ndim == 0 else v
 
 
 def bias_of_p(p, f, delta: float = 1.0):
     """Rounding bias delta ((1 - p) - f); zero exactly when p = 1 - f."""
-    arr = np.asarray(p, dtype=np.float64)
-    fr = np.asarray(f, dtype=np.float64)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise ValueError("p must lie in [0, 1]")
-    if np.any(fr < 0.0) or np.any(fr > 1.0):
-        raise ValueError("f must lie in [0, 1]")
-    b = delta * ((1.0 - arr) - fr)
+    arr = _unit_interval(p, "p")
+    b = delta * ((1.0 - arr) - _unit_interval(f, "f"))
     return float(b) if b.ndim == 0 else b
 
 
@@ -137,62 +145,99 @@ def objective(p, f, cfg: MopConfig):
     when its constraint value reaches the limit (closed interval).
     """
     arr = np.clip(np.asarray(p, dtype=np.float64), 0.0, 1.0)
-    v = variance_of_p(arr, cfg.delta)
-    b = bias_of_p(arr, f, cfg.delta)
-    total = cfg.theta1 * v * v + cfg.theta2 * b * b
-    if cfg.v_max is not None:
-        total = total + cfg.k1 * (v >= cfg.v_max)
+    fr = _unit_interval(f, "f")
+    shape = np.broadcast_shapes(arr.shape, fr.shape)
+    total = _objective_into(arr, fr, cfg, *(np.empty(shape) for _ in range(3)))
+    return float(total) if total.ndim == 0 else total
+
+
+def _objective_into(p, f, cfg: MopConfig, out, v, b):
+    """The objective of p in [0, 1] at fractions f, written into ``out``.
+
+    ``out``, ``v`` and ``b`` are float64 arrays of the broadcast shape of p
+    and f; ``v`` and ``b`` are scratch.  V and B are computed as in
+    ``variance_of_p`` and ``bias_of_p``, without their range checks, and
+    the operations and their order are those of ``theta1 * V * V +
+    theta2 * B * B``, then each penalty.
+    """
+    np.subtract(p, np.multiply(p, p, out=v), out=v)
+    v *= cfg.delta * cfg.delta
+    np.subtract(np.subtract(1.0, p, out=b), f, out=b)
+    b *= cfg.delta
+    hits = [] if cfg.v_max is None else [(cfg.k1, v >= cfg.v_max)]
     if cfg.b_max is not None:
-        total = total + cfg.k2 * (np.abs(b) >= cfg.b_max)
-    return float(total) if np.ndim(total) == 0 else total
+        hits.append((cfg.k2, np.abs(b, out=out) >= cfg.b_max))
+    np.multiply(np.multiply(cfg.theta1, v, out=out), v, out=out)
+    out += np.multiply(np.multiply(cfg.theta2, b, out=v), b, out=v)
+    for k, hit in hits:
+        out += np.multiply(k, hit, out=v)
+    return out
 
 
 def _pso_batch(fitness, phases: np.ndarray, cfg: PsoConfig):
     """Synchronous PSO on [0, 1] for a batch of independent 1-D problems.
 
-    ``fitness`` maps an (m, swarm) position array to objective values of the
-    same shape; row j draws from the stream phase ``phases[j]`` only, so a
-    batch run is bit-identical to solving each row on its own.
+    ``fitness(x, buffers)`` returns the objective values of an (m, swarm)
+    position array, in the same shape.  It may write them into
+    ``buffers[0]`` and use ``buffers[1:]`` as scratch (float64 arrays of
+    x's shape), and keeps no reference to x or the buffers.  Row j draws
+    from the stream phase ``phases[j]`` only, so a batch run is
+    bit-identical to solving each row on its own.
+
+    An iteration runs in place in the swarm's arrays and the three buffers,
+    with the operations in the order of ``inertia * v + cognitive * rp *
+    (pbest - x) + social * rg * (g - x)``.  Its selects are branch-free and
+    give the bits of the ``np.where`` selects they replace, because a
+    position is never NaN or -0.0: positions start at (j + u) / s >= +0,
+    velocities are finite because the coefficients are (``PsoConfig``
+    checks them), IEEE addition yields -0.0 only from two -0.0 operands, and
+    a reflected position is |x| or 2 - |x|.
+    - A position is outside [0, 1] exactly when its bits, read as uint64,
+      exceed those of 1.0, since negative doubles have the top bit set.
+      Such a particle's velocity changes sign by an xor of the sign bit.
+    - With |v| <= clamp <= 1, positions lie in [-1, 2].  There,
+      ``min(|x|, 2 - |x|)`` is -x below 0, x inside [0, 1] and 2 - x above
+      1, as the selects give; 2 - |x| is exact for |x| in [1, 2].
+    - pbest and fp take x and fx where fx < fp by the uint64 blend
+      ``a ^ ((a ^ b) & mask)``.  A blend copies bits, so this holds for any
+      fitness value, NaN and -0.0 included.
     """
     m = phases.size
     s = cfg.swarm_size
-    phases = np.asarray(phases, dtype=np.uint64).reshape(m, 1)
-    counter = 0
-
-    def draw_block():
-        nonlocal counter
-        u = draws_at(phases, np.arange(counter, counter + s, dtype=np.uint64)[None, :])
-        counter += s
-        return u
-
+    buffers = tuple(np.empty((3, m, s)))
+    diff, r, _ = buffers
+    mask, tmp = (buf.view(np.uint64) for buf in buffers[1:])
+    blocks = _draw_blocks(np.asarray(phases, dtype=np.uint64), s, r, tmp)
     # Stratified start: one particle per 1/s bin keeps narrow feasible bands
     # (penalty presets) populated from iteration zero.
-    x = (np.arange(s)[None, :] + draw_block()) / s
+    x = (np.arange(s) + next(blocks)) / s
     v = np.zeros_like(x)
     pbest = x.copy()
-    fp = np.asarray(fitness(x), dtype=np.float64)
+    fp = np.array(fitness(x, buffers), dtype=np.float64)
     rows = np.arange(m)
     gi = np.argmin(fp, axis=1)
     g = pbest[rows, gi]
     fg = fp[rows, gi]
+    x_bits, v_bits = x.view(np.uint64), v.view(np.uint64)
     for _ in range(cfg.iterations):
-        rp = draw_block()
-        rg = draw_block()
-        v = cfg.inertia * v + cfg.cognitive * rp * (pbest - x) + cfg.social * rg * (g[:, None] - x)
-        v = np.clip(v, -cfg.velocity_clamp, cfg.velocity_clamp)
-        x = x + v
-        # Reflective walls: one bounce suffices since |v| <= clamp <= 1, and
-        # bouncing keeps sampling dense next to 0 and 1 where clamped swarms
-        # stall on boundary plateaus.
-        low = x < 0.0
-        high = x > 1.0
-        x = np.where(low, -x, x)
-        x = np.where(high, 2.0 - x, x)
-        v = np.where(low | high, -v, v)
-        fx = np.asarray(fitness(x), dtype=np.float64)
-        improved = fx < fp
-        pbest = np.where(improved, x, pbest)
-        fp = np.where(improved, fx, fp)
+        v *= cfg.inertia
+        for coef, best in ((cfg.cognitive, pbest), (cfg.social, g[:, None])):
+            next(blocks)
+            r *= coef
+            r *= np.subtract(best, x, out=diff)
+            v += r
+        np.clip(v, -cfg.velocity_clamp, cfg.velocity_clamp, out=v)
+        x += v
+        # Reflective walls: bouncing keeps sampling dense next to 0 and 1,
+        # where clamped swarms stall on boundary plateaus.
+        v_bits ^= np.left_shift(np.greater(x_bits, _ONE_BITS, out=tmp), 63, out=tmp)
+        np.abs(x, out=x)
+        np.minimum(x, np.subtract(2.0, x, out=diff), out=x)
+        fx = np.asarray(fitness(x, buffers), dtype=np.float64)
+        np.negative(np.less(fx, fp, out=mask), out=mask)
+        for best, new in ((fp, fx), (pbest, x)):
+            bits = best.view(np.uint64)
+            bits ^= np.bitwise_and(np.bitwise_xor(bits, new.view(np.uint64), out=tmp), mask, out=tmp)
         bi = np.argmin(fp, axis=1)
         bf = fp[rows, bi]
         better = bf < fg
@@ -204,13 +249,13 @@ def _pso_batch(fitness, phases: np.ndarray, cfg: PsoConfig):
 def pso_minimize(fitness, cfg: PsoConfig, stream: RandomStream | None = None):
     """Minimize a scalar fitness on [0, 1]; returns (p_star, fitness_star).
 
-    ``fitness`` must accept numpy arrays elementwise.  The swarm draws from
-    ``stream`` (fresh, unconsumed) or from ``RandomStream(cfg.seed)``.
+    ``fitness`` must accept numpy arrays elementwise.  It receives the
+    swarm's own position array, which it must neither modify nor keep.  The
+    swarm draws from ``stream`` (fresh, unconsumed) or from
+    ``RandomStream(cfg.seed)``.
     """
-    if stream is None:
-        stream = RandomStream(cfg.seed)
-    phases = np.asarray([stream.phase], dtype=np.uint64)
-    g, fg = _pso_batch(lambda p: fitness(p), phases, cfg)
+    phases = np.asarray([(stream or RandomStream(cfg.seed)).phase], dtype=np.uint64)
+    g, fg = _pso_batch(lambda p, _: fitness(p), phases, cfg)
     return float(g[0]), float(fg[0])
 
 
@@ -243,5 +288,5 @@ def optimize_table(
         p_star = np.full(grid_size, 1.0 if preset is Preset.VAR_MIN_FLOOR else 0.0)
     else:
         phases = substream_phases(RandomStream(pso.seed).phase, np.arange(grid_size))
-        p_star, _ = _pso_batch(lambda p: objective(p, fgrid[:, None], cfg), phases, pso)
+        p_star, _ = _pso_batch(lambda p, bufs: _objective_into(p, fgrid[:, None], cfg, *bufs), phases, pso)
     return ProbabilityTable(grid=fgrid, p=p_star, label=label)

@@ -9,6 +9,14 @@ a draw is a pure function of (phase, counter), draws can be produced in
 bulk, out of order, or for many streams at once, and the sequence is
 identical on every platform.  This scheme is fixed; changing any constant
 changes every stream.
+
+All uint64 arithmetic wraps modulo 2^64 and is done on arrays, never on
+numpy scalars, which warn on overflow.  ``_mix64`` is the one SplitMix64
+finalizer.  It works in place: it overwrites its uint64 array with the
+mixed values and returns it, so a caller hands it a fresh array
+(``draws_at``, ``substream_phases``, ``RandomStream``) or a buffer whose
+contents it no longer needs (``_draw_blocks``, which draws the same block
+shape many times into the caller's buffers).
 """
 
 from __future__ import annotations
@@ -30,11 +38,28 @@ _U_31 = np.uint64(31)
 _INV_2_53 = 2.0 ** -53
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer on uint64 arrays (wrapping multiplies)."""
-    z = (z ^ (z >> _U_30)) * _U_MUL1
-    z = (z ^ (z >> _U_27)) * _U_MUL2
-    return z ^ (z >> _U_31)
+def _mix64(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+    """SplitMix64 finalizer, in place on the uint64 array ``z``; returns ``z``.
+
+    ``tmp`` is uint64 scratch of z's shape (allocated when omitted).
+    """
+    tmp = np.empty_like(z) if tmp is None else tmp
+    for shift, mul in ((_U_30, _U_MUL1), (_U_27, _U_MUL2)):
+        z ^= np.right_shift(z, shift, out=tmp)
+        z *= mul
+    z ^= np.right_shift(z, _U_31, out=tmp)
+    return z
+
+
+def _uniforms(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Uniform [0, 1) doubles of the uint64 counter states ``z``, into ``out``.
+
+    ``z`` is overwritten; ``out`` (float64, z's shape) is also the
+    finalizer's scratch.  Returns ``out``.
+    """
+    _mix64(z, out.view(np.uint64))
+    z >>= _U_11
+    return np.multiply(z, _INV_2_53, out=out)
 
 
 def draws_at(phase, counters) -> np.ndarray:
@@ -46,10 +71,23 @@ def draws_at(phase, counters) -> np.ndarray:
     """
     p = np.asarray(phase, dtype=np.uint64)
     c = np.asarray(counters, dtype=np.uint64)
-    state = p + (c + _U_1) * _U_GOLDEN
-    bits = _mix64(np.atleast_1d(state))
-    u = (bits >> _U_11).astype(np.float64) * _INV_2_53
-    return u.reshape(np.broadcast_shapes(p.shape, c.shape))
+    state = np.atleast_1d(np.add(p, np.multiply(np.add(c, _U_1), _U_GOLDEN)))
+    u = _uniforms(state, np.empty(state.shape))
+    return u if p.ndim or c.ndim else u.reshape(())
+
+
+def _draw_blocks(phases: np.ndarray, width: int, out: np.ndarray, scratch: np.ndarray):
+    """Yield ``draws_at(phases[:, None], k * width + arange(width))`` for k = 0, 1, ...
+
+    Each block is written into ``out`` (float64, (phases.size, width));
+    ``scratch`` is uint64 of the same shape.  The counter states advance
+    by ``width * GOLDEN`` per block, which modulo 2^64 is the same state.
+    """
+    state = np.add(phases.reshape(-1, 1), np.multiply(np.arange(1, width + 1, dtype=np.uint64), _U_GOLDEN))
+    while True:
+        np.copyto(scratch, state)
+        state += np.uint64(width * int(_U_GOLDEN) & _MASK64)
+        yield _uniforms(scratch, out)
 
 
 def substream_phases(phase, indices) -> np.ndarray:
@@ -90,15 +128,11 @@ class RandomStream:
 
     def uniform(self, size=None):
         """Draw uniforms in [0, 1); a scalar when ``size`` is None."""
-        if size is None:
-            u = draws_at(self.phase, [self._counter])
-            self._counter += 1
-            return float(u[0])
-        shape = (size,) if np.isscalar(size) else tuple(size)
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        u = draws_at(self.phase, np.arange(self._counter, self._counter + n))
+        shape = () if size is None else (size,) if np.isscalar(size) else tuple(size)
+        n = int(np.prod(shape, dtype=np.int64))
+        u = draws_at(self.phase, np.arange(self._counter, self._counter + n)).reshape(shape)
         self._counter += n
-        return u.reshape(shape)
+        return float(u) if size is None else u
 
     def __repr__(self) -> str:
         return f"RandomStream(seed={self.seed}, counter={self._counter})"

@@ -120,3 +120,92 @@ def rounded_radicand_sqrt_error(a, table, digits):
         err_up = abs((lo + 1).scaleb(-digits).sqrt() - root) / root
     p_down = float(np.interp(float(f), table.grid, table.p))
     return p_down * float(err_down) + (1.0 - p_down) * float(err_up)
+
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def splitmix64_mix(z):
+    """The SplitMix64 finalizer in exact Python-int arithmetic."""
+    z = int(z) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def splitmix64_draw(phase, counter):
+    """Draw ``counter`` of the stream with ``phase``, in exact Python-int
+    arithmetic: (mix64(phase + (counter + 1) * GOLDEN) >> 11) * 2**-53."""
+    return (splitmix64_mix(int(phase) + (int(counter) + 1) * _GOLDEN) >> 11) * 2.0**-53
+
+
+def reference_draws(phase, counters):
+    """``splitmix64_draw`` for broadcast arrays of phases and counters, as
+    plain uint64 numpy expressions that allocate a fresh array each."""
+    state = np.asarray(phase, dtype=np.uint64) + (
+        np.asarray(counters, dtype=np.uint64) + np.uint64(1)) * np.uint64(_GOLDEN)
+    z = (state ^ (state >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z = z ^ (z >> np.uint64(31))
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def reference_objective(p, f, cfg):
+    """The scalarized objective as plain numpy expressions, one temporary
+    per operation: theta1 V^2 + theta2 B^2, then each penalty."""
+    arr = np.clip(np.asarray(p, dtype=np.float64), 0.0, 1.0)
+    v = (cfg.delta * cfg.delta) * (arr - arr * arr)
+    b = cfg.delta * ((1.0 - arr) - np.asarray(f, dtype=np.float64))
+    total = cfg.theta1 * v * v + cfg.theta2 * b * b
+    if cfg.v_max is not None:
+        total = total + cfg.k1 * (v >= cfg.v_max)
+    if cfg.b_max is not None:
+        total = total + cfg.k2 * (np.abs(b) >= cfg.b_max)
+    return total
+
+
+def reference_pso_batch(fitness, phases, cfg):
+    """The particle swarm written with ``np.where`` selects and a fresh
+    array per operation; ``fitness(x)`` maps (m, swarm) positions to
+    values, and row j draws ``reference_draws(phases[j], counters)``."""
+    m = phases.size
+    s = cfg.swarm_size
+    phases = np.asarray(phases, dtype=np.uint64).reshape(m, 1)
+    counter = 0
+
+    def draw_block():
+        nonlocal counter
+        u = reference_draws(phases, np.arange(counter, counter + s, dtype=np.uint64)[None, :])
+        counter += s
+        return u
+
+    x = (np.arange(s)[None, :] + draw_block()) / s
+    v = np.zeros_like(x)
+    pbest = x.copy()
+    fp = np.asarray(fitness(x), dtype=np.float64)
+    rows = np.arange(m)
+    gi = np.argmin(fp, axis=1)
+    g = pbest[rows, gi]
+    fg = fp[rows, gi]
+    for _ in range(cfg.iterations):
+        rp = draw_block()
+        rg = draw_block()
+        v = cfg.inertia * v + cfg.cognitive * rp * (pbest - x) + cfg.social * rg * (g[:, None] - x)
+        v = np.clip(v, -cfg.velocity_clamp, cfg.velocity_clamp)
+        x = x + v
+        low = x < 0.0
+        high = x > 1.0
+        x = np.where(low, -x, x)
+        x = np.where(high, 2.0 - x, x)
+        v = np.where(low | high, -v, v)
+        fx = np.asarray(fitness(x), dtype=np.float64)
+        improved = fx < fp
+        pbest = np.where(improved, x, pbest)
+        fp = np.where(improved, fx, fp)
+        bi = np.argmin(fp, axis=1)
+        bf = fp[rows, bi]
+        better = bf < fg
+        g = np.where(better, pbest[rows, bi], g)
+        fg = np.where(better, bf, fg)
+    return g, fg

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from oracles import equal_weight_root, reference_objective, reference_pso_batch
 from srlab.distopt import (
     MopConfig,
     Preset,
     PsoConfig,
+    _pso_batch,
     bias_of_p,
     objective,
     optimize_table,
@@ -12,23 +14,28 @@ from srlab.distopt import (
     pso_minimize,
     variance_of_p,
 )
-from srlab.streams import RandomStream
+from srlab.streams import RandomStream, substream_phases
+
+SWARM_PRESETS = (Preset.BIAS_MIN, Preset.NEAREST_LIKE, Preset.D1, Preset.D2)
 
 
-from oracles import equal_weight_root
-
-
-def scan_objective_min(cfg, f, points=10**6):
-    """Independent brute-force oracle: dense scan of the scalarized objective."""
+def scan_objective_min(cfg, fs, points=10**6):
+    """Independent brute-force oracle: dense scan of the scalarized objective,
+    one minimum per fraction in ``fs``."""
     p = np.linspace(0.0, 1.0, points)
     v = (cfg.delta**2) * (p - p * p)
-    b = cfg.delta * ((1.0 - p) - f)
-    total = cfg.theta1 * v * v + cfg.theta2 * b * b
-    if cfg.v_max is not None:
-        total = total + cfg.k1 * (v >= cfg.v_max)
-    if cfg.b_max is not None:
-        total = total + cfg.k2 * (np.abs(b) >= cfg.b_max)
-    return total.min()
+    var_term = cfg.theta1 * v * v
+    v_penalty = None if cfg.v_max is None else cfg.k1 * (v >= cfg.v_max)
+    minima = []
+    for f in fs:
+        b = cfg.delta * ((1.0 - p) - f)
+        total = var_term + cfg.theta2 * b * b
+        if v_penalty is not None:
+            total = total + v_penalty
+        if cfg.b_max is not None:
+            total = total + cfg.k2 * (np.abs(b) >= cfg.b_max)
+        minima.append(total.min())
+    return minima
 
 
 class TestConfigs:
@@ -156,9 +163,9 @@ class TestOptimizeTable:
         for preset in Preset:
             cfg = preset_config(preset)
             table = optimize_table(preset, grid_size=21, pso=pso)
-            for j, f in enumerate(table.grid):
-                got = objective(table.p[j], f, cfg)
-                assert got <= scan_objective_min(cfg, f) + 1e-8
+            for j, scan in enumerate(scan_objective_min(cfg, table.grid)):
+                got = objective(table.p[j], table.grid[j], cfg)
+                assert got <= scan + 1e-8
 
     def test_equal_weight_root_oracle(self, d1_table):
         for f in (0.2, 0.35, 0.5, 0.65, 0.9):
@@ -205,3 +212,100 @@ class TestOptimizeTable:
         assert table.label == "custom"
         with pytest.raises(TypeError):
             optimize_table("d1", grid_size=11)
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+def reference_table(cfg, grid_size, pso):
+    """(p, fitness) per node from the np.where swarm and objective of oracles.py."""
+    fgrid = np.linspace(0.0, 1.0, grid_size)
+    phases = substream_phases(RandomStream(pso.seed).phase, np.arange(grid_size))
+    return reference_pso_batch(lambda p: reference_objective(p, fgrid[:, None], cfg), phases, pso)
+
+
+class TestReferenceSwarm:
+    """The in-place swarm gives the bits of the np.where swarm in oracles.py."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 345805177])
+    @pytest.mark.parametrize("preset", SWARM_PRESETS, ids=lambda p: p.value)
+    def test_presets_at_41_nodes(self, preset, seed):
+        pso = PsoConfig(seed=seed)
+        g, _ = reference_table(preset_config(preset), 41, pso)
+        assert np.array_equal(bits(optimize_table(preset, grid_size=41, pso=pso).p), bits(g))
+
+    def test_presets_at_1001_nodes(self, tables_1001):
+        for preset in SWARM_PRESETS:
+            g, _ = reference_table(preset_config(preset), 1001, PsoConfig())
+            assert np.array_equal(bits(tables_1001[preset].p), bits(g)), preset
+            pso = PsoConfig(seed=345805177)
+            g, _ = reference_table(preset_config(preset), 1001, pso)
+            assert np.array_equal(bits(optimize_table(preset, grid_size=1001, pso=pso).p), bits(g)), preset
+
+    @pytest.mark.parametrize(
+        "mop, pso",
+        [
+            (MopConfig(theta1=0.5, theta2=0.5, delta=0.25), PsoConfig(seed=3)),
+            (MopConfig(theta1=0.3, theta2=0.7, v_max=0.2, k1=1e6, b_max=0.1, k2=1e8, delta=2.0),
+             PsoConfig(seed=4)),
+            (MopConfig(theta1=0.0, theta2=1.0, b_max=0.02, k2=5.0), PsoConfig(seed=5, swarm_size=7)),
+            (MopConfig(theta1=0.9, theta2=0.1, v_max=0.24, k1=1.0),
+             PsoConfig(seed=6, swarm_size=13, iterations=80, inertia=0.9, cognitive=3.0, social=3.0,
+                       velocity_clamp=1.0)),
+        ],
+    )
+    def test_custom_configs(self, mop, pso):
+        g, fg = reference_table(mop, 101, pso)
+        assert np.array_equal(bits(optimize_table(mop, grid_size=101, pso=pso).p), bits(g))
+        # the swarm fed by the public objective: positions and fitness alike
+        fgrid = np.linspace(0.0, 1.0, 101)
+        phases = substream_phases(RandomStream(pso.seed).phase, np.arange(101))
+        got = _pso_batch(lambda p, _: objective(p, fgrid[:, None], mop), phases, pso)
+        assert np.array_equal(bits(got[0]), bits(g)) and np.array_equal(bits(got[1]), bits(fg))
+
+    @pytest.mark.parametrize(
+        "fitness",
+        [
+            lambda q: (q - 0.3) ** 2,
+            lambda q: -q,  # -0.0 at q = 0
+            lambda q: q,  # returns the swarm's own position array
+            lambda q: np.where((q < 0.05) | (q > 0.15), 1e10, 0.0) + (q - 0.054) ** 2,
+        ],
+        ids=["quadratic", "negated", "identity", "plateau"],
+    )
+    def test_pso_minimize_user_fitness(self, fitness):
+        for pso in (PsoConfig(seed=11), PsoConfig(seed=12, swarm_size=9, velocity_clamp=1.0)):
+            phases = np.asarray([RandomStream(pso.seed).phase], dtype=np.uint64)
+            g, fg = reference_pso_batch(fitness, phases, pso)
+            p, val = pso_minimize(fitness, pso)
+            assert bits(p) == bits(g[0]) and bits(val) == bits(fg[0])
+
+    def test_nan_fitness_met_after_the_start(self):
+        nans = []
+
+        def fitness(q):
+            out = np.where(np.abs(q - 0.5) < 0.01, np.nan, (q - 0.7) ** 2)
+            nans.append(int(np.isnan(out).sum()))
+            return out
+
+        pso = PsoConfig(seed=11, swarm_size=9)
+        g, fg = reference_pso_batch(fitness, np.asarray([RandomStream(11).phase], dtype=np.uint64), pso)
+        assert nans[0] == 0 and sum(nans) > 0 and np.isfinite(fg[0])
+        p, val = pso_minimize(fitness, pso)
+        assert bits(p) == bits(g[0]) and bits(val) == bits(fg[0])
+
+    def test_objective_matches_reference(self):
+        p = np.concatenate([np.linspace(-0.5, 1.5, 2001), [0.0, 1.0, 0.5]])
+        f = np.linspace(0.0, 1.0, 11)[:, None]
+        configs = [preset_config(preset) for preset in Preset] + [
+            MopConfig(theta1=0.3, theta2=0.7, v_max=0.2, k1=1e6, b_max=0.1, k2=1e8, delta=2.0)]
+        for cfg in configs:
+            assert np.array_equal(bits(objective(p, f, cfg)), bits(reference_objective(p, f, cfg)))
+            assert bits(objective(0.3, 0.6, cfg)) == bits(reference_objective(0.3, 0.6, cfg))
+
+    def test_bad_swarm_coefficients_rejected(self):
+        for bad in ({"velocity_clamp": 1.5}, {"velocity_clamp": 0.0}, {"inertia": np.inf},
+                    {"cognitive": np.nan}):
+            with pytest.raises(ValueError):
+                PsoConfig(**bad)

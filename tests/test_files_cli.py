@@ -248,6 +248,8 @@ class TestExperimentCommands:
         ["experiment", "contour", "--res", "0"],
         ["optimize", "--preset", "d1", "--grid-size", "1"],
         ["optimize", "--preset", "d1", "--swarm", "1"],
+        ["optimize", "--preset", "d1", "--velocity-clamp", "2"],
+        ["optimize", "--preset", "d1", "--inertia", "inf"],
         ["round", "1.5", "--n", "400", "--base", "10"],
         ["round", "1e300", "--n", "1023"],
     ],

@@ -1,6 +1,10 @@
+import warnings
+
 import numpy as np
 
-from srlab.streams import RandomStream, draws_at, substream_phases
+from oracles import reference_draws, splitmix64_draw, splitmix64_mix
+from srlab.distopt import Preset, PsoConfig, optimize_table, pso_minimize
+from srlab.streams import RandomStream, _draw_blocks, _mix64, draws_at, substream_phases
 
 
 def test_reproducible_for_seed():
@@ -97,3 +101,47 @@ def test_seed_masked_to_64_bits():
     big = RandomStream(2**64 + 5)
     small = RandomStream(5)
     assert np.array_equal(big.uniform(4), small.uniform(4))
+
+
+# phases whose counter states wrap modulo 2^64 within the first draws
+NEAR_WRAP = np.array([2**64 - 1, 2**64 - 2, 2**64 - 0x9E3779B97F4A7C15, 0, 1, 2**63], dtype=np.uint64)
+
+
+def test_mix64_in_place_matches_python_ints():
+    expected = [splitmix64_mix(z) for z in NEAR_WRAP.tolist()]
+    z = NEAR_WRAP.copy()
+    assert _mix64(z) is z
+    assert z.tolist() == expected
+    z = NEAR_WRAP.copy()
+    _mix64(z, np.empty_like(z))
+    assert z.tolist() == expected
+
+
+def test_draws_match_python_ints_across_the_wrap():
+    counters = np.array([0, 1, 2, 1000, 2**32, 2**64 - 2, 2**64 - 1], dtype=np.uint64)
+    got = draws_at(NEAR_WRAP[:, None], counters[None, :])
+    assert got.tolist() == [[splitmix64_draw(p, c) for c in counters.tolist()] for p in NEAR_WRAP.tolist()]
+    phases = substream_phases(RandomStream(3).phase, np.arange(64))
+    big = draws_at(phases[:, None], np.arange(2**64 - 600, 2**64 - 1, dtype=np.uint64))
+    assert np.array_equal(big.view(np.uint64), reference_draws(phases[:, None], np.arange(2**64 - 600, 2**64 - 1, dtype=np.uint64)).view(np.uint64))
+
+
+def test_draw_blocks_advance_matches_draws_at():
+    width = 7
+    out = np.empty((NEAR_WRAP.size, width))
+    blocks = _draw_blocks(NEAR_WRAP, width, out, np.empty(out.shape, dtype=np.uint64))
+    for k in range(5):
+        block = next(blocks)
+        assert block is out
+        assert np.array_equal(block, draws_at(NEAR_WRAP[:, None], k * width + np.arange(width)))
+
+
+def test_no_overflow_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for counter in (7, 2**64 - 1):
+            assert draws_at(2**64 - 1, counter) == splitmix64_draw(2**64 - 1, counter)
+        draws_at(NEAR_WRAP, 5)
+        RandomStream(2**64 - 1).substream(2**64 - 1).uniform(10)
+        optimize_table(Preset.D2, grid_size=11, pso=PsoConfig(iterations=5))
+        pso_minimize(lambda q: (q - 0.5) ** 2, PsoConfig(iterations=5))
