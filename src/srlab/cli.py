@@ -14,6 +14,8 @@ import dataclasses
 import json
 import sys
 
+import numpy as np
+
 from .distopt import (
     MopConfig,
     Preset,
@@ -50,20 +52,12 @@ _BUILTIN_MODES = {
 }
 
 
-def _load_tables(paths, parser):
-    tables = {}
-    for path in paths or []:
-        try:
-            loaded = read_distribution(path)
-        except OSError as exc:
-            parser.exit(1, f"srlab: cannot read table file: {exc}\n")
-        except ValueError as exc:
-            parser.exit(1, f"srlab: {exc}\n")
-        tables[loaded.table.label.lower()] = loaded.table
-    return tables
+def _load_tables(paths):
+    tables = [read_distribution(path).table for path in paths or []]
+    return {table.label.lower(): table for table in tables}
 
 
-def _resolve_modes(spec_text, tables, parser):
+def _resolve_modes(spec_text, tables):
     pairs = []
     for token in spec_text.split(","):
         token = token.strip().lower()
@@ -75,55 +69,44 @@ def _resolve_modes(spec_text, tables, parser):
             pairs.append((token, tables[token]))
         else:
             known = sorted(set(_BUILTIN_MODES) | set(tables))
-            parser.error(f"unknown mode {token!r}; available: {', '.join(known)}")
+            raise ValueError(f"unknown mode {token!r}; available: {', '.join(known)}")
     if not pairs:
-        parser.error("no modes requested")
+        raise ValueError("no modes requested")
     return pairs
 
 
-def _pso_from_args(args) -> PsoConfig:
-    return PsoConfig(
-        swarm_size=args.swarm,
-        iterations=args.iterations,
-        inertia=args.inertia,
-        cognitive=args.cognitive,
-        social=args.social,
-        velocity_clamp=args.velocity_clamp,
-        seed=args.seed,
-    )
+def _subjects(text, parse, flag):
+    """Parse a comma list of study subjects; an empty list is an error."""
+    try:
+        subjects = [parse(token.strip()) for token in text.split(",") if token.strip()]
+    except ValueError as exc:
+        raise ValueError(f"bad {flag} value {text!r}: {exc}") from exc
+    if not subjects:
+        raise ValueError(f"{flag} needs at least one value")
+    return subjects
 
 
-def _cmd_optimize(args, parser) -> int:
+def _cmd_optimize(args) -> int:
     if (args.preset is None) == (args.config is None):
-        parser.error("give exactly one of --preset or --config")
+        raise ValueError("give exactly one of --preset or --config")
     if args.preset is not None:
-        try:
-            target = Preset(args.preset)
-        except ValueError:
-            parser.error(f"unknown preset {args.preset!r}; choose from "
-                         f"{', '.join(p.value for p in Preset)}")
+        names = [p.value for p in Preset]
+        if args.preset not in names:
+            raise ValueError(f"unknown preset {args.preset!r}; choose from {', '.join(names)}")
+        target = Preset(args.preset)
         mop = preset_config(target)
     else:
+        with open(args.config) as fh:
+            text = fh.read()
         try:
-            with open(args.config) as fh:
-                raw = json.load(fh)
-            mop = MopConfig(**raw)
-        except OSError as exc:
-            parser.exit(1, f"srlab: cannot read config: {exc}\n")
+            mop = target = MopConfig(**json.loads(text))
         except (TypeError, ValueError) as exc:
-            parser.error(f"invalid objective config: {exc}")
-        target = mop
-    pso = _pso_from_args(args)
+            raise ValueError(f"{args.config}: invalid objective config: {exc}") from exc
+    pso = PsoConfig(swarm_size=args.swarm, iterations=args.iterations, inertia=args.inertia, cognitive=args.cognitive,
+                    social=args.social, velocity_clamp=args.velocity_clamp, seed=args.seed)
     table = optimize_table(target, grid_size=args.grid_size, pso=pso, label=args.label)
-    provenance = {
-        "mop": dataclasses.asdict(mop),
-        "pso": dataclasses.asdict(pso),
-        "seed": pso.seed,
-    }
-    try:
-        write_distribution(args.out, table, delta=mop.delta, provenance=provenance)
-    except OSError as exc:
-        parser.exit(1, f"srlab: cannot write {args.out}: {exc}\n")
+    provenance = {"mop": dataclasses.asdict(mop), "pso": dataclasses.asdict(pso), "seed": pso.seed}
+    write_distribution(args.out, table, delta=mop.delta, provenance=provenance)
     bias = bias_of_p(table.p, table.grid, mop.delta)
     var = variance_of_p(table.p, mop.delta)
     print(f"wrote {args.out}: {table.label}, {table.grid.size} nodes")
@@ -132,116 +115,88 @@ def _cmd_optimize(args, parser) -> int:
     return 0
 
 
-def _cmd_round(args, parser) -> int:
-    tables = _load_tables(args.table, parser)
+def _cmd_round(args) -> int:
+    tables = _load_tables(args.table)
     token = args.mode.strip().lower()
     if token == "table":
         if not tables:
-            parser.error("--mode table needs a --table file")
+            raise ValueError("--mode table needs a --table file")
         mode = next(iter(tables.values()))
     else:
-        token, mode = _resolve_modes(token, tables, parser)[0]
+        token, mode = _resolve_modes(token, tables)[0]
     spec = RoundingSpec(args.n, args.base)
     rng = RandomStream(args.seed)
     count = 1 if isinstance(mode, DeterministicMode) else args.count
     for _ in range(count):
-        value = round_values(args.x, mode, spec, rng)
-        print(f"{value:.17g}")
+        print(f"{round_values(args.x, mode, spec, rng):.17g}")
     return 0
 
 
-def _write_report(path, header, rows, parser) -> int:
-    try:
-        write_csv(path, header, rows)
-    except OSError as exc:
-        parser.exit(1, f"srlab: cannot write {path}: {exc}\n")
-    print(f"wrote {path} ({len(rows)} rows)")
+def _cmd_experiment(args) -> int:
+    header, rows = args.study(args)
+    write_csv(args.out, header, rows)
+    print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
 
 
-def _cmd_exp_sum(args, parser) -> int:
-    tables = _load_tables(args.table, parser)
-    modes = _resolve_modes(args.modes, tables, parser)
-    try:
-        cases = [CaseId(token.strip().upper()) for token in args.case.split(",") if token.strip()]
-    except ValueError:
-        parser.error(f"unknown case in {args.case!r}; choose from I,II,III,IV")
-    rows = []
-    for case in cases:
-        for token, mode in modes:
-            rep = run_summation_experiment(case, mode, n_reps=args.reps, seed=args.seed)
-            s = rep.summary
-            rows.append((case.value, token, s.abs_bias, s.variance, s.mean_abs_rel_err, s.n_samples))
-    return _write_report(args.out, ["case", "mode", "abs_bias", "variance", "rel_err", "n"], rows, parser)
+def _per_mode(args, header, subjects, run, cells):
+    """(header, rows) of a study: row ``cells(subject, token, run(subject, mode))``
+    for each subject, then each requested mode."""
+    modes = _resolve_modes(args.modes, _load_tables(args.table))
+    return header, [cells(s, token, run(s, mode)) for s in subjects for token, mode in modes]
 
 
-def _cmd_exp_sqrt(args, parser) -> int:
-    tables = _load_tables(args.table, parser)
-    modes = _resolve_modes(args.modes, tables, parser)
-    spec = RoundingSpec(args.n, args.base)
-    cfg = NewtonConfig(tol=args.tol, n_max=args.max_iter, spec=spec)
-    values = [float(tok) for tok in args.values.split(",") if tok.strip()]
-    rows = []
-    for a in values:
-        for token, mode in modes:
-            rep = run_sqrt_experiment(a, mode, cfg, n_reps=args.reps, seed=args.seed)
-            s = rep.summary
-            rows.append(
-                (
-                    a,
-                    token,
-                    spec.delta,
-                    None if s is None else s.mu,
-                    None if s is None else s.abs_bias,
-                    None if s is None else s.variance,
-                    None if s is None else s.mean_abs_rel_err,
-                    None if s is None else s.n_it_mean,
-                    rep.n_breakdowns,
-                )
-            )
-    header = ["a", "mode", "delta", "mu", "abs_bias", "variance", "rel_err", "n_it_mean", "breakdowns"]
-    return _write_report(args.out, header, rows, parser)
+def _error_stats(s):
+    return s.abs_bias, s.variance, s.mean_abs_rel_err
 
 
-def _cmd_exp_dot(args, parser) -> int:
-    tables = _load_tables(args.table, parser)
-    modes = _resolve_modes(args.modes, tables, parser)
-    try:
-        sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
-    except ValueError:
-        parser.error(f"bad --sizes value {args.sizes!r}")
-    if any(n < 2 for n in sizes):
-        parser.error("sizes must be at least 2")
-    rows = []
-    for n in sizes:
-        for token, mode in modes:
-            rep = run_inner_product_experiment(n, mode, n_reps=args.reps, seed=args.seed)
-            s = rep.summary
-            rows.append((n, token, s.abs_bias, s.variance, s.mean_abs_rel_err))
-    return _write_report(args.out, ["n", "mode", "abs_bias", "variance", "rel_err"], rows, parser)
+def _sum_study(args):
+    return _per_mode(
+        args, ["case", "mode", "abs_bias", "variance", "rel_err", "n"],
+        _subjects(args.case, lambda token: CaseId(token.upper()), "--case"),
+        lambda case, mode: run_summation_experiment(case, mode, n_reps=args.reps, seed=args.seed),
+        lambda case, token, rep: (case.value, token, *_error_stats(rep.summary), rep.summary.n_samples))
 
 
-def _cmd_exp_varbound(args, parser) -> int:
+def _sqrt_study(args):
+    cfg = NewtonConfig(tol=args.tol, n_max=args.max_iter, spec=RoundingSpec(args.n, args.base))
+
+    def cells(a, token, rep):
+        s = rep.summary
+        stats = (None,) * 5 if s is None else (s.mu, *_error_stats(s), s.n_it_mean)
+        return (a, token, cfg.spec.delta, *stats, rep.n_breakdowns)
+
+    return _per_mode(
+        args, ["a", "mode", "delta", "mu", "abs_bias", "variance", "rel_err", "n_it_mean", "breakdowns"],
+        _subjects(args.values, float, "--values"),
+        lambda a, mode: run_sqrt_experiment(a, mode, cfg, n_reps=args.reps, seed=args.seed), cells)
+
+
+def _dot_study(args):
+    sizes = _subjects(args.sizes, int, "--sizes")
+    if min(sizes) < 2:
+        raise ValueError("sizes must be at least 2")
+    return _per_mode(
+        args, ["n", "mode", "abs_bias", "variance", "rel_err"], sizes,
+        lambda n, mode: run_inner_product_experiment(n, mode, n_reps=args.reps, seed=args.seed),
+        lambda n, token, rep: (n, token, *_error_stats(rep.summary)))
+
+
+def _varbound_study(args):
     grid = validate_variance_bound(
-        n_bits=args.bits, x_max=args.xmax, step=args.step, draws=args.draws, seed=args.seed
-    )
-    rows = [
-        (grid.x[j], grid.v_empirical[j], grid.v_theoretical[j], grid.bound)
-        for j in range(grid.x.size)
-    ]
-    return _write_report(args.out, ["x", "v_empirical", "v_theoretical", "bound"], rows, parser)
+        n_bits=args.bits, x_max=args.xmax, step=args.step, draws=args.draws, seed=args.seed)
+    rows = [(x, ve, vt, grid.bound) for x, ve, vt in zip(grid.x, grid.v_empirical, grid.v_theoretical)]
+    return ["x", "v_empirical", "v_theoretical", "bound"], rows
 
 
-def _cmd_exp_contour(args, parser) -> int:
+def _contour_study(args):
     grid = contour_grid((0.0, args.x1_max), (0.0, 1.0), (args.res, args.res))
-    rows = []
-    for i in range(grid.x1.size):
-        for j in range(grid.x2.size):
-            rows.append((grid.x1[i], grid.x2[j], grid.e_down[i, j], grid.e_up[i, j], grid.p[i, j]))
-    return _write_report(args.out, ["x1", "x2", "e_down", "e_up", "p"], rows, parser)
+    columns = (*np.meshgrid(grid.x1, grid.x2, indexing="ij"), grid.e_down, grid.e_up, grid.p)
+    return ["x1", "x2", "e_down", "e_up", "p"], list(zip(*(column.ravel() for column in columns)))
 
 
-def _add_common_experiment_args(p, with_modes=True):
+def _add_common_experiment_args(p, study, with_modes=True):
+    p.set_defaults(handler=_cmd_experiment, study=study)
     if with_modes:
         p.add_argument("--modes", default="sr,cr", help="comma list of modes (builtin or table labels)")
         p.add_argument("--table", action="append", metavar="FILE", help="distribution file; adds its label as a mode")
@@ -255,6 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_opt = sub.add_parser("optimize", help="optimize a rounding probability table")
+    p_opt.set_defaults(handler=_cmd_optimize)
     p_opt.add_argument("--preset", help=f"one of {', '.join(p.value for p in Preset)}")
     p_opt.add_argument("--config", help="JSON file with objective-config fields")
     p_opt.add_argument("--grid-size", type=int, default=1001)
@@ -269,6 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--out", required=True, help="output JSON path")
 
     p_round = sub.add_parser("round", help="round one value and print the result(s)")
+    p_round.set_defaults(handler=_cmd_round)
     p_round.add_argument("x", type=float)
     p_round.add_argument("--mode", default="half-even",
                          help="floor, ceil, half-up, half-down, half-even, half-odd, cr, sr, or table")
@@ -283,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sum = exp_sub.add_parser("sum", help="rounded summation study")
     p_sum.add_argument("--case", default="I,II,III,IV", help="comma list from I,II,III,IV")
-    _add_common_experiment_args(p_sum)
+    _add_common_experiment_args(p_sum, _sum_study)
 
     p_sqrt = exp_sub.add_parser("sqrt", help="rounded Newton square-root study")
     p_sqrt.add_argument("--values", default=",".join(repr(v) for v in SQRT_TEST_VALUES))
@@ -291,23 +248,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_sqrt.add_argument("--base", type=int, choices=(2, 10), default=10)
     p_sqrt.add_argument("--tol", type=float, default=1e-5)
     p_sqrt.add_argument("--max-iter", type=int, default=100)
-    _add_common_experiment_args(p_sqrt)
+    _add_common_experiment_args(p_sqrt, _sqrt_study)
 
     p_dot = exp_sub.add_parser("dot", help="rounded inner-product study")
     p_dot.add_argument("--sizes", default=",".join(str(n) for n in DOT_SIZES))
-    _add_common_experiment_args(p_dot)
+    _add_common_experiment_args(p_dot, _dot_study)
 
     p_var = exp_sub.add_parser("varbound", help="variance-bound validation grid")
     p_var.add_argument("--bits", type=int, default=4)
     p_var.add_argument("--xmax", type=float, default=2.0)
     p_var.add_argument("--step", type=float, default=1e-4)
     p_var.add_argument("--draws", type=int, default=10_000)
-    _add_common_experiment_args(p_var, with_modes=False)
+    _add_common_experiment_args(p_var, _varbound_study, with_modes=False)
 
     p_con = exp_sub.add_parser("contour", help="worst-case product error grid")
     p_con.add_argument("--res", type=int, default=200)
     p_con.add_argument("--x1-max", type=float, default=5.0)
-    _add_common_experiment_args(p_con, with_modes=False)
+    _add_common_experiment_args(p_con, _contour_study, with_modes=False)
 
     return parser
 
@@ -315,19 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "optimize": _cmd_optimize,
-        "round": _cmd_round,
-        "sum": _cmd_exp_sum,
-        "sqrt": _cmd_exp_sqrt,
-        "dot": _cmd_exp_dot,
-        "varbound": _cmd_exp_varbound,
-        "contour": _cmd_exp_contour,
-    }
-    handler = handlers[args.experiment if args.command == "experiment" else args.command]
     try:
-        return handler(args, parser)
-    except ValueError as exc:
+        return args.handler(args)
+    except OSError as exc:  # a file that cannot be opened or written
+        parser.exit(1, f"srlab: {exc}\n")
+    except ValueError as exc:  # bad input, including a file with invalid contents
         parser.error(str(exc))
 
 

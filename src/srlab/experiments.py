@@ -239,19 +239,25 @@ def newton_sqrt_rounded(a: float, mode: RoundingMode | None, cfg: NewtonConfig, 
     return x, cfg.n_max, False
 
 
-def _newton_many(a: float, mode: RoundingMode, cfg: NewtonConfig, phases: np.ndarray):
+def _newton_many(a: float, mode: RoundingMode, cfg: NewtonConfig, phases: np.ndarray | None):
     """Lockstep vectorization of `newton_sqrt_rounded` over repetitions.
 
-    Each repetition consumes draws from its own phase in the same order as
-    the scalar routine, so results are bit-identical to a serial loop.
+    Every active repetition draws at the same counter: 0 for the radicand,
+    then 2k - 1 and 2k at step k.  So one scalar counter that advances per
+    ``fl`` call gives each repetition the draws the scalar routine takes
+    from its phase, and results are bit-identical to a serial loop.
+    ``phases=None`` runs a deterministic mode once and takes no draw.
     """
     spec = cfg.spec
-    n = phases.size
-    counters = np.zeros(n, dtype=np.uint64)
+    n = 1 if phases is None else phases.size
+    counter = 0
 
     def fl(vals, idx):
-        u = draws_at(phases[idx], counters[idx])
-        counters[idx] += np.uint64(1)
+        nonlocal counter
+        if phases is None:
+            return round_values(vals, mode, spec)
+        u = draws_at(phases[idx], counter)
+        counter += 1
         return stochastic_round_with(vals, mode, spec, u)
 
     fa = fl(np.full(n, float(a)), np.arange(n))
@@ -294,7 +300,7 @@ def run_sqrt_experiment(
 
     Errors are measured against the root of the unrounded ``a``, so they
     include the error of rounding the radicand as well as that of the
-    iteration.
+    iteration.  Deterministic modes are evaluated once.
 
     Breakdown repetitions are counted and excluded from the value statistics;
     non-converged repetitions contribute their last iterate but not the mean
@@ -304,40 +310,24 @@ def run_sqrt_experiment(
     cfg = cfg or NewtonConfig()
     if not a > 0.0:
         raise ValueError(f"radicand must be positive, got {a!r}")
-    exact = math.sqrt(a)
-    if isinstance(mode, DeterministicMode):
-        try:
-            value, n_it, conv = newton_sqrt_rounded(a, mode, cfg)
-            values = np.asarray([value])
-            n_its = np.asarray([n_it])
-            convs = np.asarray([conv])
-            n_break = 0
-        except BreakdownError:
-            values = np.asarray([])
-            n_its = np.asarray([], dtype=np.int64)
-            convs = np.asarray([], dtype=bool)
-            n_break = 1
-        n_total = 1
-    else:
-        value, n_it, convs, breakdown = _newton_many(a, mode, cfg, _rep_phases(seed, n_reps))
-        values = value[~breakdown]
-        n_its = n_it[~breakdown]
-        convs = convs[~breakdown]
-        n_break = int(np.sum(breakdown))
-        n_total = n_reps
+    phases = None if isinstance(mode, DeterministicMode) else _rep_phases(seed, n_reps)
+    value, n_it, convs, breakdown = _newton_many(a, mode, cfg, phases)
+    values = value[~breakdown]
+    n_its = n_it[~breakdown]
+    convs = convs[~breakdown]
     if values.size == 0:
         summary = None
     else:
         n_it_mean = float(np.mean(n_its[convs])) if convs.any() else None
-        summary = summarize(values, exact, n_it_mean=n_it_mean)
+        summary = summarize(values, math.sqrt(a), n_it_mean=n_it_mean)
     return ExperimentReport(
         label=mode_label(mode),
         subject=repr(float(a)),
         summary=summary,
         seed=seed,
-        n_reps=n_total,
+        n_reps=breakdown.size,
         digest=_digest(np.asarray([a])),
-        n_breakdowns=n_break,
+        n_breakdowns=int(np.sum(breakdown)),
         n_nonconverged=int(values.size - np.sum(convs)),
         not_solvable=values.size == 0,
     )

@@ -55,20 +55,19 @@ def write_distribution(path, table: ProbabilityTable, delta: float = 1.0, proven
 
 
 def read_distribution(path) -> LoadedDistribution:
+    """Load a distribution file; a ValueError naming ``path`` means its contents are invalid."""
     with open(path) as fh:
-        payload = json.load(fh)
+        text = fh.read()
     try:
+        payload = json.loads(text)
         version = int(payload["format_version"])
-        label = str(payload["label"])
+        if version != DIST_FORMAT_VERSION:
+            raise ValueError(f"unsupported format_version {version}")
+        table = ProbabilityTable(grid=payload["grid"], p=payload["p"], label=str(payload["label"]))
         delta = float(payload["delta"])
-        grid = np.asarray(payload["grid"], dtype=np.float64)
-        p = np.asarray(payload["p"], dtype=np.float64)
         provenance = payload.get("provenance", {})
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: not a valid distribution file: {exc}") from exc
-    if version != DIST_FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported format_version {version}")
-    table = ProbabilityTable(grid=grid, p=p, label=label)
     return LoadedDistribution(table=table, delta=delta, provenance=provenance, format_version=version)
 
 

@@ -207,6 +207,19 @@ class TestNewton:
             assert got == (value[r], n_it[r], conv[r])
         assert not breakdown.any()
 
+    @pytest.mark.parametrize("spec", [RoundingSpec(0, 10), MILLI, RoundingSpec(2, 2)])
+    def test_vectorized_deterministic_matches_scalar(self, spec):
+        cfg = NewtonConfig(spec=spec)
+        for mode in D:
+            for a in (*SQRT_TEST_VALUES, 0.7, 1.4):
+                value, n_it, conv, breakdown = _newton_many(a, mode, cfg, None)
+                try:
+                    expected = (False, *newton_sqrt_rounded(a, mode, cfg))
+                except BreakdownError:
+                    assert breakdown.tolist() == [True] and np.isnan(value[0])
+                    continue
+                assert (breakdown[0], value[0], n_it[0], conv[0]) == expected
+
 
 class TestSqrtExperiment:
     def test_deterministic_iteration_count_is_integer(self):

@@ -126,6 +126,13 @@ class TestOptimizeCommand:
                        "--iterations", "40", "--out", str(out)) == 0
         assert read_distribution(out).table.label == "custom"
 
+    def test_missing_config_file(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("optimize", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path / "x.json"))
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.startswith("srlab: ")
+        assert not (tmp_path / "x.json").exists()
+
     def test_needs_exactly_one_source(self):
         with pytest.raises(SystemExit) as exc:
             run_cli("optimize", "--out", "x.json")
@@ -175,6 +182,32 @@ class TestExperimentCommands:
             run_cli("experiment", "sum", "--case", "III", "--modes", "sr",
                     "--table", str(tmp_path / "absent.json"), "--out", str(out))
         assert exc.value.code == 1
+
+    def test_malformed_table_is_usage_error_naming_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{oops")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("experiment", "sum", "--case", "III", "--modes", "sr",
+                    "--table", str(bad), "--out", str(tmp_path / "sum.csv"))
+        assert exc.value.code == 2
+        usage, message = capsys.readouterr().err.splitlines()
+        assert message.startswith("srlab: error: ") and str(bad) in message
+        assert not (tmp_path / "sum.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["experiment", "contour", "--res", "3"],
+            ["optimize", "--preset", "d1", "--grid-size", "5", "--iterations", "2"],
+        ],
+    )
+    def test_unwritable_out_exits_1(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--out", str(tmp_path))
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("srlab: ") and str(tmp_path) in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
     def test_bad_case(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -252,6 +285,9 @@ class TestExperimentCommands:
         ["optimize", "--preset", "d1", "--inertia", "inf"],
         ["round", "1.5", "--n", "400", "--base", "10"],
         ["round", "1e300", "--n", "1023"],
+        ["experiment", "sum", "--case", ","],
+        ["experiment", "sqrt", "--values", ""],
+        ["experiment", "dot", "--sizes", " "],
     ],
 )
 def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):
