@@ -7,7 +7,10 @@ the root stream, so blocks of repetitions give the same results as one at a
 time; input data comes from the low-numbered substreams and is generated
 once per seed, independent of the rounding mode under test.  Studies that
 round the same values in every repetition work out each value's rounding
-threshold once per study, so a repetition costs one comparison per draw.
+threshold once per study, so a repetition costs one comparison per draw,
+made between integers: ``streams._hit_blocks`` compares each 53-bit draw
+with the threshold converted once to an integer, which is exact, and never
+builds the double draw.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .rounding import (
     stochastic_round_with,
 )
 from .stats import StatsSummary, sr_variance_theoretical, summarize, variance_bound
-from .streams import RandomStream, draws_at, substream_phases
+from .streams import RandomStream, _hit_blocks, draws_at, substream_phases
 
 __all__ = [
     "CaseId",
@@ -129,43 +132,49 @@ def _digest(arr: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()[:16]
 
 
-def _rep_phases(seed: int, n_reps: int) -> np.ndarray:
-    """Stream phases of repetitions 0 .. n_reps - 1 (substreams 16 + r)."""
+def _check_reps(n_reps: int) -> None:
+    """Reject a repetition count below 1, whether or not the mode draws."""
     if n_reps < 1:
         raise ValueError(f"n_reps must be at least 1, got {n_reps}")
+
+
+def _rep_phases(seed: int, n_reps: int) -> np.ndarray:
+    """Stream phases of repetitions 0 .. n_reps - 1 (substreams 16 + r)."""
     return substream_phases(RandomStream(seed).phase, _REP_STREAM_BASE + np.arange(n_reps))
 
 
-def _repeat(seed: int, n_reps: int, n_draws: int, outcome) -> np.ndarray:
+def _repeat(seed: int, n_reps: int, n_draws: int, t, outcome) -> np.ndarray:
     """One outcome per repetition, computed in blocks of repetitions.
 
-    ``outcome(rows, u)`` maps a slice of repetitions and their uniforms to
-    one value per repetition; row r of ``u`` is ``draws_at(phase_r, 0 ..
-    n_draws - 1)``, the draws a scalar routine takes from substream 16 + r.
+    Element j of repetition r hits when ``draws_at(phase_r, j)``, the draw a
+    scalar routine takes from substream 16 + r, is >= ``t[r, j]`` (``t``
+    broadcast to (n_reps, n_draws)).  ``outcome(rows, hit, scratch)`` maps a
+    slice of repetitions, their bool hits and float64 scratch of hit's shape
+    to one value per repetition.
     """
-    phases = _rep_phases(seed, n_reps)[:, None]
-    counters = np.arange(n_draws, dtype=np.uint64)
-    block = max(1, _BLOCK_DRAWS // n_draws)
     out = np.empty(n_reps)
-    for start in range(0, n_reps, block):
-        rows = slice(start, start + block)
-        out[rows] = outcome(rows, draws_at(phases[rows], counters))
+    for rows, hit, scratch in _hit_blocks(_rep_phases(seed, n_reps), t, n_draws, max(1, _BLOCK_DRAWS // n_draws)):
+        out[rows] = outcome(rows, hit, scratch)
     return out
 
 
 def _rounding_study(values, exact, combine, mode, subject, n_reps, seed) -> ExperimentReport:
-    """Summarize ``combine`` over rows of integer roundings of ``values``.
+    """Summarize the outcomes of integer roundings of ``values``.
 
-    ``combine`` maps (rows, values.size) rounded values to one outcome per
-    row.  A deterministic mode gives one row; a stochastic one gives row r
-    of ``_repeat``, where element j takes draw j of repetition r.
+    Element j of a row rounds to ``lower[j] + hit[j]``.  ``combine(lower)``
+    returns the ``_repeat`` outcome that maps (rows, hit, scratch) to one
+    outcome per row.  A deterministic mode gives one row: its rounded values
+    as ``lower``, with no hits.  A stochastic one gives row r of
+    ``_repeat``, where element j takes draw j of repetition r.
     """
+    _check_reps(n_reps)
     spec = RoundingSpec()
     if isinstance(mode, DeterministicMode):
-        outcomes = combine(round_values(values, mode, spec)[None, :])
+        no_hits = np.zeros((1, values.size), dtype=bool)
+        outcomes = combine(round_values(values, mode, spec))(slice(0, 1), no_hits, np.empty(no_hits.shape))
     else:
         lower, t = rounding_thresholds(values, mode, spec)
-        outcomes = _repeat(seed, n_reps, values.size, lambda rows, u: combine(lower + (u >= t)))
+        outcomes = _repeat(seed, n_reps, values.size, t, combine(lower))
     return ExperimentReport(
         label=mode_label(mode),
         subject=subject,
@@ -206,7 +215,14 @@ def run_summation_experiment(case: CaseId, mode: RoundingMode, n_reps: int = 10_
     zero); stochastic modes run ``n_reps`` repetitions on fresh substreams.
     """
     xs = gen_case_inputs(case, seed)
-    return _rounding_study(xs, float(np.sum(xs)), lambda r: np.sum(r, axis=1), mode, case.value, n_reps, seed)
+    return _rounding_study(xs, float(np.sum(xs)), _sum_rows, mode, case.value, n_reps, seed)
+
+
+def _sum_rows(lower):
+    # integer-valued sums below 2**53 are exact, so the count of hits added
+    # to the sum of the floors is the sum of the rounded values
+    total = np.sum(lower)
+    return lambda rows, hit, scratch: total + hit.sum(axis=1)
 
 
 def newton_sqrt_rounded(a: float, mode: RoundingMode | None, cfg: NewtonConfig, rng: RandomStream | None = None):
@@ -310,6 +326,7 @@ def run_sqrt_experiment(
     cfg = cfg or NewtonConfig()
     if not a > 0.0:
         raise ValueError(f"radicand must be positive, got {a!r}")
+    _check_reps(n_reps)
     phases = None if isinstance(mode, DeterministicMode) else _rep_phases(seed, n_reps)
     value, n_it, convs, breakdown = _newton_many(a, mode, cfg, phases)
     values = value[~breakdown]
@@ -362,10 +379,16 @@ def rounded_inner_product(x, y, mode: RoundingMode, spec: RoundingSpec = Roundin
 def run_inner_product_experiment(size: int, mode: RoundingMode, n_reps: int = 10_000, seed: int = 0) -> ExperimentReport:
     """Repeat the integer-rounded inner product of the sine vectors of ``size``."""
     x, y = gen_sine_vectors(size)
+
+    def products(lower):
+        def outcome(rows, hit, r):
+            np.add(lower, hit, out=r)
+            return np.sum(r[:, :size] * r[:, size:], axis=1)
+        return outcome
+
     # x takes draws 0 .. size-1 and y takes size .. 2*size-1, as in
     # rounded_inner_product; the integer grid needs no product rounding
-    return _rounding_study(np.concatenate([x, y]), float(np.dot(x, y)),
-                           lambda r: np.sum(r[:, :size] * r[:, size:], axis=1), mode, str(size), n_reps, seed)
+    return _rounding_study(np.concatenate([x, y]), float(np.dot(x, y)), products, mode, str(size), n_reps, seed)
 
 
 @dataclass(frozen=True)
@@ -395,8 +418,21 @@ def validate_variance_bound(
     n_pts = int(round(x_max / step)) + 1
     xs = np.arange(n_pts) * step
     lower, t = rounding_thresholds(xs, SR, spec)
-    v_emp = _repeat(seed, n_pts, draws, lambda rows, u: np.var(
-        (lower[rows, None] + (u >= t[rows, None])) / spec.theta, axis=1))
+
+    def var_rows(rows, hit, x):
+        # the steps of np.var(x, axis=1), in place in the block's scratch,
+        # which gives its bits without its temporaries
+        np.add(lower[rows, None], hit, out=x)
+        x /= spec.theta
+        mean = np.add.reduce(x, axis=1, keepdims=True)
+        mean /= draws
+        x -= mean
+        np.square(x, out=x)
+        v = np.add.reduce(x, axis=1)
+        v /= draws
+        return v
+
+    v_emp = _repeat(seed, n_pts, draws, t[:, None], var_rows)
     return VarianceBoundGrid(
         x=xs,
         v_empirical=v_emp,

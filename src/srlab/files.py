@@ -73,6 +73,8 @@ def read_distribution(path) -> LoadedDistribution:
 
 def format_number(value) -> str:
     """Fixed CSV cell formatting: 17 significant digits, blanks for absent."""
+    if isinstance(value, float):  # np.float64 included: the common cell first
+        return f"{value:.17g}"
     if value is None:
         return ""
     if isinstance(value, str):
@@ -84,9 +86,12 @@ def format_number(value) -> str:
     return f"{float(value):.17g}"
 
 
-def write_csv(path, header, rows) -> None:
-    """Write a report with '\\n' line endings regardless of platform."""
+def write_csv(path, header, rows) -> int:
+    """Write a report with '\\n' line endings regardless of platform, one
+    line at a time; ``rows`` may be an iterator.  Returns the row count."""
+    n = 0
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(format_number(v) for v in row) + "\n")
+        for n, row in enumerate(rows, 1):
+            fh.write(",".join(map(format_number, row)) + "\n")
+    return n

@@ -233,7 +233,9 @@ def rounding_thresholds(x, mode: RoundingMode, spec: RoundingSpec):
     ``lower`` is the scaled grid floor of x and ``t`` its probability of
     rounding down; grid points get ``t = 2.0``, above every draw.  A draw u
     in [0, 1) rounds x to ``(lower + (u >= t)) / theta``, so repeated
-    roundings of the same values work out ``(lower, t)`` only once.
+    roundings of the same values work out ``(lower, t)`` only once.  The
+    studies also convert ``t`` once, to the integer thresholds that their
+    53-bit draws are compared with (``streams._draw_thresholds``).
     """
     arr, _ = _prepare(x, spec)
     xt = _scaled(arr, spec)

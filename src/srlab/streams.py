@@ -12,11 +12,11 @@ changes every stream.
 
 All uint64 arithmetic wraps modulo 2^64 and is done on arrays, never on
 numpy scalars, which warn on overflow.  ``_mix64`` is the one SplitMix64
-finalizer.  It works in place: it overwrites its uint64 array with the
-mixed values and returns it, so a caller hands it a fresh array
-(``draws_at``, ``substream_phases``, ``RandomStream``) or a buffer whose
-contents it no longer needs (``_draw_blocks``, which draws the same block
-shape many times into the caller's buffers).
+finalizer and ``_mix_shift`` (mix, then ``>> 11``) the one draw primitive.
+Both work in place, on a fresh array or on a buffer whose contents the
+caller no longer needs.  ``_uniforms`` scales the 53-bit integer draws to
+doubles (``draws_at``, the swarm's ``_draw_blocks``); the studies'
+``_hit_blocks`` compares them as integers, exactly as ``u >= t``.
 """
 
 from __future__ import annotations
@@ -51,15 +51,30 @@ def _mix64(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
     return z
 
 
+def _mix_shift(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """53-bit integer draws ``mix64(z) >> 11`` of the uint64 counter states
+    ``z``, in place; ``tmp`` is uint64 scratch of z's shape.  Returns ``z``."""
+    _mix64(z, tmp)
+    return np.right_shift(z, _U_11, out=z)
+
+
 def _uniforms(z: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Uniform [0, 1) doubles of the uint64 counter states ``z``, into ``out``.
 
     ``z`` is overwritten; ``out`` (float64, z's shape) is also the
     finalizer's scratch.  Returns ``out``.
     """
-    _mix64(z, out.view(np.uint64))
-    z >>= _U_11
-    return np.multiply(z, _INV_2_53, out=out)
+    return np.multiply(_mix_shift(z, out.view(np.uint64)), _INV_2_53, out=out)
+
+
+def _draw_thresholds(t) -> np.ndarray:
+    """uint64 thresholds T with ``b >= T`` exactly when ``b * 2**-53 >= t``.
+
+    For t in [0, 2], t * 2**53 is exact, so T = ceil(t * 2**53) is the least
+    53-bit draw b that passes.  The grid-point sentinel t = 2.0 becomes
+    2**54, above every draw, as does NaN, which no draw passes either.
+    """
+    return np.fmin(np.ceil(np.multiply(t, 2.0 ** 53)), 2.0 ** 54).astype(np.uint64)
 
 
 def draws_at(phase, counters) -> np.ndarray:
@@ -88,6 +103,26 @@ def _draw_blocks(phases: np.ndarray, width: int, out: np.ndarray, scratch: np.nd
         np.copyto(scratch, state)
         state += np.uint64(width * int(_U_GOLDEN) & _MASK64)
         yield _uniforms(scratch, out)
+
+
+def _hit_blocks(phases: np.ndarray, t, width: int, block_rows: int):
+    """Yield ``(rows, hit, scratch)`` for blocks of at most ``block_rows`` rows.
+
+    ``hit[i, j]`` is ``draws_at(phases[rows][i], j) >= t[rows][i, j]`` for
+    j < ``width``, with ``t`` broadcast to (phases.size, width).  Every block
+    reuses the same state, scratch and hit buffers; ``scratch`` (float64,
+    hit's shape) is the spent state, the consumer's until the next block.
+    """
+    thresholds = np.broadcast_to(_draw_thresholds(t), (phases.size, width))
+    steps = np.multiply(np.arange(1, width + 1, dtype=np.uint64), _U_GOLDEN)
+    shape = (min(block_rows, phases.size), width)
+    z, tmp = np.empty((2, *shape), dtype=np.uint64)
+    hits = np.empty(shape, dtype=bool)
+    for start in range(0, phases.size, block_rows):
+        rows = slice(start, start + block_rows)
+        k = min(block_rows, phases.size - start)
+        b = _mix_shift(np.add(phases[rows, None], steps, out=z[:k]), tmp[:k])
+        yield rows, np.greater_equal(b, thresholds[rows], out=hits[:k]), b.view(np.float64)
 
 
 def substream_phases(phase, indices) -> np.ndarray:

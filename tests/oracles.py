@@ -209,3 +209,17 @@ def reference_pso_batch(fitness, phases, cfg):
         g = np.where(better, pbest[rows, bi], g)
         fg = np.where(better, bf, fg)
     return g, fg
+
+
+def format_number_reference(value):
+    """CSV cell text as the writer formatted it before its float fast path:
+    17 significant digits, blanks for absent."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return f"{float(value):.17g}"

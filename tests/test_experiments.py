@@ -143,6 +143,17 @@ class TestRepetitionEngine:
             outs = round_stochastic(np.full(500, x), SR, spec, root.substream(16 + j))
             assert grid.v_empirical[j] == np.var(outs)
 
+    def test_variance_bound_partial_block_matches_scalar(self):
+        # 500 draws put 32 grid points in a block: 33 points fill one block
+        # and leave a last block of one row
+        grid = validate_variance_bound(n_bits=3, x_max=0.32, step=0.01, draws=500, seed=5)
+        assert grid.x.size == 33
+        spec = RoundingSpec(3, 2)
+        root = RandomStream(5)
+        ref = [np.var(round_stochastic(np.full(500, x), SR, spec, root.substream(16 + j)))
+               for j, x in enumerate(grid.x)]
+        assert grid.v_empirical.tolist() == ref
+
     def test_bad_counts_rejected(self):
         with pytest.raises(ValueError):
             run_summation_experiment(CaseId.III, SR, n_reps=0)
@@ -152,6 +163,10 @@ class TestRepetitionEngine:
             run_sqrt_experiment(2.0, SR, n_reps=0)
         with pytest.raises(ValueError):
             run_sqrt_experiment(-1.0, SR)
+        with pytest.raises(ValueError):
+            run_summation_experiment(CaseId.III, D.HALF_EVEN, n_reps=0)
+        with pytest.raises(ValueError):
+            run_sqrt_experiment(2.0, D.HALF_EVEN, n_reps=0)
         with pytest.raises(ValueError):
             validate_variance_bound(step=0.0)
         with pytest.raises(ValueError):

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import srlab.cli
+from oracles import format_number_reference
 from srlab.cli import main
 from srlab.files import (
     format_number,
@@ -59,6 +61,25 @@ class TestDistributionFiles:
         path = tmp_path / "r.csv"
         write_csv(path, ["a", "b"], [(1, 0.5), (None, "x")])
         assert path.read_text() == "a,b\n1,0.5\n,x\n"
+
+    def test_format_number_cells(self):
+        cells = [
+            (None, ""), ("x,y", "x,y"), (True, "True"), (np.bool_(False), "False"), (7, "7"),
+            (np.int64(-12), "-12"), (np.float32(0.1), "0.10000000149011612"),
+            (np.float64(1 / 3), "0.33333333333333331"), (-0.0, "-0"), (float("nan"), "nan"),
+            (np.float64("nan"), "nan"), (float("inf"), "inf"), (np.float64(-np.inf), "-inf"),
+            (1.0, "1"), (0.1, "0.10000000000000001"),
+        ]
+        for value, text in cells:
+            assert format_number(value) == text == format_number_reference(value), value
+
+    def test_write_csv_streams_an_iterator(self, tmp_path):
+        path = tmp_path / "r.csv"
+        rows = zip([0.5, np.float64(0.25), 3], ["a", None, True])
+        assert write_csv(path, ["x", "y"], rows) == 3
+        assert path.read_text() == "x,y\n0.5,a\n0.25,\n3,True\n"
+        assert write_csv(path, ["x"], iter([])) == 0
+        assert path.read_text() == "x\n"
 
 
 def run_cli(*argv):
@@ -201,13 +222,27 @@ class TestExperimentCommands:
             ["optimize", "--preset", "d1", "--grid-size", "5", "--iterations", "2"],
         ],
     )
-    def test_unwritable_out_exits_1(self, argv, tmp_path, capsys):
+    def test_unwritable_out_exits_1(self, argv, tmp_path, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran the work before checking --out")
+
+        monkeypatch.setattr(srlab.cli, "optimize_table", no_work)
+        monkeypatch.setattr(srlab.cli, "_contour_study", no_work)
         with pytest.raises(SystemExit) as exc:
             run_cli(*argv, "--out", str(tmp_path))
         assert exc.value.code == 1
         err = capsys.readouterr().err
         assert err.startswith("srlab: ") and str(tmp_path) in err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_out_in_missing_directory_exits_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(srlab.cli, "_contour_study", None)  # never reached
+        out = tmp_path / "missing" / "c.csv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("experiment", "contour", "--res", "3", "--out", str(out))
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("srlab: ") and str(out) in err and len(err.splitlines()) == 1
 
     def test_bad_case(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -288,6 +323,10 @@ class TestExperimentCommands:
         ["experiment", "sum", "--case", ","],
         ["experiment", "sqrt", "--values", ""],
         ["experiment", "dot", "--sizes", " "],
+        ["round", "0.4", "--mode", "sr", "--count", "-3"],
+        ["round", "0.4", "--mode", "sr", "--count", "0"],
+        ["experiment", "sum", "--case", "III", "--modes", "cr", "--reps", "0"],
+        ["experiment", "sqrt", "--values", "0.30146", "--modes", "cr", "--reps", "0"],
     ],
 )
 def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):

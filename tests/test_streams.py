@@ -4,7 +4,15 @@ import numpy as np
 
 from oracles import reference_draws, splitmix64_draw, splitmix64_mix
 from srlab.distopt import Preset, PsoConfig, optimize_table, pso_minimize
-from srlab.streams import RandomStream, _draw_blocks, _mix64, draws_at, substream_phases
+from srlab.streams import (
+    RandomStream,
+    _draw_blocks,
+    _draw_thresholds,
+    _hit_blocks,
+    _mix64,
+    draws_at,
+    substream_phases,
+)
 
 
 def test_reproducible_for_seed():
@@ -136,12 +144,48 @@ def test_draw_blocks_advance_matches_draws_at():
         assert np.array_equal(block, draws_at(NEAR_WRAP[:, None], k * width + np.arange(width)))
 
 
+def test_integer_thresholds_are_exact():
+    # u = b * 2**-53 for a 53-bit integer draw b, so b >= T must agree with
+    # u >= t at T and on both sides of it, for every kind of threshold
+    ulp = 2.0 ** -53
+    special = [0.0, ulp, 0.5, 1.0 - ulp, 1.0, 2.0]
+    k = np.array([1, 2, 3, 2**20 + 1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 2, 2**53 - 1])
+    beside = np.concatenate([np.nextafter(k * ulp, -1.0), np.nextafter(k * ulp, 2.0)])
+    t = np.concatenate([special, beside, np.random.default_rng(7).random(2000)])
+    T = _draw_thresholds(t)
+    assert T.dtype == np.uint64
+    assert T[special.index(2.0)] == 2**54
+    for d in (-1, 0, 1):
+        b = np.clip(T.astype(np.int64) + d, 0, 2**53 - 1).astype(np.uint64)
+        assert np.array_equal(b >= T, b.astype(np.float64) * ulp >= t)
+    assert _draw_thresholds(np.array([np.nan])).tolist() == [2**54]  # no draw passes NaN
+
+
+def test_hit_blocks_match_float_comparison():
+    # several rows per block, a partial last block, per-row and per-column thresholds
+    width = 5
+    counters = np.arange(width)
+    t_col = np.random.default_rng(1).random(width)
+    t_col[1] = 2.0
+    t_row = np.random.default_rng(2).random((NEAR_WRAP.size, 1))
+    for t in (t_col, t_row):
+        seen = 0
+        for rows, hit, scratch in _hit_blocks(NEAR_WRAP, t, width, 4):
+            u = draws_at(NEAR_WRAP[rows, None], counters)
+            assert np.array_equal(hit, u >= np.broadcast_to(t, (NEAR_WRAP.size, width))[rows])
+            assert scratch.shape == hit.shape and scratch.dtype == np.float64
+            seen += hit.shape[0]
+        assert seen == NEAR_WRAP.size
+    assert not any(hit[:, 1].any() for _, hit, _ in _hit_blocks(NEAR_WRAP, t_col, width, 4))
+
+
 def test_no_overflow_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for counter in (7, 2**64 - 1):
             assert draws_at(2**64 - 1, counter) == splitmix64_draw(2**64 - 1, counter)
         draws_at(NEAR_WRAP, 5)
+        list(_hit_blocks(NEAR_WRAP, 0.5, 3, 4))
         RandomStream(2**64 - 1).substream(2**64 - 1).uniform(10)
         optimize_table(Preset.D2, grid_size=11, pso=PsoConfig(iterations=5))
         pso_minimize(lambda q: (q - 0.5) ** 2, PsoConfig(iterations=5))
