@@ -16,8 +16,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .distopt import (
     MopConfig,
     Preset,
@@ -37,7 +35,7 @@ from .experiments import (
     run_summation_experiment,
     validate_variance_bound,
 )
-from .files import read_distribution, write_csv, write_distribution
+from .files import format_number, read_distribution, write_csv, write_distribution
 from .rounding import SR, DeterministicMode, RoundingSpec, round_values
 from .stats import contour_grid
 from .streams import RandomStream
@@ -55,8 +53,15 @@ _BUILTIN_MODES = {
 
 
 def _load_tables(paths):
-    tables = [read_distribution(path).table for path in paths or []]
-    return {table.label.lower(): table for table in tables}
+    """Tables by case-insensitive label, which no builtin mode and no two files share."""
+    tables, files = {}, dict.fromkeys(_BUILTIN_MODES, "a builtin mode")
+    for path in paths or []:
+        table = read_distribution(path).table
+        key = table.label.lower()
+        if key in files:
+            raise ValueError(f"{path}: table label {table.label!r} clashes with {files[key]}")
+        tables[key], files[key] = table, path
+    return tables
 
 
 def _resolve_modes(spec_text, tables):
@@ -118,14 +123,13 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_round(args) -> int:
-    tables = _load_tables(args.table)
     token = args.mode.strip().lower()
-    if token == "table":
-        if not tables:
+    if token == "table":  # the first file, whatever the labels
+        if not args.table:
             raise ValueError("--mode table needs a --table file")
-        mode = next(iter(tables.values()))
+        mode = [read_distribution(path).table for path in args.table][0]
     else:
-        token, mode = _resolve_modes(token, tables)[0]
+        mode = _resolve_modes(token, _load_tables(args.table))[0][1]
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
     spec = RoundingSpec(args.n, args.base)
@@ -188,16 +192,19 @@ def _dot_study(args):
 def _varbound_study(args):
     grid = validate_variance_bound(
         n_bits=args.bits, x_max=args.xmax, step=args.step, draws=args.draws, seed=args.seed)
-    rows = [(x, ve, vt, grid.bound) for x, ve, vt in zip(grid.x, grid.v_empirical, grid.v_theoretical)]
+    bound = format_number(grid.bound)
+    rows = [(x, ve, vt, bound) for x, ve, vt in zip(grid.x, grid.v_empirical, grid.v_theoretical)]
     return ["x", "v_empirical", "v_theoretical", "bound"], rows
 
 
 def _contour_study(args):
     grid = contour_grid((0.0, args.x1_max), (0.0, 1.0), (args.res, args.res))
-    columns = (*np.meshgrid(grid.x1, grid.x2, indexing="ij"), grid.e_down, grid.e_up, grid.p)
-    # Python floats format fastest; a list, not an iterator, because the
-    # benchmark's write_csv span counts rows with len()
-    return ["x1", "x2", "e_down", "e_up", "p"], list(zip(*(column.ravel().tolist() for column in columns)))
+    # x1, x2 and p (p depends on x1 alone) repeat, so each distinct value is
+    # formatted once; a list, as the benchmark's write_csv span calls len()
+    x1, x2, p = ([format_number(v) for v in c.tolist()] for c in (grid.x1, grid.x2, grid.p[:, 0]))
+    return ["x1", "x2", "e_down", "e_up", "p"], [
+        (a, b, dn, up, pa) for a, pa, dns, ups in zip(x1, p, grid.e_down.tolist(), grid.e_up.tolist())
+        for b, dn, up in zip(x2, dns, ups)]
 
 
 def _add_common_experiment_args(p, study, with_modes=True):

@@ -4,13 +4,14 @@ products, and the variance-bound validation grid.
 Every study is parameterized by a rounding mode and a seed.  Repetition r
 draws ``draws_at(phase_r, j)``, j = 0, 1, ..., from substream ``16 + r`` of
 the root stream, so blocks of repetitions give the same results as one at a
-time; input data comes from the low-numbered substreams and is generated
-once per seed, independent of the rounding mode under test.  Studies that
-round the same values in every repetition work out each value's rounding
-threshold once per study, so a repetition costs one comparison per draw,
-made between integers: ``streams._hit_blocks`` compares each 53-bit draw
-with the threshold converted once to an integer, which is exact, and never
-builds the double draw.
+time, whatever their size (``_BLOCK_DRAWS``, chosen for the cache); input
+data comes from the low-numbered substreams and is generated once per seed,
+independent of the rounding mode under test.  Studies that round the same
+values in every repetition work out each value's rounding threshold once
+per study, so a repetition costs one comparison per draw, made between
+integers: ``streams._hit_blocks`` compares each 53-bit draw with the
+threshold converted once to an integer, which is exact, and never builds
+the double draw.
 """
 
 from __future__ import annotations
@@ -56,9 +57,11 @@ __all__ = [
 ]
 
 _REP_STREAM_BASE = 16
-# A block holds whole repetitions of at most this many draws in all, or one
-# repetition if larger: never more than one paper-size (10 000) repetition.
-_BLOCK_DRAWS = 1 << 14
+# Whole repetitions of at most this many draws in all (or one, if larger)
+# make a block.  A block costs some 20 numpy calls whatever its size; 2**16
+# (six 10 000-draw rows, 1.1 MB of buffers, inside a core's 2 MB L2) ran sum
+# and varbound 15-22 % faster than 2**14, and 2**17 (2.2 MB) was slower.
+_BLOCK_DRAWS = 1 << 16
 
 SQRT_TEST_VALUES = (0.30146, 6.55501, 51.16904, 357.00272, 8133.27762)
 DOT_SIZES = (50, 200, 400, 600, 800, 1000)
@@ -383,7 +386,7 @@ def run_inner_product_experiment(size: int, mode: RoundingMode, n_reps: int = 10
     def products(lower):
         def outcome(rows, hit, r):
             np.add(lower, hit, out=r)
-            return np.sum(r[:, :size] * r[:, size:], axis=1)
+            return np.multiply(r[:, :size], r[:, size:], out=r[:, :size]).sum(axis=1)
         return outcome
 
     # x takes draws 0 .. size-1 and y takes size .. 2*size-1, as in

@@ -98,9 +98,9 @@ class ProbabilityTable:
         p = np.asarray(self.p, dtype=np.float64)
         if grid.ndim != 1 or p.ndim != 1 or grid.size != p.size or grid.size < 2:
             raise ValueError("grid and p must be 1-D arrays of equal length >= 2")
-        if grid[0] != 0.0 or grid[-1] != 1.0 or np.any(np.diff(grid) <= 0):
+        if grid[0] != 0.0 or grid[-1] != 1.0 or not np.all(np.diff(grid) > 0):  # NaN fails too
             raise ValueError("grid must increase strictly from 0 to 1")
-        if np.any(p < 0.0) or np.any(p > 1.0):
+        if not np.all((p >= 0.0) & (p <= 1.0)):
             raise ValueError("probabilities must lie in [0, 1]")
         self.grid = grid
         self.p = p

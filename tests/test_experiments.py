@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from srlab import experiments
 from srlab.experiments import (
     SQRT_TEST_VALUES,
     BreakdownError,
@@ -111,14 +112,21 @@ class TestSummationExperiment:
         assert a == b
 
 
+def _past_one_block(width, extra):
+    """Repetitions of ``width`` draws that fill one block and leave ``extra``
+    rows for a second, partial one."""
+    return max(1, experiments._BLOCK_DRAWS // width) + extra
+
+
 class TestRepetitionEngine:
     """The blocked studies against the scalar routines on substream 16 + r.
 
-    Repetition counts cross block boundaries and end in a partial block
-    wherever a block holds more than one repetition.
+    The repetition counts from ``_past_one_block`` cross a block boundary
+    and end in a partial block.
     """
 
-    @pytest.mark.parametrize("case, n_reps", [(CaseId.III, 2000), (CaseId.I, 3)])
+    @pytest.mark.parametrize("case, n_reps", [(CaseId.III, 2000), (CaseId.I, 3), (CaseId.III, _past_one_block(10, 447)),
+                                              (CaseId.I, _past_one_block(10_000, 1))])
     def test_summation_matches_scalar(self, case, n_reps, d1_table):
         xs = gen_case_inputs(case, seed=4)
         root = RandomStream(4)
@@ -127,7 +135,8 @@ class TestRepetitionEngine:
             ref = [rounded_sum(xs, mode, INT, root.substream(16 + r)) for r in range(n_reps)]
             assert rep.summary == summarize(ref, float(np.sum(xs)))
 
-    @pytest.mark.parametrize("size, n_reps", [(50, 400), (200, 100)])
+    @pytest.mark.parametrize("size, n_reps", [(50, 400), (200, 100), (50, _past_one_block(100, 45)),
+                                              (200, _past_one_block(400, 7))])
     def test_inner_product_matches_scalar(self, size, n_reps):
         x, y = gen_sine_vectors(size)
         root = RandomStream(6)
@@ -144,15 +153,30 @@ class TestRepetitionEngine:
             assert grid.v_empirical[j] == np.var(outs)
 
     def test_variance_bound_partial_block_matches_scalar(self):
-        # 500 draws put 32 grid points in a block: 33 points fill one block
+        # these draws put 32 grid points in a block: 33 points fill one block
         # and leave a last block of one row
-        grid = validate_variance_bound(n_bits=3, x_max=0.32, step=0.01, draws=500, seed=5)
+        draws = experiments._BLOCK_DRAWS // 32
+        assert experiments._BLOCK_DRAWS // draws == 32
+        grid = validate_variance_bound(n_bits=3, x_max=0.32, step=0.01, draws=draws, seed=5)
         assert grid.x.size == 33
         spec = RoundingSpec(3, 2)
         root = RandomStream(5)
-        ref = [np.var(round_stochastic(np.full(500, x), SR, spec, root.substream(16 + j)))
+        ref = [np.var(round_stochastic(np.full(draws, x), SR, spec, root.substream(16 + j)))
                for j, x in enumerate(grid.x)]
         assert grid.v_empirical.tolist() == ref
+
+    def test_results_do_not_depend_on_block_size(self, monkeypatch, d1_table):
+        def run():
+            sums = [run_summation_experiment(case, mode, n_reps=n_reps, seed=3)
+                    for case, n_reps in ((CaseId.I, 13), (CaseId.III, 700)) for mode in (SR, d1_table)]
+            dot = run_inner_product_experiment(50, SR, n_reps=700, seed=3)
+            return sums, dot, validate_variance_bound(step=0.01, draws=700, seed=3).v_empirical.tobytes()
+
+        results = []
+        for block_draws in (1 << 10, 1 << 14, 1 << 16, 1 << 20):
+            monkeypatch.setattr(experiments, "_BLOCK_DRAWS", block_draws)
+            results.append(run())
+        assert all(result == results[0] for result in results[1:])
 
     def test_bad_counts_rejected(self):
         with pytest.raises(ValueError):

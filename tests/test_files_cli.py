@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -13,6 +14,7 @@ from srlab.files import (
     write_distribution,
 )
 from srlab.rounding import ProbabilityTable
+from srlab.stats import contour_grid
 
 
 @pytest.fixture()
@@ -109,6 +111,25 @@ class TestRoundCommand:
         assert run_cli("round", "0.4", "--mode", "table", "--table", str(path), "--count", "3") == 0
         values = {float(line) for line in capsys.readouterr().out.split()}
         assert values <= {0.0, 1.0}
+
+    def test_nan_table_is_usage_error_naming_the_file(self, tmp_path, capsys):
+        nan = tmp_path / "nan.json"
+        nan.write_text('{"format_version": 1, "label": "nan", "delta": 1.0, "grid": [0.0, 1.0], "p": [NaN, NaN]}')
+        with pytest.raises(SystemExit) as exc:
+            run_cli("round", "0.4", "--mode", "table", "--table", str(nan), "--count", "3")
+        assert exc.value.code == 2
+        assert str(nan) in capsys.readouterr().err
+
+    def test_table_mode_takes_the_first_file_whatever_the_labels(self, tmp_path, capsys):
+        down, up = tmp_path / "down.json", tmp_path / "up.json"
+        write_distribution(down, ProbabilityTable(grid=[0.0, 1.0], p=[1.0, 1.0], label="d1"))
+        write_distribution(up, ProbabilityTable(grid=[0.0, 1.0], p=[0.0, 0.0], label="D1"))
+        assert run_cli("round", "0.4", "--mode", "table", "--table", str(down), "--table", str(up),
+                       "--count", "4") == 0
+        assert capsys.readouterr().out.split() == ["0"] * 4
+        with pytest.raises(SystemExit) as exc:
+            run_cli("round", "0.4", "--mode", "d1", "--table", str(down), "--table", str(up))
+        assert exc.value.code == 2
 
 
 class TestOptimizeCommand:
@@ -214,6 +235,39 @@ class TestExperimentCommands:
         usage, message = capsys.readouterr().err.splitlines()
         assert message.startswith("srlab: error: ") and str(bad) in message
         assert not (tmp_path / "sum.csv").exists()
+
+    @pytest.mark.parametrize("labels, culprit, clash", [
+        (("d1", "D1"), 1, "t0.json"), (("sr", "d1"), 0, "a builtin mode"), (("d1", "Half-Even"), 1, "a builtin mode"),
+    ])
+    def test_clashing_table_labels_are_usage_errors(self, labels, culprit, clash, tmp_path, capsys):
+        paths = [tmp_path / f"t{i}.json" for i in range(2)]
+        for path, label in zip(paths, labels):
+            write_distribution(path, ProbabilityTable(grid=[0.0, 1.0], p=[1.0, 0.0], label=label))
+        with pytest.raises(SystemExit) as exc:
+            run_cli("experiment", "sum", "--case", "III", "--modes", "d1", "--reps", "10",
+                    "--table", str(paths[0]), "--table", str(paths[1]), "--out", str(tmp_path / "sum.csv"))
+        assert exc.value.code == 2
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert str(paths[culprit]) in message and clash in message
+        assert not (tmp_path / "sum.csv").exists()
+
+    @pytest.mark.parametrize("res", [1, 7, 100])
+    @pytest.mark.parametrize("x1_max", [5.0, 3.7])
+    def test_contour_cells_match_the_float_rows(self, res, x1_max):
+        grid = contour_grid((0.0, x1_max), (0.0, 1.0), (res, res))
+        columns = (*np.meshgrid(grid.x1, grid.x2, indexing="ij"), grid.e_down, grid.e_up, grid.p)
+        expected = [[format_number_reference(v) for v in row] for row in zip(*(c.ravel().tolist() for c in columns))]
+        header, rows = srlab.cli._contour_study(argparse.Namespace(res=res, x1_max=x1_max))
+        assert header == ["x1", "x2", "e_down", "e_up", "p"] and isinstance(rows, list)
+        assert [[format_number(v) for v in row] for row in rows] == expected
+
+    def test_varbound_cells_match_the_float_rows(self):
+        args = argparse.Namespace(bits=3, xmax=0.5, step=0.05, draws=40, seed=4)
+        grid = srlab.cli.validate_variance_bound(n_bits=3, x_max=0.5, step=0.05, draws=40, seed=4)
+        expected = [[format_number_reference(v) for v in (x, ve, vt, grid.bound)]
+                    for x, ve, vt in zip(grid.x, grid.v_empirical, grid.v_theoretical)]
+        rows = srlab.cli._varbound_study(args)[1]
+        assert [[format_number(v) for v in row] for row in rows] == expected
 
     @pytest.mark.parametrize(
         "argv",

@@ -171,6 +171,16 @@ class TestTableProbability:
         with pytest.raises(ValueError):
             ProbabilityTable(grid=[0.0, 0.5, 0.5, 1.0], p=[1.0, 0.5, 0.5, 0.0])
 
+    @pytest.mark.parametrize("grid, p", [
+        ([0.0, np.nan, 1.0], [1.0, 0.5, 0.0]),
+        ([0.0, 1.0], [np.nan, 0.0]),
+        ([0.0, 0.5, 1.0], [1.0, np.nan, 0.0]),
+        ([0.0, 1.0], [np.nan, np.nan]),
+    ])
+    def test_nan_rejected(self, grid, p):
+        with pytest.raises(ValueError):
+            ProbabilityTable(grid=grid, p=p)
+
 
 class TestRoundStochastic:
     def test_grid_point_fixed_and_consumes_draw(self):
