@@ -41,7 +41,7 @@ class MopConfig:
     ``theta1``/``theta2`` weigh squared variance and squared bias and must
     sum to one.  A limit (``v_max``/``b_max``) comes with a positive penalty
     (``k1``/``k2``) added whenever the limit is reached or exceeded; absent
-    limits must have zero penalty.
+    limits must have zero penalty.  Every field set must be finite.
     """
 
     theta1: float
@@ -53,6 +53,9 @@ class MopConfig:
     delta: float = 1.0
 
     def __post_init__(self):
+        limits = [v for v in (self.v_max, self.b_max) if v is not None]
+        if not np.all(np.isfinite([self.theta1, self.theta2, self.k1, self.k2, self.delta, *limits])):
+            raise ValueError("weights, limits, penalties and delta must be finite")
         if self.theta1 < 0.0 or self.theta2 < 0.0:
             raise ValueError("weights must be non-negative")
         if abs(self.theta1 + self.theta2 - 1.0) > 1e-12:

@@ -11,7 +11,7 @@ values in every repetition work out each value's rounding threshold once
 per study, so a repetition costs one comparison per draw, made between
 integers: ``streams._hit_blocks`` compares each 53-bit draw with the
 threshold converted once to an integer, which is exact, and never builds
-the double draw.
+the double draw.  The Newton study rounds new values at every step.
 """
 
 from __future__ import annotations
@@ -62,6 +62,9 @@ _REP_STREAM_BASE = 16
 # (six 10 000-draw rows, 1.1 MB of buffers, inside a core's 2 MB L2) ran sum
 # and varbound 15-22 % faster than 2**14, and 2**17 (2.2 MB) was slower.
 _BLOCK_DRAWS = 1 << 16
+# Newton steps whose draws take one call; 4-16 ran the sqrt study alike, 1
+# (a call per step) 15 % and 32 (draws past convergence) 8 % slower.
+_NEWTON_STEPS = 8
 
 SQRT_TEST_VALUES = (0.30146, 6.55501, 51.16904, 357.00272, 8133.27762)
 DOT_SIZES = (50, 200, 400, 600, 800, 1000)
@@ -100,8 +103,10 @@ class NewtonConfig:
     spec: RoundingSpec = RoundingSpec(3, 10)
 
     def __post_init__(self):
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
+        if not self.tol > 0.0:
+            raise ValueError(f"tol must be positive, got {self.tol!r}")
+        if not math.isfinite(self.x0):
+            raise ValueError(f"x0 must be finite, got {self.x0!r}")
         if self.n_max < 1:
             raise ValueError("n_max must be at least 1")
 
@@ -261,50 +266,49 @@ def newton_sqrt_rounded(a: float, mode: RoundingMode | None, cfg: NewtonConfig, 
 def _newton_many(a: float, mode: RoundingMode, cfg: NewtonConfig, phases: np.ndarray | None):
     """Lockstep vectorization of `newton_sqrt_rounded` over repetitions.
 
-    Every active repetition draws at the same counter: 0 for the radicand,
-    then 2k - 1 and 2k at step k.  So one scalar counter that advances per
-    ``fl`` call gives each repetition the draws the scalar routine takes
-    from its phase, and results are bit-identical to a serial loop.
-    ``phases=None`` runs a deterministic mode once and takes no draw.
+    Repetition r takes draw 0 of its phase for the radicand, then 2k - 1 and
+    2k at step k, as the scalar routine does, so results are bit-identical
+    to a serial loop.  The active repetitions are kept compact and draw for
+    ``_NEWTON_STEPS`` steps per call.  ``phases=None`` runs a deterministic
+    mode once and takes no draw.
     """
-    spec = cfg.spec
     n = 1 if phases is None else phases.size
-    counter = 0
+    u = None if phases is None else draws_at(phases[:, None], [0])
 
-    def fl(vals, idx):
-        nonlocal counter
+    def fl(vals, j):
         if phases is None:
-            return round_values(vals, mode, spec)
-        u = draws_at(phases[idx], counter)
-        counter += 1
-        return stochastic_round_with(vals, mode, spec, u)
+            return round_values(vals, mode, cfg.spec)
+        return stochastic_round_with(vals, mode, cfg.spec, u[:, j])
 
-    fa = fl(np.full(n, float(a)), np.arange(n))
-    breakdown = fa == 0.0
-    x = np.full(n, float(cfg.x0))
-    converged = np.zeros(n, dtype=bool)
+    fa = fl(np.full(n, float(a)), 0)
+    # a zero rounded radicand breaks down, as does a zero iterate before a quotient
+    breakdown = (fa == 0.0) | (cfg.x0 == 0.0)
+    value = np.full(n, np.nan)
     n_it = np.full(n, cfg.n_max, dtype=np.int64)
-    active = ~breakdown
+    converged = np.zeros(n, dtype=bool)
+    # the active repetitions: original index, rounded radicand, iterate, phase
+    rid = np.flatnonzero(~breakdown)
+    fa, x = fa[rid], np.full(rid.size, float(cfg.x0))
+    ph = None if phases is None else phases[rid]
     for k in range(1, cfg.n_max + 1):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
+        if rid.size == 0:
             break
-        zero = x[idx] == 0.0
-        if zero.any():
-            breakdown[idx[zero]] = True
-            active[idx[zero]] = False
-            idx = idx[~zero]
-            if idx.size == 0:
-                break
-        q = fl(fa[idx] / x[idx], idx)
-        x_new = fl(0.5 * (x[idx] + q), idx)
-        conv = np.abs(x_new - x[idx]) <= cfg.tol
-        x[idx] = x_new
-        done = idx[conv]
-        converged[done] = True
-        n_it[done] = k
-        active[done] = False
-    value = np.where(breakdown, np.nan, x)
+        j = 2 * ((k - 1) % _NEWTON_STEPS)
+        if j == 0 and ph is not None:
+            u = draws_at(ph[:, None], np.arange(2 * k - 1, 2 * min(k + _NEWTON_STEPS - 1, cfg.n_max) + 1))
+        q = fl(fa / x, j)
+        x, x_old = fl(0.5 * (x + q), j + 1), x
+        conv = np.abs(x - x_old) <= cfg.tol
+        stop = conv | ((x == 0.0) & (k < cfg.n_max))
+        if stop.any():
+            done = rid[conv]
+            value[done], converged[done], n_it[done] = x[conv], True, k
+            breakdown[rid[stop & ~conv]] = True
+            keep = ~stop
+            rid, fa, x = rid[keep], fa[keep], x[keep]
+            if ph is not None:
+                ph, u = ph[keep], u[keep]
+    value[rid] = x
     return value, n_it, converged, breakdown
 
 
@@ -332,13 +336,11 @@ def run_sqrt_experiment(
     _check_reps(n_reps)
     phases = None if isinstance(mode, DeterministicMode) else _rep_phases(seed, n_reps)
     value, n_it, convs, breakdown = _newton_many(a, mode, cfg, phases)
-    values = value[~breakdown]
-    n_its = n_it[~breakdown]
-    convs = convs[~breakdown]
+    values = value[~breakdown]  # a breakdown never converges
     if values.size == 0:
         summary = None
     else:
-        n_it_mean = float(np.mean(n_its[convs])) if convs.any() else None
+        n_it_mean = float(np.mean(n_it[convs])) if convs.any() else None
         summary = summarize(values, math.sqrt(a), n_it_mean=n_it_mean)
     return ExperimentReport(
         label=mode_label(mode),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,20 @@ class TestConfigs:
             MopConfig(theta1=0.6, theta2=0.6)
         with pytest.raises(ValueError):
             MopConfig(theta1=-0.1, theta2=1.1)
+
+    @pytest.mark.parametrize("fields", [
+        {"theta1": math.nan, "theta2": 0.5},
+        {"theta1": 0.5, "theta2": math.nan},
+        {"theta1": 0.5, "theta2": 0.5, "delta": math.nan},
+        {"theta1": 0.5, "theta2": 0.5, "delta": math.inf},
+        {"theta1": 0.5, "theta2": 0.5, "b_max": math.nan, "k2": 1e10},
+        {"theta1": 0.5, "theta2": 0.5, "v_max": math.inf, "k1": 1.0},
+        {"theta1": 0.5, "theta2": 0.5, "b_max": 0.05, "k2": math.inf},
+        {"theta1": 0.5, "theta2": 0.5, "v_max": 0.2, "k1": math.nan},
+    ])
+    def test_non_finite_fields_rejected(self, fields):
+        with pytest.raises(ValueError, match="finite"):
+            MopConfig(**fields)
 
     def test_penalty_limit_coupling(self):
         with pytest.raises(ValueError):

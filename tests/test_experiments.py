@@ -118,6 +118,15 @@ def _past_one_block(width, extra):
     return max(1, experiments._BLOCK_DRAWS // width) + extra
 
 
+def _newton_rows(a, mode, cfg, seed, n_reps):
+    """``_newton_many`` on repetitions 0 .. n_reps - 1 as one
+    (breakdown, value, n_it, converged) row each, None for a breakdown."""
+    value, n_it, conv, breakdown = _newton_many(a, mode, cfg, experiments._rep_phases(seed, n_reps))
+    assert np.isnan(value[breakdown]).all()
+    return [(True, None, None, None) if b else (False, v, k, c)
+            for b, v, k, c in zip(breakdown.tolist(), value.tolist(), n_it.tolist(), conv.tolist())]
+
+
 class TestRepetitionEngine:
     """The blocked studies against the scalar routines on substream 16 + r.
 
@@ -258,6 +267,63 @@ class TestNewton:
                     assert breakdown.tolist() == [True] and np.isnan(value[0])
                     continue
                 assert (breakdown[0], value[0], n_it[0], conv[0]) == expected
+
+    @pytest.mark.parametrize("spec, n_max, x0", [(MILLI, 100, 1.0), (RoundingSpec(0, 10), 100, 1.0), (MILLI, 3, 1.0),
+                                                 (RoundingSpec(0, 10), 13, 1.0), (MILLI, 13, 0.0)])
+    @pytest.mark.parametrize("mode_name", ["sr", "d1", "d2"])
+    def test_engine_matches_scalar_per_repetition(self, mode_name, spec, n_max, x0, d1_table, d2_table):
+        # n_max 3 stops inside the first draw block and 13 inside the second
+        # (neither is a multiple of its size); the integer grid breaks down
+        # at 0.30146 and cycles at 6.55501, and x0 = 0 breaks down everywhere
+        mode = {"sr": SR, "d1": d1_table, "d2": d2_table}[mode_name]
+        cfg = NewtonConfig(x0=x0, n_max=n_max, spec=spec)
+        root = RandomStream(11)
+        for a in (0.30146, 6.55501, 8133.27762):
+            got = _newton_rows(a, mode, cfg, seed=11, n_reps=40)
+            ref = []
+            for r in range(40):
+                try:
+                    ref.append((False, *newton_sqrt_rounded(a, mode, cfg, root.substream(16 + r))))
+                except BreakdownError:
+                    ref.append((True, None, None, None))
+            assert got == ref, (a, mode_name)
+        if x0 == 0.0:
+            assert all(row[0] for row in got)
+
+    def test_engine_reports_breakdowns_and_nonconvergence(self):
+        # the cases above meet both: SR on the integer grid breaks down at
+        # 0.30146 in some repetitions, and from x0 = 1 the milli grid needs
+        # 11 to 18 steps at 8133.27762, so n_max 13 leaves some repetitions
+        # unconverged in the second draw block and converges others there
+        rows = _newton_rows(0.30146, SR, NewtonConfig(spec=RoundingSpec(0, 10)), seed=2, n_reps=200)
+        assert 0 < sum(row[0] for row in rows) < 200
+        rows = _newton_rows(8133.27762, SR, NewtonConfig(n_max=13), seed=2, n_reps=200)
+        unconverged = [n_it for _, _, n_it, conv in rows if not conv]
+        assert unconverged and set(unconverged) == {13}
+        assert any(conv and n_it > experiments._NEWTON_STEPS for _, _, n_it, conv in rows)
+
+    def test_newton_results_do_not_depend_on_step_block(self, monkeypatch, d1_table):
+        def run():
+            out = []
+            for spec, n_max in ((MILLI, 100), (RoundingSpec(0, 10), 100), (RoundingSpec(0, 10), 13), (MILLI, 3)):
+                cfg = NewtonConfig(n_max=n_max, spec=spec)
+                for a in SQRT_TEST_VALUES:
+                    for mode in (SR, d1_table):
+                        phases = experiments._rep_phases(5, 300)
+                        out.append(b"".join(v.tobytes() for v in _newton_many(a, mode, cfg, phases)))
+            return out
+
+        default = experiments._NEWTON_STEPS
+        results = []
+        for steps in (1, 2, 3, default, 101):
+            monkeypatch.setattr(experiments, "_NEWTON_STEPS", steps)
+            results.append(run())
+        assert all(result == results[0] for result in results[1:])
+
+    def test_config_rejects_non_finite_settings(self):
+        for kwargs in ({"tol": math.nan}, {"tol": 0.0}, {"tol": -1e-5}, {"x0": math.nan}, {"x0": math.inf}):
+            with pytest.raises(ValueError):
+                NewtonConfig(**kwargs)
 
 
 class TestSqrtExperiment:

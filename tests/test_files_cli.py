@@ -381,14 +381,26 @@ class TestExperimentCommands:
         ["round", "0.4", "--mode", "sr", "--count", "0"],
         ["experiment", "sum", "--case", "III", "--modes", "cr", "--reps", "0"],
         ["experiment", "sqrt", "--values", "0.30146", "--modes", "cr", "--reps", "0"],
+        ["experiment", "sqrt", "--values", "2", "--modes", "sr", "--reps", "5", "--tol", "nan"],
+        ["optimize", "--config", '{"theta1": NaN, "theta2": 0.5}'],
+        ["optimize", "--config", '{"theta1": 0.5, "theta2": 0.5, "delta": NaN}'],
+        ["optimize", "--config", '{"theta1": 0.5, "theta2": 0.5, "b_max": NaN, "k2": 1e10}'],
+        ["optimize", "--config", '{"theta1": 0.5, "theta2": 0.5, "b_max": 0.05, "k2": Infinity}'],
     ],
 )
 def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):
     out = tmp_path / "out"
+    config = None
+    if "--config" in argv:  # the argument after it is the config file's text
+        i = argv.index("--config") + 1
+        config = tmp_path / "mop.json"
+        config.write_text(argv[i])
+        argv = [*argv[:i], str(config), *argv[i + 1:]]
     with pytest.raises(SystemExit) as exc:
         run_cli(*argv, *([] if argv[0] == "round" else ["--out", str(out)]))
     assert exc.value.code == 2
     usage, message = capsys.readouterr().err.splitlines()
     assert usage.startswith("usage: srlab")
     assert message.startswith("srlab: error: ")
+    assert config is None or str(config) in message
     assert not out.exists()
