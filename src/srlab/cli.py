@@ -193,18 +193,19 @@ def _varbound_study(args):
     grid = validate_variance_bound(
         n_bits=args.bits, x_max=args.xmax, step=args.step, draws=args.draws, seed=args.seed)
     bound = format_number(grid.bound)
-    rows = [(x, ve, vt, bound) for x, ve, vt in zip(grid.x, grid.v_empirical, grid.v_theoretical)]
+    cols = zip(grid.x.tolist(), grid.v_empirical.tolist(), grid.v_theoretical.tolist())
+    rows = [f"{x:.17g},{ve:.17g},{vt:.17g},{bound}" for x, ve, vt in cols]
     return ["x", "v_empirical", "v_theoretical", "bound"], rows
 
 
 def _contour_study(args):
     grid = contour_grid((0.0, args.x1_max), (0.0, 1.0), (args.res, args.res))
-    # x1, x2 and p (p depends on x1 alone) repeat, so each distinct value is
-    # formatted once; a list, as the benchmark's write_csv span calls len()
+    # a list (the benchmark's write_csv span calls len()) of preformatted lines, floats as
+    # format_number writes them; x1, x2 and p (p depends on x1 alone) repeat, so are formatted once
     x1, x2, p = ([format_number(v) for v in c.tolist()] for c in (grid.x1, grid.x2, grid.p[:, 0]))
     return ["x1", "x2", "e_down", "e_up", "p"], [
-        (a, b, dn, up, pa) for a, pa, dns, ups in zip(x1, p, grid.e_down.tolist(), grid.e_up.tolist())
-        for b, dn, up in zip(x2, dns, ups)]
+        f"{a},{b},{dn:.17g},{up:.17g},{pa}"
+        for a, pa, dns, ups in zip(x1, p, grid.e_down, grid.e_up) for b, dn, up in zip(x2, dns.tolist(), ups.tolist())]
 
 
 def _add_common_experiment_args(p, study, with_modes=True):
@@ -300,6 +301,8 @@ def main(argv=None) -> int:
         parser.exit(1, f"srlab: {exc}\n")
     except ValueError as exc:  # bad input, including a file with invalid contents
         parser.error(str(exc))
+    except MemoryError as exc:  # a request too large to allocate
+        parser.error(f"out of memory: {exc}")
 
 
 if __name__ == "__main__":

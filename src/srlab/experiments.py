@@ -103,8 +103,8 @@ class NewtonConfig:
     spec: RoundingSpec = RoundingSpec(3, 10)
 
     def __post_init__(self):
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol!r}")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
         if not math.isfinite(self.x0):
             raise ValueError(f"x0 must be finite, got {self.x0!r}")
         if self.n_max < 1:
@@ -428,7 +428,7 @@ def validate_variance_bound(
         # the steps of np.var(x, axis=1), in place in the block's scratch,
         # which gives its bits without its temporaries
         np.add(lower[rows, None], hit, out=x)
-        x /= spec.theta
+        x *= 1.0 / spec.theta  # exact: theta is a power of two
         mean = np.add.reduce(x, axis=1, keepdims=True)
         mean /= draws
         x -= mean

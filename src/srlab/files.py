@@ -87,11 +87,11 @@ def format_number(value) -> str:
 
 
 def write_csv(path, header, rows) -> int:
-    """Write a report with '\\n' line endings regardless of platform, one
-    line at a time; ``rows`` may be an iterator.  Returns the row count."""
+    """Write a report with '\\n' line endings regardless of platform, one line at
+    a time; ``rows`` may be an iterator, and a ``str`` row is written as is.  Returns the row count."""
     n = 0
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for n, row in enumerate(rows, 1):
-            fh.write(",".join(map(format_number, row)) + "\n")
+            fh.write((row if isinstance(row, str) else ",".join(map(format_number, row))) + "\n")
     return n

@@ -150,6 +150,8 @@ def contour_grid(x1_range=(0.0, 5.0), x2_range=(0.0, 1.0), resolution=(200, 200)
         raise ValueError("resolution must be positive")
     lo1, hi1 = map(float, x1_range)
     lo2, hi2 = map(float, x2_range)
+    if not np.all(np.isfinite((lo1, hi1, lo2, hi2))):
+        raise ValueError("ranges must be finite")
     if not (hi1 > lo1 >= 0.0 and hi2 > lo2 >= 0.0 and hi2 <= 1.0):
         raise ValueError("ranges must be positive, with x2 within [0, 1]")
     x1 = lo1 + (np.arange(n1) + 0.5) * (hi1 - lo1) / n1

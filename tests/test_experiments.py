@@ -161,6 +161,19 @@ class TestRepetitionEngine:
             outs = round_stochastic(np.full(500, x), SR, spec, root.substream(16 + j))
             assert grid.v_empirical[j] == np.var(outs)
 
+    @pytest.mark.parametrize("n_bits", [0, 60])
+    def test_variance_bound_matches_scalar_at_extreme_bits(self, n_bits):
+        # the grid is scaled to put 100 steps of 0.03 grid cells under x_max,
+        # so the draws at both ends of the bit range round off the grid
+        delta = 2.0 ** -n_bits
+        grid = validate_variance_bound(n_bits=n_bits, x_max=3.0 * delta, step=0.03 * delta, draws=500, seed=2)
+        assert grid.x.size == 101 and np.any(grid.v_empirical > 0.0)
+        spec = RoundingSpec(n_bits, 2)
+        root = RandomStream(2)
+        for j, x in enumerate(grid.x):
+            outs = round_stochastic(np.full(500, x), SR, spec, root.substream(16 + j))
+            assert grid.v_empirical[j] == np.var(outs)
+
     def test_variance_bound_partial_block_matches_scalar(self):
         # these draws put 32 grid points in a block: 33 points fill one block
         # and leave a last block of one row
@@ -321,7 +334,7 @@ class TestNewton:
         assert all(result == results[0] for result in results[1:])
 
     def test_config_rejects_non_finite_settings(self):
-        for kwargs in ({"tol": math.nan}, {"tol": 0.0}, {"tol": -1e-5}, {"x0": math.nan}, {"x0": math.inf}):
+        for kwargs in ({"tol": math.nan}, {"tol": math.inf}, {"tol": 0.0}, {"tol": -1e-5}, {"x0": math.nan}, {"x0": math.inf}):
             with pytest.raises(ValueError):
                 NewtonConfig(**kwargs)
 

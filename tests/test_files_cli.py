@@ -63,6 +63,9 @@ class TestDistributionFiles:
         path = tmp_path / "r.csv"
         write_csv(path, ["a", "b"], [(1, 0.5), (None, "x")])
         assert path.read_text() == "a,b\n1,0.5\n,x\n"
+        # a str row is a line already formatted; cell rows around it are formatted as before
+        assert write_csv(path, ["a", "b"], [(1, 0.5), "2,0.25", (None, "x"), ",y"]) == 4
+        assert path.read_text() == "a,b\n1,0.5\n2,0.25\n,x\n,y\n"
 
     def test_format_number_cells(self):
         cells = [
@@ -256,18 +259,20 @@ class TestExperimentCommands:
     def test_contour_cells_match_the_float_rows(self, res, x1_max):
         grid = contour_grid((0.0, x1_max), (0.0, 1.0), (res, res))
         columns = (*np.meshgrid(grid.x1, grid.x2, indexing="ij"), grid.e_down, grid.e_up, grid.p)
-        expected = [[format_number_reference(v) for v in row] for row in zip(*(c.ravel().tolist() for c in columns))]
+        expected = [",".join(format_number_reference(v) for v in row)
+                    for row in zip(*(c.ravel().tolist() for c in columns))]
         header, rows = srlab.cli._contour_study(argparse.Namespace(res=res, x1_max=x1_max))
         assert header == ["x1", "x2", "e_down", "e_up", "p"] and isinstance(rows, list)
-        assert [[format_number(v) for v in row] for row in rows] == expected
+        assert rows == expected
 
     def test_varbound_cells_match_the_float_rows(self):
         args = argparse.Namespace(bits=3, xmax=0.5, step=0.05, draws=40, seed=4)
         grid = srlab.cli.validate_variance_bound(n_bits=3, x_max=0.5, step=0.05, draws=40, seed=4)
-        expected = [[format_number_reference(v) for v in (x, ve, vt, grid.bound)]
+        expected = [",".join(format_number_reference(v) for v in (x, ve, vt, grid.bound))
                     for x, ve, vt in zip(grid.x, grid.v_empirical, grid.v_theoretical)]
-        rows = srlab.cli._varbound_study(args)[1]
-        assert [[format_number(v) for v in row] for row in rows] == expected
+        header, rows = srlab.cli._varbound_study(args)
+        assert header == ["x", "v_empirical", "v_theoretical", "bound"] and isinstance(rows, list)
+        assert rows == expected
 
     @pytest.mark.parametrize(
         "argv",
@@ -382,6 +387,10 @@ class TestExperimentCommands:
         ["experiment", "sum", "--case", "III", "--modes", "cr", "--reps", "0"],
         ["experiment", "sqrt", "--values", "0.30146", "--modes", "cr", "--reps", "0"],
         ["experiment", "sqrt", "--values", "2", "--modes", "sr", "--reps", "5", "--tol", "nan"],
+        ["experiment", "sqrt", "--values", "2", "--modes", "sr", "--reps", "5", "--tol", "inf"],
+        ["experiment", "contour", "--x1-max", "inf"],
+        # 2e14 grid points (1.6 PB) exceed any address space, so nothing is allocated
+        ["experiment", "varbound", "--step", "1e-14"],
         ["optimize", "--config", '{"theta1": NaN, "theta2": 0.5}'],
         ["optimize", "--config", '{"theta1": 0.5, "theta2": 0.5, "delta": NaN}'],
         ["optimize", "--config", '{"theta1": 0.5, "theta2": 0.5, "b_max": NaN, "k2": 1e10}'],

@@ -161,3 +161,6 @@ class TestContourGrid:
             contour_grid((0.0, 5.0), (0.0, 1.5), (10, 10))
         with pytest.raises(ValueError):
             contour_grid((1.0, 1.0), (0.0, 1.0), (10, 10))
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="ranges must be finite"):
+                contour_grid((0.0, bad), (0.0, 1.0), (10, 10))
