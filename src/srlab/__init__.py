@@ -15,7 +15,6 @@ from .distopt import (
 from .experiments import (
     DOT_SIZES,
     SQRT_TEST_VALUES,
-    BreakdownError,
     CaseId,
     ExperimentReport,
     NewtonConfig,
@@ -23,9 +22,6 @@ from .experiments import (
     gen_case_inputs,
     gen_sine_vectors,
     mode_label,
-    newton_sqrt_rounded,
-    rounded_inner_product,
-    rounded_sum,
     run_inner_product_experiment,
     run_sqrt_experiment,
     run_summation_experiment,
@@ -44,21 +40,17 @@ from .rounding import (
     ProbabilityTable,
     RoundingMode,
     RoundingSpec,
-    floor_to_grid,
     grid_fraction,
     round_deterministic,
     round_stochastic,
     round_values,
-    sr_probabilities,
     stochastic_round_with,
-    table_probability,
 )
 from .stats import (
     ContourGrid,
     StatsSummary,
     WorstCaseBranches,
     contour_grid,
-    population_variance,
     sr_variance_theoretical,
     summarize,
     variance_bound,

@@ -40,23 +40,23 @@ from .rounding import SR, DeterministicMode, RoundingSpec, round_values
 from .stats import contour_grid
 from .streams import RandomStream
 
-_BUILTIN_MODES = {
-    "floor": DeterministicMode.FLOOR,
-    "ceil": DeterministicMode.CEILING,
-    "half-up": DeterministicMode.HALF_UP,
-    "half-down": DeterministicMode.HALF_DOWN,
-    "half-even": DeterministicMode.HALF_EVEN,
-    "half-odd": DeterministicMode.HALF_ODD,
-    "cr": DeterministicMode.HALF_EVEN,
-    "sr": SR,
-}
+_BUILTIN_MODES = {m.value: m for m in DeterministicMode} | {"cr": DeterministicMode.HALF_EVEN, "sr": SR}
+
+
+def _check_label(label, where) -> None:
+    """Reject a table label that no ``--modes`` token can name."""
+    if not label or "," in label or label != label.strip():
+        raise ValueError(f"{where}: table label {label!r} must be non-empty, without commas or surrounding spaces")
+    if label.lower() in _BUILTIN_MODES:
+        raise ValueError(f"{where}: table label {label!r} clashes with a builtin mode")
 
 
 def _load_tables(paths):
-    """Tables by case-insensitive label, which no builtin mode and no two files share."""
-    tables, files = {}, dict.fromkeys(_BUILTIN_MODES, "a builtin mode")
+    """Tables by case-insensitive label, which a ``--modes`` token can name and no two files share."""
+    tables, files = {}, {}
     for path in paths or []:
         table = read_distribution(path).table
+        _check_label(table.label, path)
         key = table.label.lower()
         if key in files:
             raise ValueError(f"{path}: table label {table.label!r} clashes with {files[key]}")
@@ -96,6 +96,8 @@ def _subjects(text, parse, flag):
 def _cmd_optimize(args) -> int:
     if (args.preset is None) == (args.config is None):
         raise ValueError("give exactly one of --preset or --config")
+    if args.label is not None:
+        _check_label(args.label, "--label")
     if args.preset is not None:
         names = [p.value for p in Preset]
         if args.preset not in names:

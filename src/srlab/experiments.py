@@ -40,17 +40,13 @@ __all__ = [
     "CaseId",
     "NewtonConfig",
     "ExperimentReport",
-    "BreakdownError",
     "SQRT_TEST_VALUES",
     "DOT_SIZES",
     "mode_label",
     "gen_case_inputs",
-    "rounded_sum",
     "run_summation_experiment",
-    "newton_sqrt_rounded",
     "run_sqrt_experiment",
     "gen_sine_vectors",
-    "rounded_inner_product",
     "run_inner_product_experiment",
     "VarianceBoundGrid",
     "validate_variance_bound",
@@ -68,10 +64,6 @@ _NEWTON_STEPS = 8
 
 SQRT_TEST_VALUES = (0.30146, 6.55501, 51.16904, 357.00272, 8133.27762)
 DOT_SIZES = (50, 200, 400, 600, 800, 1000)
-
-
-class BreakdownError(ArithmeticError):
-    """A rounded operand or iterate became zero, so a quotient is undefined."""
 
 
 class CaseId(Enum):
@@ -154,11 +146,11 @@ def _rep_phases(seed: int, n_reps: int) -> np.ndarray:
 def _repeat(seed: int, n_reps: int, n_draws: int, t, outcome) -> np.ndarray:
     """One outcome per repetition, computed in blocks of repetitions.
 
-    Element j of repetition r hits when ``draws_at(phase_r, j)``, the draw a
-    scalar routine takes from substream 16 + r, is >= ``t[r, j]`` (``t``
-    broadcast to (n_reps, n_draws)).  ``outcome(rows, hit, scratch)`` maps a
-    slice of repetitions, their bool hits and float64 scratch of hit's shape
-    to one value per repetition.
+    Element j of repetition r hits when ``draws_at(phase_r, j)``, draw j of
+    substream 16 + r, is >= ``t[r, j]`` (``t`` broadcast to (n_reps,
+    n_draws)).  ``outcome(rows, hit, scratch)`` maps a slice of repetitions,
+    their bool hits and float64 scratch of hit's shape to one value per
+    repetition.
     """
     out = np.empty(n_reps)
     for rows, hit, scratch in _hit_blocks(_rep_phases(seed, n_reps), t, n_draws, max(1, _BLOCK_DRAWS // n_draws)):
@@ -211,11 +203,6 @@ def gen_case_inputs(case: CaseId, seed: int) -> np.ndarray:
     return x
 
 
-def rounded_sum(xs, mode: RoundingMode, spec: RoundingSpec = RoundingSpec(), rng: RandomStream | None = None) -> float:
-    """Sum of element-wise rounded values (one draw per element when stochastic)."""
-    return float(np.sum(round_values(np.asarray(xs, dtype=np.float64), mode, spec, rng)))
-
-
 def run_summation_experiment(case: CaseId, mode: RoundingMode, n_reps: int = 10_000, seed: int = 0) -> ExperimentReport:
     """Repeat the rounded summation of a case's inputs and summarize.
 
@@ -233,44 +220,20 @@ def _sum_rows(lower):
     return lambda rows, hit, scratch: total + hit.sum(axis=1)
 
 
-def newton_sqrt_rounded(a: float, mode: RoundingMode | None, cfg: NewtonConfig, rng: RandomStream | None = None):
-    """One rounded Newton square-root run; returns (value, n_it, converged).
-
-    The radicand is rounded once up front; each step rounds the quotient and
-    then the halved sum.  ``mode=None`` runs the iteration in plain double
-    precision.  Raises :class:`BreakdownError` when the rounded radicand or
-    an iterate hits zero.
-    """
-    a = float(a)
-    if a <= 0.0:
-        raise ValueError("radicand must be positive")
-    if mode is None:
-        fl = lambda v: v
-    else:
-        fl = lambda v: round_values(v, mode, cfg.spec, rng)
-    fa = fl(a)
-    if fa == 0.0:
-        raise BreakdownError(f"rounded radicand of {a} is zero")
-    x = float(cfg.x0)
-    for k in range(1, cfg.n_max + 1):
-        if x == 0.0:
-            raise BreakdownError("iterate rounded to zero")
-        q = fl(fa / x)
-        x_new = fl(0.5 * (x + q))
-        if abs(x_new - x) <= cfg.tol:
-            return x_new, k, True
-        x = x_new
-    return x, cfg.n_max, False
-
-
 def _newton_many(a: float, mode: RoundingMode, cfg: NewtonConfig, phases: np.ndarray | None):
-    """Lockstep vectorization of `newton_sqrt_rounded` over repetitions.
+    """Rounded Newton square roots of ``a``, one run per repetition, in lockstep.
+
+    A run rounds the radicand once, to fa, and from x_0 = ``cfg.x0`` step k
+    rounds the quotient q = fl(fa / x_{k-1}) and then x_k = fl(0.5 (x_{k-1} + q)).
+    It converges at the first k with |x_k - x_{k-1}| <= tol, breaks down when
+    fa or an iterate that a later step divides by is zero, and otherwise
+    stops after ``n_max`` steps with its last iterate.  Returns (value, n_it,
+    converged, breakdown), with value NaN for a breakdown.
 
     Repetition r takes draw 0 of its phase for the radicand, then 2k - 1 and
-    2k at step k, as the scalar routine does, so results are bit-identical
-    to a serial loop.  The active repetitions are kept compact and draw for
-    ``_NEWTON_STEPS`` steps per call.  ``phases=None`` runs a deterministic
-    mode once and takes no draw.
+    2k at step k, so results are bit-identical to a serial loop.  The active
+    repetitions are kept compact and draw for ``_NEWTON_STEPS`` steps per
+    call.  ``phases=None`` runs a deterministic mode once and takes no draw.
     """
     n = 1 if phases is None else phases.size
     u = None if phases is None else draws_at(phases[:, None], [0])
@@ -363,24 +326,6 @@ def gen_sine_vectors(n: int):
     return np.sin(y), y
 
 
-def rounded_inner_product(x, y, mode: RoundingMode, spec: RoundingSpec = RoundingSpec(), rng: RandomStream | None = None) -> float:
-    """Inner product of element-wise rounded vectors.
-
-    With integer rounding the term products are already on the grid and are
-    summed directly; with a finer grid each product is rounded again.  Draw
-    order for stochastic modes: all of x, then all of y, then (if needed)
-    the products.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
-    prod = round_values(x, mode, spec, rng) * round_values(y, mode, spec, rng)
-    if spec.n == 0:
-        return float(np.sum(prod))
-    return float(np.sum(round_values(prod, mode, spec, rng)))
-
-
 def run_inner_product_experiment(size: int, mode: RoundingMode, n_reps: int = 10_000, seed: int = 0) -> ExperimentReport:
     """Repeat the integer-rounded inner product of the sine vectors of ``size``."""
     x, y = gen_sine_vectors(size)
@@ -391,8 +336,8 @@ def run_inner_product_experiment(size: int, mode: RoundingMode, n_reps: int = 10
             return np.multiply(r[:, :size], r[:, size:], out=r[:, :size]).sum(axis=1)
         return outcome
 
-    # x takes draws 0 .. size-1 and y takes size .. 2*size-1, as in
-    # rounded_inner_product; the integer grid needs no product rounding
+    # x takes draws 0 .. size-1 and y takes size .. 2*size-1; the integer
+    # grid needs no product rounding
     return _rounding_study(np.concatenate([x, y]), float(np.dot(x, y)), products, mode, str(size), n_reps, seed)
 
 

@@ -29,11 +29,8 @@ __all__ = [
     "ProbabilityTable",
     "SR",
     "RoundingMode",
-    "floor_to_grid",
     "grid_fraction",
     "round_deterministic",
-    "sr_probabilities",
-    "table_probability",
     "round_stochastic",
     "rounding_thresholds",
     "stochastic_round_with",
@@ -159,12 +156,6 @@ def _ret(values: np.ndarray, scalar: bool):
     return float(values) if scalar else values
 
 
-def floor_to_grid(x, spec: RoundingSpec):
-    """Largest grid multiple <= x."""
-    arr, scalar = _prepare(x, spec)
-    return _ret(np.floor(_scaled(arr, spec)) / spec.theta, scalar)
-
-
 def grid_fraction(x, spec: RoundingSpec):
     """Fractional position of x within its grid interval, in [0, 1).
 
@@ -202,29 +193,6 @@ def round_deterministic(x, mode: DeterministicMode, spec: RoundingSpec):
         up = up | (tie & (lower % 2.0 == 0.0))
     # HALF_DOWN keeps ties on the lower neighbour.
     return _ret((lower + up) / spec.theta, scalar)
-
-
-def sr_probabilities(x, spec: RoundingSpec):
-    """(p_down, p_up) for proximity-proportional stochastic rounding.
-
-    p_up is the scaled grid fraction and p_down = 1 - p_up, so the pair sums
-    to one exactly and grid points get p_down = 1.
-    """
-    arr, scalar = _prepare(x, spec)
-    p_up = grid_fraction(arr, spec)
-    p_up = np.asarray(p_up, dtype=np.float64)
-    p_down = 1.0 - p_up
-    return _ret(p_down, scalar), _ret(p_up, scalar)
-
-
-def table_probability(f, table: ProbabilityTable):
-    """Probability of rounding down at fraction ``f``, interpolated linearly."""
-    arr = np.asarray(f, dtype=np.float64)
-    if np.any(arr < 0.0) or np.any(arr > 1.0) or not np.all(np.isfinite(arr)):
-        raise ValueError("fraction must lie in [0, 1]")
-    p = np.interp(arr, table.grid, table.p)
-    p = np.clip(p, 0.0, 1.0)
-    return float(p) if (np.isscalar(f) or arr.ndim == 0) else p
 
 
 def rounding_thresholds(x, mode: RoundingMode, spec: RoundingSpec):

@@ -17,7 +17,6 @@ __all__ = [
     "StatsSummary",
     "WorstCaseBranches",
     "ContourGrid",
-    "population_variance",
     "sr_variance_theoretical",
     "variance_bound",
     "summarize",
@@ -64,14 +63,6 @@ class ContourGrid:
     e_down: np.ndarray
     e_up: np.ndarray
     p: np.ndarray
-
-
-def population_variance(samples) -> float:
-    """(1/N) sum (x_i - mean)^2; zero for constant input."""
-    arr = np.asarray(samples, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("need at least one sample")
-    return float(np.var(arr))
 
 
 def sr_variance_theoretical(x, spec: RoundingSpec):

@@ -1,8 +1,12 @@
 """Independent oracles shared by the test suite.
 
-Everything here is computed from first principles (exact rational
-arithmetic, binomial moments, dense scans, polynomial roots) so it can
-check the library without reusing its code paths.
+Most of what is here is computed from first principles (exact rational
+arithmetic, binomial moments, dense scans, polynomial roots, plain numpy
+expressions) so it can check the library without reusing its code paths.
+The scalar study routines at the end are the exception: they round with
+the library's ``round_values``, one repetition at a time from a
+``RandomStream``.  They check the study engines' draw bookkeeping (which
+draw of which substream rounds which value), not the rounding kernels.
 """
 
 import math
@@ -10,6 +14,10 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
+
+from srlab.experiments import NewtonConfig
+from srlab.rounding import RoundingMode, RoundingSpec, round_values
+from srlab.streams import RandomStream
 
 
 def varhat_mean_std(n, pi, delta):
@@ -223,3 +231,60 @@ def format_number_reference(value):
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return f"{float(value):.17g}"
+
+
+class BreakdownError(ArithmeticError):
+    """A rounded operand or iterate became zero, so a quotient is undefined."""
+
+
+def rounded_sum(xs, mode: RoundingMode, spec: RoundingSpec = RoundingSpec(), rng: RandomStream | None = None) -> float:
+    """Sum of element-wise rounded values (one draw per element when stochastic)."""
+    return float(np.sum(round_values(np.asarray(xs, dtype=np.float64), mode, spec, rng)))
+
+
+def newton_sqrt_rounded(a: float, mode: RoundingMode | None, cfg: NewtonConfig, rng: RandomStream | None = None):
+    """One rounded Newton square-root run; returns (value, n_it, converged).
+
+    The radicand is rounded once up front; each step rounds the quotient and
+    then the halved sum.  ``mode=None`` runs the iteration in plain double
+    precision.  Raises :class:`BreakdownError` when the rounded radicand or
+    an iterate hits zero.
+    """
+    a = float(a)
+    if a <= 0.0:
+        raise ValueError("radicand must be positive")
+    if mode is None:
+        fl = lambda v: v
+    else:
+        fl = lambda v: round_values(v, mode, cfg.spec, rng)
+    fa = fl(a)
+    if fa == 0.0:
+        raise BreakdownError(f"rounded radicand of {a} is zero")
+    x = float(cfg.x0)
+    for k in range(1, cfg.n_max + 1):
+        if x == 0.0:
+            raise BreakdownError("iterate rounded to zero")
+        q = fl(fa / x)
+        x_new = fl(0.5 * (x + q))
+        if abs(x_new - x) <= cfg.tol:
+            return x_new, k, True
+        x = x_new
+    return x, cfg.n_max, False
+
+
+def rounded_inner_product(x, y, mode: RoundingMode, spec: RoundingSpec = RoundingSpec(), rng: RandomStream | None = None) -> float:
+    """Inner product of element-wise rounded vectors.
+
+    With integer rounding the term products are already on the grid and are
+    summed directly; with a finer grid each product is rounded again.  Draw
+    order for stochastic modes: all of x, then all of y, then (if needed)
+    the products.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape != y.shape:
+        raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
+    prod = round_values(x, mode, spec, rng) * round_values(y, mode, spec, rng)
+    if spec.n == 0:
+        return float(np.sum(prod))
+    return float(np.sum(round_values(prod, mode, spec, rng)))

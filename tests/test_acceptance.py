@@ -34,7 +34,6 @@ from srlab.rounding import (
     SR,
     DeterministicMode,
     RoundingSpec,
-    floor_to_grid,
     grid_fraction,
     round_deterministic,
     round_stochastic,
@@ -87,7 +86,7 @@ def test_c02_variance_bound_grid():
     closed = (frac - frac * frac) / spec.theta**2
     if not np.array_equal(grid.v_theoretical, closed):
         failures.append("theoretical curve deviates from closed form")
-    lo = np.asarray(floor_to_grid(grid.x, spec))
+    lo = np.asarray(round_deterministic(grid.x, D.FLOOR, spec))
     p_up = (grid.x - lo) / spec.delta
     two_branch = (lo - grid.x) ** 2 * (1 - p_up) + (lo + spec.delta - grid.x) ** 2 * p_up
     if not np.allclose(grid.v_theoretical, two_branch, rtol=1e-12, atol=1e-20):

@@ -3,19 +3,23 @@ import math
 import numpy as np
 import pytest
 
+from oracles import (
+    BreakdownError,
+    elementwise_sum_moments,
+    newton_sqrt_rounded,
+    rounded_inner_product,
+    rounded_sum,
+    varhat_mean_std,
+)
 from srlab import experiments
 from srlab.experiments import (
     SQRT_TEST_VALUES,
-    BreakdownError,
     CaseId,
     NewtonConfig,
     _newton_many,
     gen_case_inputs,
     gen_sine_vectors,
     mode_label,
-    newton_sqrt_rounded,
-    rounded_inner_product,
-    rounded_sum,
     run_inner_product_experiment,
     run_sqrt_experiment,
     run_summation_experiment,
@@ -28,9 +32,6 @@ from srlab.streams import RandomStream
 D = DeterministicMode
 INT = RoundingSpec()
 MILLI = RoundingSpec(3, 10)
-
-
-from oracles import elementwise_sum_moments, varhat_mean_std
 
 
 class TestCaseInputs:
@@ -477,9 +478,9 @@ class TestVarianceBoundGrid:
     def test_theoretical_matches_two_branch_formula(self):
         grid = validate_variance_bound(step=1e-3, draws=100, seed=0)
         spec = RoundingSpec(4, 2)
-        from srlab.rounding import floor_to_grid
+        from srlab.rounding import round_deterministic
 
-        lo = np.asarray(floor_to_grid(grid.x, spec))
+        lo = np.asarray(round_deterministic(grid.x, D.FLOOR, spec))
         p_up = (grid.x - lo) / spec.delta
         two_branch = (lo - grid.x) ** 2 * (1 - p_up) + (lo + spec.delta - grid.x) ** 2 * p_up
         assert np.allclose(grid.v_theoretical, two_branch, rtol=1e-12, atol=1e-20)

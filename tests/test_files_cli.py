@@ -241,6 +241,7 @@ class TestExperimentCommands:
 
     @pytest.mark.parametrize("labels, culprit, clash", [
         (("d1", "D1"), 1, "t0.json"), (("sr", "d1"), 0, "a builtin mode"), (("d1", "Half-Even"), 1, "a builtin mode"),
+        (("", "d1"), 0, "non-empty"), (("d1", "a,b"), 1, "commas"), (("d1 ", "d2"), 0, "surrounding spaces"),
     ])
     def test_clashing_table_labels_are_usage_errors(self, labels, culprit, clash, tmp_path, capsys):
         paths = [tmp_path / f"t{i}.json" for i in range(2)]
@@ -395,6 +396,12 @@ class TestExperimentCommands:
         ["optimize", "--config", '{"theta1": 0.5, "theta2": 0.5, "delta": NaN}'],
         ["optimize", "--config", '{"theta1": 0.5, "theta2": 0.5, "b_max": NaN, "k2": 1e10}'],
         ["optimize", "--config", '{"theta1": 0.5, "theta2": 0.5, "b_max": 0.05, "k2": Infinity}'],
+        # table labels that no --modes token can name, refused before the swarm runs
+        ["optimize", "--preset", "d1", "--label", "sr"],
+        ["optimize", "--preset", "d1", "--label", "Half-Even"],
+        ["optimize", "--preset", "d1", "--label", ""],
+        ["optimize", "--preset", "d1", "--label", "d1,d2"],
+        ["optimize", "--preset", "d1", "--label", " d1"],
     ],
 )
 def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):

@@ -8,15 +8,12 @@ from srlab.rounding import (
     DeterministicMode,
     ProbabilityTable,
     RoundingSpec,
-    floor_to_grid,
     grid_fraction,
     round_deterministic,
     round_stochastic,
     round_values,
     rounding_thresholds,
-    sr_probabilities,
     stochastic_round_with,
-    table_probability,
 )
 from srlab.streams import RandomStream
 
@@ -47,7 +44,7 @@ class TestRoundingSpec:
         # 2**1023 itself is finite; 1e300 * 2**1023 is not
         spec = RoundingSpec(1023, 2)
         calls = [
-            lambda: floor_to_grid(1e300, spec),
+            lambda: round_deterministic(1e300, D.FLOOR, spec),
             lambda: grid_fraction(-1e300, spec),
             lambda: round_deterministic(1e300, D.HALF_EVEN, spec),
             lambda: stochastic_round_with(1e300, SR, spec, 0.5),
@@ -58,7 +55,7 @@ class TestRoundingSpec:
             for call in calls:
                 with pytest.raises(ValueError, match="overflow"):
                     call()
-        assert floor_to_grid(1.5, spec) == 1.5
+        assert round_deterministic(1.5, D.FLOOR, spec) == 1.5
 
 
 # Deterministic rule tables: value -> expected result per mode at delta = 1.
@@ -102,43 +99,53 @@ class TestDeterministic:
             round_deterministic(1.0, SR, INT)
 
 
+def _floor(x, spec):
+    return round_deterministic(x, D.FLOOR, spec)
+
+
 class TestFloorToGrid:
     def test_positive_fraction(self):
-        assert floor_to_grid(0.4, INT) == 0.0
+        assert _floor(0.4, INT) == 0.0
 
     def test_negative_value(self):
-        assert floor_to_grid(-1.6, INT) == -2.0
+        assert _floor(-1.6, INT) == -2.0
 
     def test_milli_grid(self):
         # scaled value 301.46 floors to 301
-        assert floor_to_grid(0.30146, MILLI) == 0.301
+        assert _floor(0.30146, MILLI) == 0.301
 
     def test_snap_guard(self):
         # 0.301 scales to 300.99999999999994 without the one-ulp snap
-        assert floor_to_grid(0.301, MILLI) == 0.301
+        assert _floor(0.301, MILLI) == 0.301
         assert grid_fraction(0.301, MILLI) == 0.0
 
     def test_negative_fraction_convention(self):
         assert grid_fraction(-0.25, INT) == 0.75
-        assert floor_to_grid(-0.25, INT) == -1.0
+        assert _floor(-0.25, INT) == -1.0
+
+
+def _sr_down_up(x, spec):
+    """(p_down, p_up) of SR: a draw u in [0, 1) rounds down when u < t, which
+    has probability min(t, 1); the grid-point threshold is 2.0."""
+    return np.minimum(rounding_thresholds(x, SR, spec)[1], 1.0), grid_fraction(x, spec)
 
 
 class TestSrProbabilities:
     def test_proximity(self):
-        assert sr_probabilities(0.4, INT) == (0.6, 0.4)
+        assert _sr_down_up(0.4, INT) == (0.6, 0.4)
 
     def test_grid_point(self):
-        assert sr_probabilities(3.0, INT) == (1.0, 0.0)
+        assert _sr_down_up(3.0, INT) == (1.0, 0.0)
 
     def test_milli_example(self):
         # scaled value 301.625
-        assert sr_probabilities(0.301625, MILLI) == (0.375, 0.625)
+        assert _sr_down_up(0.301625, MILLI) == (0.375, 0.625)
 
     def test_pair_sums_to_one_exactly(self):
         rng = RandomStream(99)
         x = (rng.uniform(20_000) - 0.5) * 8.0
         for spec in (INT, MILLI, RoundingSpec(4, 2)):
-            down, up = sr_probabilities(x, spec)
+            down, up = _sr_down_up(x, spec)
             assert np.all(down + up == 1.0)
             assert np.all((down >= 0.0) & (down <= 1.0))
 
@@ -148,20 +155,17 @@ class TestTableProbability:
         self.table = ProbabilityTable(grid=[0.0, 0.5, 1.0], p=[1.0, 0.5, 0.0], label="t")
 
     def test_node_lookup(self):
+        # f = 0 and f = 1 are grid points: their threshold 2.0 lies above every
+        # draw, whatever the table says there
         for f, p in zip(self.table.grid, self.table.p):
-            assert table_probability(f, self.table) == p
+            assert rounding_thresholds(f, self.table, INT)[1] == (p if 0.0 < f < 1.0 else 2.0)
 
     def test_linear_midpoint(self):
         two = ProbabilityTable(grid=[0.0, 1.0], p=[1.0, 0.0])
-        assert table_probability(0.5, two) == 0.5
+        assert rounding_thresholds(0.5, two, INT)[1] == 0.5
 
     def test_hand_interpolation(self):
-        assert table_probability(0.25, self.table) == 0.75
-
-    def test_domain_error(self):
-        for bad in (-0.01, 1.01, np.nan):
-            with pytest.raises(ValueError):
-                table_probability(bad, self.table)
+        assert rounding_thresholds(0.25, self.table, INT)[1] == 0.75
 
     def test_table_validation(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,6 @@ import pytest
 from srlab.rounding import RoundingSpec
 from srlab.stats import (
     contour_grid,
-    population_variance,
     sr_variance_theoretical,
     summarize,
     variance_bound,
@@ -13,19 +12,23 @@ from srlab.stats import (
 from srlab.streams import RandomStream
 
 
+def _population_variance(samples):
+    return summarize(samples, 0.0).variance
+
+
 class TestPopulationVariance:
     def test_constant(self):
-        assert population_variance([3, 3, 3]) == 0.0
+        assert _population_variance([3, 3, 3]) == 0.0
 
     def test_two_points(self):
-        assert population_variance([0, 1]) == 0.25
+        assert _population_variance([0, 1]) == 0.25
 
     def test_four_points(self):
-        assert population_variance([0, 0, 1, 1]) == 0.25
+        assert _population_variance([0, 0, 1, 1]) == 0.25
 
     def test_empty(self):
         with pytest.raises(ValueError):
-            population_variance([])
+            _population_variance([])
 
 
 class TestTheoreticalVariance:

@@ -1,6 +1,7 @@
 import warnings
 
 import numpy as np
+import pytest
 
 from oracles import reference_draws, splitmix64_draw, splitmix64_mix
 from srlab.distopt import Preset, PsoConfig, optimize_table, pso_minimize
@@ -103,6 +104,15 @@ def test_uniform_shapes():
     assert s.uniform((2, 3)).shape == (2, 3)
     assert np.isscalar(s.uniform())
     assert s.uniform(0).shape == (0,)
+
+
+def test_negative_size_rejected_without_moving_the_counter():
+    rng = RandomStream(0)
+    for size in (-1, (2, -1), (-2, -3)):
+        with pytest.raises(ValueError, match="negative"):
+            rng.uniform(size)
+    assert rng.counter == 0
+    assert rng.uniform((2, 0)).shape == (2, 0) and rng.counter == 0
 
 
 def test_seed_masked_to_64_bits():
