@@ -40,7 +40,7 @@ from .rounding import SR, DeterministicMode, RoundingSpec, round_values
 from .stats import contour_grid
 from .streams import RandomStream
 
-_BUILTIN_MODES = {m.value: m for m in DeterministicMode} | {"cr": DeterministicMode.HALF_EVEN, "sr": SR}
+_BUILTIN_MODES = {m.value: m for m in DeterministicMode} | {"cr": DeterministicMode.HALF_EVEN, SR.label: SR}
 
 
 def _check_label(label, where) -> None:
@@ -65,21 +65,23 @@ def _load_tables(paths):
 
 
 def _resolve_modes(spec_text, tables):
-    pairs = []
+    modes = {}
     for token in spec_text.split(","):
         token = token.strip().lower()
         if not token:
             continue
+        if token in modes:
+            raise ValueError(f"mode {token!r} requested twice")
         if token in _BUILTIN_MODES:
-            pairs.append((token, _BUILTIN_MODES[token]))
+            modes[token] = _BUILTIN_MODES[token]
         elif token in tables:
-            pairs.append((token, tables[token]))
+            modes[token] = tables[token]
         else:
             known = sorted(set(_BUILTIN_MODES) | set(tables))
             raise ValueError(f"unknown mode {token!r}; available: {', '.join(known)}")
-    if not pairs:
+    if not modes:
         raise ValueError("no modes requested")
-    return pairs
+    return list(modes.items())
 
 
 def _subjects(text, parse, flag):
@@ -90,6 +92,8 @@ def _subjects(text, parse, flag):
         raise ValueError(f"bad {flag} value {text!r}: {exc}") from exc
     if not subjects:
         raise ValueError(f"{flag} needs at least one value")
+    if len(set(subjects)) < len(subjects):
+        raise ValueError(f"bad {flag} value {text!r}: a value is repeated")
     return subjects
 
 
@@ -131,7 +135,10 @@ def _cmd_round(args) -> int:
             raise ValueError("--mode table needs a --table file")
         mode = [read_distribution(path).table for path in args.table][0]
     else:
-        mode = _resolve_modes(token, _load_tables(args.table))[0][1]
+        modes = _resolve_modes(token, _load_tables(args.table))
+        if len(modes) > 1:
+            raise ValueError(f"--mode names one mode, got {args.mode!r}")
+        mode = modes[0][1]
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
     spec = RoundingSpec(args.n, args.base)
@@ -303,6 +310,8 @@ def main(argv=None) -> int:
         parser.exit(1, f"srlab: {exc}\n")
     except ValueError as exc:  # bad input, including a file with invalid contents
         parser.error(str(exc))
+    except OverflowError as exc:  # a number too large to convert, such as an int64 count
+        parser.error(f"number out of range: {exc}")
     except MemoryError as exc:  # a request too large to allocate
         parser.error(f"out of memory: {exc}")
 

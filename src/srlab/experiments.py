@@ -121,8 +121,6 @@ class ExperimentReport:
 def mode_label(mode: RoundingMode) -> str:
     if isinstance(mode, DeterministicMode):
         return mode.value
-    if mode is SR:
-        return "sr"
     if isinstance(mode, ProbabilityTable):
         return mode.label
     raise TypeError(f"not a rounding mode: {mode!r}")

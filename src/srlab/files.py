@@ -18,7 +18,6 @@ from .rounding import ProbabilityTable
 __all__ = [
     "DIST_FORMAT_VERSION",
     "LoadedDistribution",
-    "distribution_payload",
     "write_distribution",
     "read_distribution",
     "format_number",
@@ -36,8 +35,8 @@ class LoadedDistribution:
     format_version: int
 
 
-def distribution_payload(table: ProbabilityTable, delta: float = 1.0, provenance: dict | None = None) -> dict:
-    return {
+def write_distribution(path, table: ProbabilityTable, delta: float = 1.0, provenance: dict | None = None) -> None:
+    payload = {
         "format_version": DIST_FORMAT_VERSION,
         "label": table.label,
         "delta": float(delta),
@@ -45,10 +44,6 @@ def distribution_payload(table: ProbabilityTable, delta: float = 1.0, provenance
         "p": [float(v) for v in table.p],
         "provenance": provenance or {},
     }
-
-
-def write_distribution(path, table: ProbabilityTable, delta: float = 1.0, provenance: dict | None = None) -> None:
-    payload = distribution_payload(table, delta, provenance)
     with open(path, "w", newline="") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")

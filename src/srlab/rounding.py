@@ -3,8 +3,8 @@
 A value is rounded by scaling it with theta = base**n, rounding the scaled
 value to an integer, and scaling back.  Deterministic modes implement the
 classic floor/ceiling and round-to-nearest tie rules; stochastic modes round
-down or up at random, either with probability proportional to proximity or
-according to a tabulated probability curve.
+down with a probability tabulated over the grid fraction f, and :data:`SR`,
+proximity-proportional rounding, is the two-node table p(f) = 1 - f.
 
 All kernels accept scalars or numpy arrays and are pure given an explicit
 :class:`~srlab.streams.RandomStream`; stochastic kernels consume exactly one
@@ -54,7 +54,9 @@ class RoundingSpec:
             raise ValueError(f"fractional-digit count must be a non-negative integer, got {self.n!r}")
         if self.base not in (2, 10):
             raise ValueError(f"base must be 2 or 10, got {self.base!r}")
-        if self.base ** self.n > sys.float_info.max:
+        # base**n is a finite double exactly up to n = 1023 (base 2) and 308 (base 10);
+        # comparing n never builds base**n for a huge n
+        if self.n > {2: sys.float_info.max_exp - 1, 10: sys.float_info.max_10_exp}[self.base]:
             raise ValueError(f"grid scale {self.base}**{self.n} overflows a double")
 
     @property
@@ -77,13 +79,14 @@ class DeterministicMode(Enum):
     HALF_ODD = "half-odd"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ProbabilityTable:
     """Tabulated probability of rounding down versus grid fraction.
 
     ``grid`` holds fractions in [0, 1] with endpoints 0 and 1; ``p[j]`` is
     the probability of rounding down at fraction ``grid[j]``.  Between nodes
-    the probability is interpolated linearly.
+    the probability is interpolated linearly.  Tables are frozen, with
+    read-only float64 copies of the arrays, so no caller can change one.
     """
 
     grid: np.ndarray
@@ -91,16 +94,17 @@ class ProbabilityTable:
     label: str = "table"
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=np.float64)
-        p = np.asarray(self.p, dtype=np.float64)
+        grid = np.array(self.grid, dtype=np.float64)  # copies: the caller's arrays stay writable
+        p = np.array(self.p, dtype=np.float64)
         if grid.ndim != 1 or p.ndim != 1 or grid.size != p.size or grid.size < 2:
             raise ValueError("grid and p must be 1-D arrays of equal length >= 2")
         if grid[0] != 0.0 or grid[-1] != 1.0 or not np.all(np.diff(grid) > 0):  # NaN fails too
             raise ValueError("grid must increase strictly from 0 to 1")
         if not np.all((p >= 0.0) & (p <= 1.0)):
             raise ValueError("probabilities must lie in [0, 1]")
-        self.grid = grid
-        self.p = p
+        grid.flags.writeable = p.flags.writeable = False
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "p", p)
 
     def __eq__(self, other):
         if not isinstance(other, ProbabilityTable):
@@ -112,23 +116,10 @@ class ProbabilityTable:
         )
 
 
-class _StochasticSR:
-    """Marker for proximity-proportional stochastic rounding."""
+# np.interp on these two nodes computes (-1)*f + 1, which rounds exactly as 1.0 - f
+SR = ProbabilityTable(grid=[0.0, 1.0], p=[1.0, 0.0], label="sr")
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "SR"
-
-
-SR = _StochasticSR()
-
-RoundingMode = Union[DeterministicMode, _StochasticSR, ProbabilityTable]
+RoundingMode = Union[DeterministicMode, ProbabilityTable]
 
 
 def _prepare(x, spec: RoundingSpec):
@@ -209,12 +200,9 @@ def rounding_thresholds(x, mode: RoundingMode, spec: RoundingSpec):
     xt = _scaled(arr, spec)
     lower = np.floor(xt)
     frac = xt - lower
-    if mode is SR:
-        p_down = 1.0 - frac
-    elif isinstance(mode, ProbabilityTable):
-        p_down = np.clip(np.interp(frac, mode.grid, mode.p), 0.0, 1.0)
-    else:
+    if not isinstance(mode, ProbabilityTable):
         raise TypeError(f"expected a stochastic mode, got {mode!r}")
+    p_down = np.interp(frac, mode.grid, mode.p).clip(0.0, 1.0)  # ndarray.clip skips np.clip's dispatch layer
     return lower, np.where(frac > 0.0, p_down, 2.0)
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from srlab.experiments import NewtonConfig
-from srlab.rounding import RoundingMode, RoundingSpec, round_values
+from srlab.rounding import RoundingMode, RoundingSpec, grid_fraction, round_values
 from srlab.streams import RandomStream
 
 
@@ -45,6 +45,14 @@ def equal_weight_root(f):
     inside = real[(real >= -1e-9) & (real <= 1 + 1e-9)]
     assert inside.size == 1
     return float(np.clip(inside[0], 0.0, 1.0))
+
+
+def sr_thresholds(x, spec):
+    """Proximity stochastic rounding's threshold in closed form: the
+    probability 1 - f of rounding down at grid fraction f, and 2.0, above
+    every draw, on grid points."""
+    f = grid_fraction(x, spec)
+    return np.where(f > 0.0, 1.0 - f, 2.0)
 
 
 def _two_point(x):

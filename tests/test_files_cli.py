@@ -214,6 +214,13 @@ class TestExperimentCommands:
         cr_row = next(line for line in lines if ",cr," in line)
         assert cr_row.split(",")[3] == "0"
 
+    def test_aliases_of_one_mode_each_get_a_row(self, tmp_path):
+        out = tmp_path / "sum.csv"
+        assert run_cli("experiment", "sum", "--case", "III", "--modes", "cr,half-even", "--out", str(out)) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [row[1] for row in rows] == ["cr", "half-even"]
+        assert rows[0][2:] == rows[1][2:]
+
     def test_unknown_mode_without_table(self, tmp_path, capsys):
         out = tmp_path / "sum.csv"
         with pytest.raises(SystemExit) as exc:
@@ -402,6 +409,18 @@ class TestExperimentCommands:
         ["optimize", "--preset", "d1", "--label", ""],
         ["optimize", "--preset", "d1", "--label", "d1,d2"],
         ["optimize", "--preset", "d1", "--label", " d1"],
+        # a repeated mode or subject would write the same row twice
+        ["experiment", "sum", "--case", "III", "--modes", "sr,sr", "--reps", "10"],
+        ["experiment", "sum", "--case", "III", "--modes", "SR, sr", "--reps", "10"],
+        ["experiment", "sum", "--case", "III,iii", "--modes", "sr", "--reps", "10"],
+        ["experiment", "sqrt", "--values", "2,2.0", "--modes", "sr", "--reps", "10"],
+        ["experiment", "dot", "--sizes", "50,050", "--modes", "sr", "--reps", "10"],
+        ["round", "0.4", "--mode", "sr,cr"],
+        # numbers too large to round or to hold in an int64
+        ["experiment", "varbound", "--xmax", "1e300", "--step", "1e-300"],
+        ["experiment", "sqrt", "--values", "2", "--modes", "sr", "--reps", "3",
+         "--max-iter", "100000000000000000000000"],
+        ["round", "0.4", "--n", "100000000000000000000000"],
     ],
 )
 def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):

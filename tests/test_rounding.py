@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import sr_thresholds
 from srlab.rounding import (
     SR,
     DeterministicMode,
@@ -39,6 +40,13 @@ class TestRoundingSpec:
             RoundingSpec(-1)
         with pytest.raises(ValueError):
             RoundingSpec(2, 3)
+
+    @pytest.mark.parametrize("base, largest", [(2, 1023), (10, 308)])
+    def test_largest_grid_scale(self, base, largest):
+        assert RoundingSpec(largest, base).theta == float(base**largest)
+        for n in (largest + 1, 10**18):  # refused without building base**n
+            with pytest.raises(ValueError, match=f"grid scale {base}\\*\\*{n} overflows a double"):
+                RoundingSpec(n, base)
 
     def test_scaled_overflow_rejected_without_warnings(self):
         # 2**1023 itself is finite; 1e300 * 2**1023 is not
@@ -141,6 +149,16 @@ class TestSrProbabilities:
         # scaled value 301.625
         assert _sr_down_up(0.301625, MILLI) == (0.375, 0.625)
 
+    def test_thresholds_match_closed_form_bit_for_bit(self):
+        x = (RandomStream(2024).uniform(1 << 19) - 0.5) * 16.0
+        # grid points, values just below them, and tiny negatives whose
+        # fraction rounds to 1.0
+        edges = [0.0, -0.0, 3.0, -3.0, np.nextafter(1.0, 0.0), np.nextafter(-2.0, -3.0), -1e-300, -5e-324]
+        x = np.concatenate([x, edges])
+        for spec in (INT, MILLI, RoundingSpec(4, 2), RoundingSpec(52, 2)):
+            t = rounding_thresholds(x, SR, spec)[1]
+            assert np.array_equal(t.view(np.int64), sr_thresholds(x, spec).view(np.int64))
+
     def test_pair_sums_to_one_exactly(self):
         rng = RandomStream(99)
         x = (rng.uniform(20_000) - 0.5) * 8.0
@@ -166,6 +184,21 @@ class TestTableProbability:
 
     def test_hand_interpolation(self):
         assert rounding_thresholds(0.25, self.table, INT)[1] == 0.75
+
+    def test_sr_is_the_two_node_table(self):
+        assert SR == ProbabilityTable([0, 1], [1, 0], "sr")
+
+    def test_tables_are_frozen_with_read_only_copies(self):
+        grid, p = np.array([0.0, 0.5, 1.0]), np.array([1.0, 0.5, 0.0])
+        table = ProbabilityTable(grid, p, "t")
+        for t in (table, SR):
+            for arr in (t.grid, t.p):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0.25
+            with pytest.raises(AttributeError):  # dataclasses.FrozenInstanceError
+                t.p = p
+        grid[1] = p[1] = 0.25  # the caller's arrays stay writable and apart
+        assert table.grid[1] == table.p[1] == 0.5
 
     def test_table_validation(self):
         with pytest.raises(ValueError):
