@@ -9,20 +9,20 @@ outcome whose average recovers the input.
 
 import numpy as np
 
-from srlab import SR, DeterministicMode, RandomStream, RoundingSpec, round_deterministic, round_stochastic
+from srlab import SR, DeterministicMode, RandomStream, RoundingSpec, round_values
 
 spec = RoundingSpec()  # integers
 values = [1.6, 0.5, -0.5, -1.6]
 
 print(f"{'mode':>10}", *[f"{v:>6}" for v in values])
 for mode in DeterministicMode:
-    rounded = [round_deterministic(v, mode, spec) for v in values]
-    print(f"{mode.value:>10}", *[f"{r:>6}" for r in rounded])
+    rounded = [round_values(v, mode, spec) for v in values]
+    print(f"{mode.label:>10}", *[f"{r:>6}" for r in rounded])
 
 # 0.4 rounds down to 0 with probability 0.6 and up to 1 with probability 0.4,
 # so the sample mean drifts back to 0.4 as draws accumulate.
 rng = RandomStream(seed=42)
-draws = round_stochastic(np.full(100_000, 0.4), SR, spec, rng)
+draws = round_values(np.full(100_000, 0.4), SR, spec, rng)
 print()
 print("stochastic rounding of 0.4 to integers:")
 print("  outcomes:", sorted(set(draws.tolist())))
@@ -34,5 +34,5 @@ milli = RoundingSpec(3, 10)
 x = 0.30146
 print()
 print(f"rounding {x} to three decimal digits:")
-print("  floor grid point:", round_deterministic(x, DeterministicMode.FLOOR, milli))
-print("  five stochastic draws:", round_stochastic(np.full(5, x), SR, milli, rng).tolist())
+print("  floor grid point:", round_values(x, DeterministicMode.FLOOR, milli))
+print("  five stochastic draws:", round_values(np.full(5, x), SR, milli, rng).tolist())

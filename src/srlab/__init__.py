@@ -21,7 +21,6 @@ from .experiments import (
     VarianceBoundGrid,
     gen_case_inputs,
     gen_sine_vectors,
-    mode_label,
     run_inner_product_experiment,
     run_sqrt_experiment,
     run_summation_experiment,
@@ -41,8 +40,6 @@ from .rounding import (
     RoundingMode,
     RoundingSpec,
     grid_fraction,
-    round_deterministic,
-    round_stochastic,
     round_values,
     stochastic_round_with,
 )

@@ -40,7 +40,7 @@ from .rounding import SR, DeterministicMode, RoundingSpec, round_values
 from .stats import contour_grid
 from .streams import RandomStream
 
-_BUILTIN_MODES = {m.value: m for m in DeterministicMode} | {"cr": DeterministicMode.HALF_EVEN, SR.label: SR}
+_BUILTIN_MODES = {m.label: m for m in (*DeterministicMode, SR)} | {"cr": DeterministicMode.HALF_EVEN}
 
 
 def _check_label(label, where) -> None:
@@ -65,6 +65,7 @@ def _load_tables(paths):
 
 
 def _resolve_modes(spec_text, tables):
+    known = _BUILTIN_MODES | tables  # _check_label keeps table labels off the builtin names
     modes = {}
     for token in spec_text.split(","):
         token = token.strip().lower()
@@ -72,13 +73,9 @@ def _resolve_modes(spec_text, tables):
             continue
         if token in modes:
             raise ValueError(f"mode {token!r} requested twice")
-        if token in _BUILTIN_MODES:
-            modes[token] = _BUILTIN_MODES[token]
-        elif token in tables:
-            modes[token] = tables[token]
-        else:
-            known = sorted(set(_BUILTIN_MODES) | set(tables))
-            raise ValueError(f"unknown mode {token!r}; available: {', '.join(known)}")
+        if token not in known:
+            raise ValueError(f"unknown mode {token!r}; available: {', '.join(sorted(known))}")
+        modes[token] = known[token]
     if not modes:
         raise ValueError("no modes requested")
     return list(modes.items())

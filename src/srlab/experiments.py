@@ -26,7 +26,6 @@ import numpy as np
 from .rounding import (
     SR,
     DeterministicMode,
-    ProbabilityTable,
     RoundingMode,
     RoundingSpec,
     round_values,
@@ -42,7 +41,6 @@ __all__ = [
     "ExperimentReport",
     "SQRT_TEST_VALUES",
     "DOT_SIZES",
-    "mode_label",
     "gen_case_inputs",
     "run_summation_experiment",
     "run_sqrt_experiment",
@@ -118,14 +116,6 @@ class ExperimentReport:
     not_solvable: bool = False
 
 
-def mode_label(mode: RoundingMode) -> str:
-    if isinstance(mode, DeterministicMode):
-        return mode.value
-    if isinstance(mode, ProbabilityTable):
-        return mode.label
-    raise TypeError(f"not a rounding mode: {mode!r}")
-
-
 def _digest(arr: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()[:16]
 
@@ -174,7 +164,7 @@ def _rounding_study(values, exact, combine, mode, subject, n_reps, seed) -> Expe
         lower, t = rounding_thresholds(values, mode, spec)
         outcomes = _repeat(seed, n_reps, values.size, t, combine(lower))
     return ExperimentReport(
-        label=mode_label(mode),
+        label=mode.label,
         subject=subject,
         summary=summarize(outcomes, exact),
         seed=seed,
@@ -304,7 +294,7 @@ def run_sqrt_experiment(
         n_it_mean = float(np.mean(n_it[convs])) if convs.any() else None
         summary = summarize(values, math.sqrt(a), n_it_mean=n_it_mean)
     return ExperimentReport(
-        label=mode_label(mode),
+        label=mode.label,
         subject=repr(float(a)),
         summary=summary,
         seed=seed,

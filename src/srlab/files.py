@@ -9,6 +9,7 @@ order, which makes equal-seed runs byte-identical.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,12 +56,17 @@ def read_distribution(path) -> LoadedDistribution:
         text = fh.read()
     try:
         payload = json.loads(text)
-        version = int(payload["format_version"])
-        if version != DIST_FORMAT_VERSION:
-            raise ValueError(f"unsupported format_version {version}")
-        table = ProbabilityTable(grid=payload["grid"], p=payload["p"], label=str(payload["label"]))
+        version, label, provenance = payload["format_version"], payload["label"], payload.get("provenance", {})
+        if type(version) is not int or version != DIST_FORMAT_VERSION:  # 1.5, true and "1" are not 1
+            raise ValueError(f"unsupported format_version {version!r}")
+        if not isinstance(label, str):
+            raise ValueError(f"label must be a string, got {label!r}")
+        if not isinstance(provenance, dict):
+            raise ValueError(f"provenance must be an object, got {provenance!r}")
+        table = ProbabilityTable(grid=payload["grid"], p=payload["p"], label=label)
         delta = float(payload["delta"])
-        provenance = payload.get("provenance", {})
+        if not 0.0 < delta < math.inf:  # NaN fails too
+            raise ValueError(f"delta must be finite and positive, got {delta!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: not a valid distribution file: {exc}") from exc
     return LoadedDistribution(table=table, delta=delta, provenance=provenance, format_version=version)

@@ -30,8 +30,6 @@ __all__ = [
     "SR",
     "RoundingMode",
     "grid_fraction",
-    "round_deterministic",
-    "round_stochastic",
     "rounding_thresholds",
     "stochastic_round_with",
     "round_values",
@@ -77,6 +75,10 @@ class DeterministicMode(Enum):
     HALF_DOWN = "half-down"
     HALF_EVEN = "half-even"
     HALF_ODD = "half-odd"
+
+    @property
+    def label(self) -> str:
+        return self.value
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,34 +160,6 @@ def grid_fraction(x, spec: RoundingSpec):
     return _ret(xt - np.floor(xt), scalar)
 
 
-def round_deterministic(x, mode: DeterministicMode, spec: RoundingSpec):
-    """Round to the grid with one of the deterministic rules.
-
-    Ties (scaled fraction exactly one half) follow the mode's rule; parity
-    for the half-even/half-odd rules is judged on the scaled integer grid.
-    """
-    if not isinstance(mode, DeterministicMode):
-        raise TypeError(f"expected a DeterministicMode, got {mode!r}")
-    arr, scalar = _prepare(x, spec)
-    xt = _scaled(arr, spec)
-    lower = np.floor(xt)
-    if mode is DeterministicMode.FLOOR:
-        return _ret(lower / spec.theta, scalar)
-    if mode is DeterministicMode.CEILING:
-        return _ret(np.ceil(xt) / spec.theta, scalar)
-    frac = xt - lower
-    up = frac > 0.5
-    tie = frac == 0.5
-    if mode is DeterministicMode.HALF_UP:
-        up = up | tie
-    elif mode is DeterministicMode.HALF_EVEN:
-        up = up | (tie & (lower % 2.0 != 0.0))
-    elif mode is DeterministicMode.HALF_ODD:
-        up = up | (tie & (lower % 2.0 == 0.0))
-    # HALF_DOWN keeps ties on the lower neighbour.
-    return _ret((lower + up) / spec.theta, scalar)
-
-
 def rounding_thresholds(x, mode: RoundingMode, spec: RoundingSpec):
     """Per-value half of stochastic rounding: ``(lower, t)`` on the scaled grid.
 
@@ -221,17 +195,36 @@ def stochastic_round_with(x, mode: RoundingMode, spec: RoundingSpec, uniforms):
     return _ret((lower + (u >= t)) / spec.theta, lower.ndim == 0)
 
 
-def round_stochastic(x, mode: RoundingMode, spec: RoundingSpec, rng: RandomStream):
-    """Round stochastically, consuming one draw from ``rng`` per element."""
-    arr, _ = _prepare(x, spec)
-    u = rng.uniform(arr.shape)
-    return stochastic_round_with(x, mode, spec, u)
-
-
 def round_values(x, mode: RoundingMode, spec: RoundingSpec, rng: RandomStream | None = None):
-    """Round with any mode; deterministic modes ignore ``rng`` and draw nothing."""
+    """Round to the grid with any mode.
+
+    Deterministic modes ignore ``rng`` and draw nothing; ties (scaled
+    fraction exactly one half) follow the mode's rule, and parity for the
+    half-even/half-odd rules is judged on the scaled integer grid.
+    Stochastic modes take one draw from ``rng`` per element, and only once
+    the values and the mode have passed their checks.
+    """
     if isinstance(mode, DeterministicMode):
-        return round_deterministic(x, mode, spec)
+        arr, scalar = _prepare(x, spec)
+        xt = _scaled(arr, spec)
+        lower = np.floor(xt)
+        if mode is DeterministicMode.FLOOR:
+            return _ret(lower / spec.theta, scalar)
+        if mode is DeterministicMode.CEILING:
+            return _ret(np.ceil(xt) / spec.theta, scalar)
+        frac = xt - lower
+        up = frac > 0.5
+        tie = frac == 0.5
+        if mode is DeterministicMode.HALF_UP:
+            up = up | tie
+        elif mode is DeterministicMode.HALF_EVEN:
+            up = up | (tie & (lower % 2.0 != 0.0))
+        elif mode is DeterministicMode.HALF_ODD:
+            up = up | (tie & (lower % 2.0 == 0.0))
+        # HALF_DOWN keeps ties on the lower neighbour.
+        return _ret((lower + up) / spec.theta, scalar)
     if rng is None:
         raise ValueError("stochastic modes need a RandomStream")
-    return round_stochastic(x, mode, spec, rng)
+    lower, t = rounding_thresholds(x, mode, spec)
+    u = rng.uniform(lower.shape)
+    return _ret((lower + (u >= t)) / spec.theta, lower.ndim == 0)

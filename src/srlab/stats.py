@@ -149,12 +149,6 @@ def contour_grid(x1_range=(0.0, 5.0), x2_range=(0.0, 1.0), resolution=(200, 200)
     x2 = lo2 + (np.arange(n2) + 0.5) * (hi2 - lo2) / n2
     if np.any(x1 == np.floor(x1)) or np.any(x2 <= 0.0) or np.any(x2 >= 1.0):
         raise ValueError("grid cells must avoid integer x1 and the x2 endpoints")
+    # e_down and e_up come out (n1, n2) and fresh; p depends on x1 alone
     e_down, e_up, p = _branches(x1[:, None], x2[None, :])
-    shape = (n1, n2)
-    return ContourGrid(
-        x1=x1,
-        x2=x2,
-        e_down=np.broadcast_to(e_down, shape).copy(),
-        e_up=np.broadcast_to(e_up, shape).copy(),
-        p=np.broadcast_to(p, shape).copy(),
-    )
+    return ContourGrid(x1=x1, x2=x2, e_down=e_down, e_up=e_up, p=np.broadcast_to(p, (n1, n2)).copy())

@@ -35,8 +35,7 @@ from srlab.rounding import (
     DeterministicMode,
     RoundingSpec,
     grid_fraction,
-    round_deterministic,
-    round_stochastic,
+    round_values,
 )
 from srlab.stats import contour_grid, sr_variance_theoretical, variance_bound
 from srlab.streams import RandomStream
@@ -64,7 +63,7 @@ def test_c01_deterministic_rule_table():
     failures = []
     for mode, cells in expected.items():
         for value, want in zip([1.6, 0.5, -0.5, -1.6], cells):
-            got = round_deterministic(value, mode, spec)
+            got = round_values(value, mode, spec)
             if got != want:
                 failures.append(f"{mode.value}({value}) = {got}, want {want}")
     report("c1", "deterministic rule table (24 cells)", failures)
@@ -86,7 +85,7 @@ def test_c02_variance_bound_grid():
     closed = (frac - frac * frac) / spec.theta**2
     if not np.array_equal(grid.v_theoretical, closed):
         failures.append("theoretical curve deviates from closed form")
-    lo = np.asarray(round_deterministic(grid.x, D.FLOOR, spec))
+    lo = np.asarray(round_values(grid.x, D.FLOOR, spec))
     p_up = (grid.x - lo) / spec.delta
     two_branch = (lo - grid.x) ** 2 * (1 - p_up) + (lo + spec.delta - grid.x) ** 2 * p_up
     if not np.allclose(grid.v_theoretical, two_branch, rtol=1e-12, atol=1e-20):
@@ -109,7 +108,7 @@ def test_c03_unbiasedness():
             v = np.asarray(sr_variance_theoretical(xs, spec))
             root = RandomStream(base * 1000 + n)
             for j, x in enumerate(xs):
-                out = round_stochastic(np.full(draws, x), SR, spec, root.substream(j))
+                out = round_values(np.full(draws, x), SR, spec, root.substream(j))
                 tol = 4.0 * math.sqrt(v[j] / draws)
                 err = abs(out.mean() - x)
                 if err > tol and v[j] > 0:
@@ -134,10 +133,10 @@ def test_c04_sum_and_product_identities():
         failures.append("distribution mismatch with negative terms")
     # integer products are fixed points of integer rounding
     spec = RoundingSpec()
-    a = round_stochastic(rng.uniform(1000) * 40.0 - 20.0, SR, spec, rng)
-    b = round_stochastic(rng.uniform(1000) * 40.0 - 20.0, SR, spec, rng)
+    a = round_values(rng.uniform(1000) * 40.0 - 20.0, SR, spec, rng)
+    b = round_values(rng.uniform(1000) * 40.0 - 20.0, SR, spec, rng)
     prod = a * b
-    if not np.array_equal(round_stochastic(prod, SR, spec, rng), prod):
+    if not np.array_equal(round_values(prod, SR, spec, rng), prod):
         failures.append("integer product moved under rounding")
     report("c4", "sum distributivity and product identity", failures)
 

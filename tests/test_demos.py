@@ -1,6 +1,8 @@
-"""Every script in ``demos/`` runs to completion against the source tree."""
+"""Every script in ``demos/`` and the README's library quick start run to
+completion against the source tree."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,3 +23,10 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md quick start", "exec"), {})

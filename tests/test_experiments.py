@@ -12,6 +12,7 @@ from oracles import (
     varhat_mean_std,
 )
 from srlab import experiments
+from srlab.cli import _BUILTIN_MODES
 from srlab.experiments import (
     SQRT_TEST_VALUES,
     CaseId,
@@ -19,13 +20,12 @@ from srlab.experiments import (
     _newton_many,
     gen_case_inputs,
     gen_sine_vectors,
-    mode_label,
     run_inner_product_experiment,
     run_sqrt_experiment,
     run_summation_experiment,
     validate_variance_bound,
 )
-from srlab.rounding import SR, DeterministicMode, ProbabilityTable, RoundingSpec, round_stochastic
+from srlab.rounding import SR, DeterministicMode, ProbabilityTable, RoundingSpec, round_values
 from srlab.stats import summarize
 from srlab.streams import RandomStream
 
@@ -104,8 +104,8 @@ class TestSummationExperiment:
         for mode, table in ((SR, None), (d1_table, d1_table)):
             mean, var = elementwise_sum_moments(xs, table)
             s = run_summation_experiment(CaseId.I, mode, n_reps=n, seed=0).summary
-            assert abs(s.mu - mean) < 4 * math.sqrt(var / n), mode_label(mode)
-            assert abs(s.variance - var) < 4 * var * math.sqrt(2 / n), mode_label(mode)
+            assert abs(s.mu - mean) < 4 * math.sqrt(var / n), mode.label
+            assert abs(s.variance - var) < 4 * var * math.sqrt(2 / n), mode.label
 
     def test_reproducible_reports(self):
         a = run_summation_experiment(CaseId.III, SR, n_reps=500, seed=3)
@@ -159,7 +159,7 @@ class TestRepetitionEngine:
         spec = RoundingSpec(4, 2)
         root = RandomStream(2)
         for j, x in enumerate(grid.x):
-            outs = round_stochastic(np.full(500, x), SR, spec, root.substream(16 + j))
+            outs = round_values(np.full(500, x), SR, spec, root.substream(16 + j))
             assert grid.v_empirical[j] == np.var(outs)
 
     @pytest.mark.parametrize("n_bits", [0, 60])
@@ -172,7 +172,7 @@ class TestRepetitionEngine:
         spec = RoundingSpec(n_bits, 2)
         root = RandomStream(2)
         for j, x in enumerate(grid.x):
-            outs = round_stochastic(np.full(500, x), SR, spec, root.substream(16 + j))
+            outs = round_values(np.full(500, x), SR, spec, root.substream(16 + j))
             assert grid.v_empirical[j] == np.var(outs)
 
     def test_variance_bound_partial_block_matches_scalar(self):
@@ -184,7 +184,7 @@ class TestRepetitionEngine:
         assert grid.x.size == 33
         spec = RoundingSpec(3, 2)
         root = RandomStream(5)
-        ref = [np.var(round_stochastic(np.full(draws, x), SR, spec, root.substream(16 + j)))
+        ref = [np.var(round_values(np.full(draws, x), SR, spec, root.substream(16 + j)))
                for j, x in enumerate(grid.x)]
         assert grid.v_empirical.tolist() == ref
 
@@ -478,17 +478,15 @@ class TestVarianceBoundGrid:
     def test_theoretical_matches_two_branch_formula(self):
         grid = validate_variance_bound(step=1e-3, draws=100, seed=0)
         spec = RoundingSpec(4, 2)
-        from srlab.rounding import round_deterministic
-
-        lo = np.asarray(round_deterministic(grid.x, D.FLOOR, spec))
+        lo = np.asarray(round_values(grid.x, D.FLOOR, spec))
         p_up = (grid.x - lo) / spec.delta
         two_branch = (lo - grid.x) ** 2 * (1 - p_up) + (lo + spec.delta - grid.x) ** 2 * p_up
         assert np.allclose(grid.v_theoretical, two_branch, rtol=1e-12, atol=1e-20)
 
 
 def test_mode_labels(d1_table):
-    assert mode_label(D.HALF_EVEN) == "half-even"
-    assert mode_label(SR) == "sr"
-    assert mode_label(d1_table) == "d1"
-    with pytest.raises(TypeError):
-        mode_label("floor")
+    assert D.HALF_EVEN.label == "half-even"
+    assert SR.label == "sr"
+    assert d1_table.label == "d1"
+    for mode in D:  # a label is the --modes token that names the mode
+        assert _BUILTIN_MODES[mode.label] is mode

@@ -22,6 +22,11 @@ def small_table():
     return ProbabilityTable(grid=np.linspace(0, 1, 5), p=[1.0, 0.7, 0.5, 0.3, 0.0], label="demo")
 
 
+def _write_json(path, payload):
+    path.write_text(json.dumps(payload))  # NaN and inf as JSON's NaN and Infinity
+    return path
+
+
 class TestDistributionFiles:
     def test_round_trip_identity(self, tmp_path, small_table):
         path = tmp_path / "t.json"
@@ -52,6 +57,14 @@ class TestDistributionFiles:
         )
         with pytest.raises(ValueError):
             read_distribution(worse)
+        good = {"format_version": 1, "label": "x", "delta": 1.0, "grid": [0.0, 1.0], "p": [1.0, 0.0], "provenance": {}}
+        read_distribution(_write_json(tmp_path / "good.json", good))
+        for field, value in [("format_version", 1.5), ("format_version", True), ("format_version", "1"),
+                             ("delta", float("nan")), ("delta", -3), ("delta", float("inf")), ("delta", 0),
+                             ("provenance", [1, 2]), ("label", 5)]:
+            path = _write_json(tmp_path / f"{field}.json", good | {field: value})
+            with pytest.raises(ValueError, match=f"{path}: not a valid distribution file: .*{field}"):
+                read_distribution(path)
 
     def test_format_number(self):
         assert format_number(None) == ""
@@ -245,6 +258,14 @@ class TestExperimentCommands:
         usage, message = capsys.readouterr().err.splitlines()
         assert message.startswith("srlab: error: ") and str(bad) in message
         assert not (tmp_path / "sum.csv").exists()
+        # well-formed JSON with invalid contents: a NaN delta
+        nan_delta = _write_json(tmp_path / "nan.json", {"format_version": 1, "label": "x", "delta": float("nan"),
+                                                        "grid": [0.0, 1.0], "p": [1.0, 0.0]})
+        with pytest.raises(SystemExit) as exc:
+            run_cli("round", "0.4", "--mode", "table", "--table", str(nan_delta))
+        assert exc.value.code == 2
+        usage, message = capsys.readouterr().err.splitlines()
+        assert message.startswith("srlab: error: ") and str(nan_delta) in message and "delta" in message
 
     @pytest.mark.parametrize("labels, culprit, clash", [
         (("d1", "D1"), 1, "t0.json"), (("sr", "d1"), 0, "a builtin mode"), (("d1", "Half-Even"), 1, "a builtin mode"),

@@ -10,8 +10,6 @@ from srlab.rounding import (
     ProbabilityTable,
     RoundingSpec,
     grid_fraction,
-    round_deterministic,
-    round_stochastic,
     round_values,
     rounding_thresholds,
     stochastic_round_with,
@@ -52,9 +50,9 @@ class TestRoundingSpec:
         # 2**1023 itself is finite; 1e300 * 2**1023 is not
         spec = RoundingSpec(1023, 2)
         calls = [
-            lambda: round_deterministic(1e300, D.FLOOR, spec),
+            lambda: round_values(1e300, D.FLOOR, spec),
             lambda: grid_fraction(-1e300, spec),
-            lambda: round_deterministic(1e300, D.HALF_EVEN, spec),
+            lambda: round_values(1e300, D.HALF_EVEN, spec),
             lambda: stochastic_round_with(1e300, SR, spec, 0.5),
             lambda: rounding_thresholds(np.array([1.0, -1e300]), SR, spec),
         ]
@@ -63,7 +61,7 @@ class TestRoundingSpec:
             for call in calls:
                 with pytest.raises(ValueError, match="overflow"):
                     call()
-        assert round_deterministic(1.5, D.FLOOR, spec) == 1.5
+        assert round_values(1.5, D.FLOOR, spec) == 1.5
 
 
 # Deterministic rule tables: value -> expected result per mode at delta = 1.
@@ -81,34 +79,36 @@ class TestDeterministic:
     @pytest.mark.parametrize("mode,expected", _DETERMINISTIC_CELLS)
     def test_reference_cells(self, mode, expected):
         values = [1.6, 0.5, -0.5, -1.6]
-        got = [round_deterministic(v, mode, INT) for v in values]
+        got = [round_values(v, mode, INT) for v in values]
         assert got == expected
 
     def test_half_odd_tie(self):
-        assert round_deterministic(0.5, D.HALF_ODD, INT) == 1.0
+        assert round_values(0.5, D.HALF_ODD, INT) == 1.0
 
     def test_parity_on_scaled_grid(self):
         # 0.75 at one fractional bit scales to 1.5; the even neighbour is 2.
         half = RoundingSpec(1, 2)
-        assert round_deterministic(0.75, D.HALF_EVEN, half) == 1.0
-        assert round_deterministic(0.25, D.HALF_EVEN, half) == 0.0
+        assert round_values(0.75, D.HALF_EVEN, half) == 1.0
+        assert round_values(0.25, D.HALF_EVEN, half) == 0.0
 
     def test_array_input(self):
-        got = round_deterministic(np.array([1.6, 0.5, -0.5, -1.6]), D.HALF_EVEN, INT)
+        got = round_values(np.array([1.6, 0.5, -0.5, -1.6]), D.HALF_EVEN, INT)
         assert np.array_equal(got, [2.0, 0.0, 0.0, -2.0])
 
     def test_non_finite_rejected(self):
         for bad in (np.inf, -np.inf, np.nan):
             with pytest.raises(ValueError):
-                round_deterministic(bad, D.FLOOR, INT)
+                round_values(bad, D.FLOOR, INT)
 
     def test_wrong_mode_type(self):
         with pytest.raises(TypeError):
-            round_deterministic(1.0, SR, INT)
+            stochastic_round_with(1.0, D.FLOOR, INT, 0.5)
+        with pytest.raises(ValueError, match="RandomStream"):
+            round_values(1.0, SR, INT)
 
 
 def _floor(x, spec):
-    return round_deterministic(x, D.FLOOR, spec)
+    return round_values(x, D.FLOOR, spec)
 
 
 class TestFloorToGrid:
@@ -222,48 +222,61 @@ class TestTableProbability:
 class TestRoundStochastic:
     def test_grid_point_fixed_and_consumes_draw(self):
         rng = RandomStream(0)
-        assert round_stochastic(2.0, SR, INT, rng) == 2.0
+        assert round_values(2.0, SR, INT, rng) == 2.0
         assert rng.counter == 1
 
     def test_one_draw_per_element(self):
         rng = RandomStream(0)
-        round_stochastic(np.ones(37) * 5.0, SR, INT, rng)
+        round_values(np.ones(37) * 5.0, SR, INT, rng)
         assert rng.counter == 37
 
     def test_support(self):
         rng = RandomStream(1)
-        out = round_stochastic(np.full(1000, 0.4), SR, INT, rng)
+        out = round_values(np.full(1000, 0.4), SR, INT, rng)
         assert set(np.unique(out)) == {0.0, 1.0}
 
     def test_unbiased_mean(self):
         rng = RandomStream(2)
-        out = round_stochastic(np.full(100_000, 0.4), SR, INT, rng)
+        out = round_values(np.full(100_000, 0.4), SR, INT, rng)
         # two-point outcome variance: 0.6 * 0.4^2 + 0.4 * 0.6^2 = 0.24
         stderr = np.sqrt(0.24 / 100_000)
         assert abs(out.mean() - 0.4) < 3 * stderr
 
     def test_variance_matches_two_branch_value(self):
         rng = RandomStream(3)
-        out = round_stochastic(np.full(100_000, 0.4), SR, INT, rng)
+        out = round_values(np.full(100_000, 0.4), SR, INT, rng)
         # stderr of the variance estimate from exact central moments:
         # mu4 = 0.6*0.4^4 + 0.4*0.6^4 = 0.0672, sigma^4 = 0.0576
         stderr = np.sqrt((0.0672 - 0.0576) / 100_000)
         assert abs(np.var(out) - 0.24) < 3 * stderr
 
     def test_deterministic_mode_rejected(self):
-        with pytest.raises(TypeError):
-            round_stochastic(0.4, D.FLOOR, INT, RandomStream(0))
+        # a deterministic mode given a stream rounds by its rule and draws nothing
+        rng = RandomStream(0)
+        for mode, expected in _DETERMINISTIC_CELLS:
+            assert [round_values(v, mode, INT, rng) for v in (1.6, 0.5, -0.5, -1.6)] == expected
+        assert rng.counter == 0
+
+    @pytest.mark.parametrize("x, mode, error", [
+        (0.4, "floor", TypeError), (np.array([0.4, np.nan]), SR, ValueError),
+        (-np.inf, ProbabilityTable([0.0, 1.0], [0.5, 0.5]), ValueError),
+    ], ids=["not-a-mode", "sr-nan", "table-inf"])
+    def test_failed_call_takes_no_draw(self, x, mode, error):
+        rng = RandomStream(0)
+        with pytest.raises(error):
+            round_values(x, mode, INT, rng)
+        assert rng.counter == 0
 
     def test_table_mode(self):
         floorish = ProbabilityTable(grid=[0.0, 1.0], p=[1.0, 1.0], label="one")
         rng = RandomStream(4)
-        out = round_stochastic(np.linspace(0, 1, 17), floorish, INT, rng)
+        out = round_values(np.linspace(0, 1, 17), floorish, INT, rng)
         assert np.array_equal(out, np.zeros(17) + np.floor(np.linspace(0, 1, 17)))
 
     def test_table_never_moves_grid_points(self):
         ceilish = ProbabilityTable(grid=[0.0, 1.0], p=[0.0, 0.0], label="zero")
         rng = RandomStream(5)
-        assert round_stochastic(3.0, ceilish, INT, rng) == 3.0
+        assert round_values(3.0, ceilish, INT, rng) == 3.0
         # p = 0.5 at f = 0 as well: a draw of 0.9 moves 2.25 up, no grid point
         half = ProbabilityTable(grid=[0.0, 1.0], p=[0.5, 0.5], label="half")
         g = np.arange(-5.0, 6.0)
@@ -294,34 +307,34 @@ class TestSharedProperties:
             # canonical grid doubles, same arithmetic the kernels emit
             g = np.arange(-2000, 2000) / spec.theta
             for mode in list(D):
-                assert np.array_equal(round_deterministic(g, mode, spec), g)
+                assert np.array_equal(round_values(g, mode, spec), g)
             for mode in (SR, table):
-                assert np.array_equal(round_stochastic(g, mode, spec, rng), g)
+                assert np.array_equal(round_values(g, mode, spec, rng), g)
 
     def test_double_rounding_is_identity(self):
         rng = RandomStream(9)
         x = (rng.uniform(2000) - 0.5) * 10.0
         for spec in (INT, MILLI, RoundingSpec(4, 2)):
             for mode in list(D):
-                once = round_deterministic(x, mode, spec)
-                assert np.array_equal(round_deterministic(once, mode, spec), once)
-            once = round_stochastic(x, SR, spec, rng)
-            assert np.array_equal(round_stochastic(once, SR, spec, rng), once)
+                once = round_values(x, mode, spec)
+                assert np.array_equal(round_values(once, mode, spec), once)
+            once = round_values(x, SR, spec, rng)
+            assert np.array_equal(round_values(once, SR, spec, rng), once)
 
     def test_rounding_error_within_one_step(self):
         rng = RandomStream(7)
         x = (rng.uniform(5000) - 0.5) * 20.0
         for spec in (INT, RoundingSpec(4, 2)):
             for mode in list(D):
-                err = np.abs(round_deterministic(x, mode, spec) - x)
+                err = np.abs(round_values(x, mode, spec) - x)
                 assert np.all(err <= spec.delta * (1 + 1e-12))
-            err = np.abs(round_stochastic(x, SR, spec, rng) - x)
+            err = np.abs(round_values(x, SR, spec, rng) - x)
             off = grid_fraction(x, spec) > 0
             assert np.all(err[off] < spec.delta)
 
     def test_platform_independent_determinism(self):
-        a = round_stochastic(np.full(100, 0.7), SR, MILLI, RandomStream(123))
-        b = round_stochastic(np.full(100, 0.7), SR, MILLI, RandomStream(123))
+        a = round_values(np.full(100, 0.7), SR, MILLI, RandomStream(123))
+        b = round_values(np.full(100, 0.7), SR, MILLI, RandomStream(123))
         assert np.array_equal(a, b)
 
     def test_round_values_dispatch(self):
@@ -335,7 +348,7 @@ class TestSharedProperties:
         rng = RandomStream(8)
         x1 = rng.uniform(1000) * 10.0
         x2 = rng.uniform(1000) * 10.0
-        r1 = round_stochastic(x1, SR, INT, rng)
-        r2 = round_stochastic(x2, SR, INT, rng)
+        r1 = round_values(x1, SR, INT, rng)
+        r2 = round_values(x2, SR, INT, rng)
         prod = r1 * r2
-        assert np.array_equal(round_stochastic(prod, SR, INT, rng), prod)
+        assert np.array_equal(round_values(prod, SR, INT, rng), prod)
