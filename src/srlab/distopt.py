@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .rounding import ProbabilityTable
-from .streams import RandomStream, _draw_blocks, substream_phases
+from .streams import _INV_2_53, RandomStream, _draw_blocks, substream_phases
 
 __all__ = [
     "MopConfig",
@@ -32,6 +32,7 @@ __all__ = [
 
 PENALTY_DEFAULT = 1e10
 _ONE_BITS = np.float64(1.0).view(np.uint64)
+_BLOCK_PARTICLES = 256 * 50  # per swarm call, in whole nodes: 100 KB swarm arrays, inside a 2 MB L2
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,8 @@ class PsoConfig:
     """Swarm hyperparameters; the search interval is fixed to [0, 1].
 
     The coefficients must be finite and the velocity clamp in (0, 1], so a
-    particle that leaves [0, 1] is back inside after one reflection.
+    particle that leaves [0, 1] is back inside after one reflection; the
+    cognitive and social ones 0 or at least 2**-969 in magnitude (``_pso_batch``).
     """
 
     swarm_size: int = 50
@@ -90,8 +92,10 @@ class PsoConfig:
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
         if not (np.all(np.isfinite([self.inertia, self.cognitive, self.social]))
+                and all(c == 0.0 or abs(c) >= 2.0 ** -969 for c in (self.cognitive, self.social))
                 and 0.0 < self.velocity_clamp <= 1.0):
-            raise ValueError("coefficients must be finite and velocity_clamp in (0, 1]")
+            raise ValueError("coefficients must be finite, cognitive and social 0 or at least 2**-969 in magnitude, "
+                             "and velocity_clamp in (0, 1]")
 
 
 class Preset(Enum):
@@ -161,17 +165,22 @@ def _objective_into(p, f, cfg: MopConfig, out, v, b):
     and f; ``v`` and ``b`` are scratch.  V and B are computed as in
     ``variance_of_p`` and ``bias_of_p``, without their range checks, and
     the operations and their order are those of ``theta1 * V * V +
-    theta2 * B * B``, then each penalty.
+    theta2 * B * B``, then each penalty, less scaling by delta = 1 and, for
+    theta1 = 0, the term +0 (V >= +0 on [0, 1]), since +0 + y is y for y >= +0.
     """
     np.subtract(p, np.multiply(p, p, out=v), out=v)
-    v *= cfg.delta * cfg.delta
     np.subtract(np.subtract(1.0, p, out=b), f, out=b)
-    b *= cfg.delta
+    if cfg.delta != 1.0:  # x * 1.0 is x
+        v *= cfg.delta * cfg.delta
+        b *= cfg.delta
     hits = [] if cfg.v_max is None else [(cfg.k1, v >= cfg.v_max)]
     if cfg.b_max is not None:
         hits.append((cfg.k2, np.abs(b, out=out) >= cfg.b_max))
-    np.multiply(np.multiply(cfg.theta1, v, out=out), v, out=out)
-    out += np.multiply(np.multiply(cfg.theta2, b, out=v), b, out=v)
+    if cfg.theta1 == 0.0:
+        np.multiply(np.multiply(cfg.theta2, b, out=out), b, out=out)
+    else:
+        np.multiply(np.multiply(cfg.theta1, v, out=out), v, out=out)
+        out += np.multiply(np.multiply(cfg.theta2, b, out=v), b, out=v)
     for k, hit in hits:
         out += np.multiply(k, hit, out=v)
     return out
@@ -189,12 +198,14 @@ def _pso_batch(fitness, phases: np.ndarray, cfg: PsoConfig):
 
     An iteration runs in place in the swarm's arrays and the three buffers,
     with the operations in the order of ``inertia * v + cognitive * rp *
-    (pbest - x) + social * rg * (g - x)``.  Its selects are branch-free and
-    give the bits of the ``np.where`` selects they replace, because a
-    position is never NaN or -0.0: positions start at (j + u) / s >= +0,
-    velocities are finite because the coefficients are (``PsoConfig``
-    checks them), IEEE addition yields -0.0 only from two -0.0 operands, and
-    a reflected position is |x| or 2 - |x|.
+    (pbest - x) + social * rg * (g - x)``.  ``c * rp`` for the draw rp = b *
+    2**-53 is one pass, b * (c * 2**-53): c * 2**-53 is exact for c = 0 and
+    |c| >= 2**-969 (``PsoConfig`` checks), so both round b * c * 2**-53.  The
+    selects are branch-free and give the bits of the ``np.where`` selects
+    they replace, because a position is never NaN or -0.0: positions start
+    at (j + u) / s >= +0, velocities are finite because the coefficients are,
+    IEEE addition yields -0.0 only from two -0.0 operands, and a reflected
+    position is |x| or 2 - |x|.
     - A position is outside [0, 1] exactly when its bits, read as uint64,
       exceed those of 1.0, since negative doubles have the top bit set.
       Such a particle's velocity changes sign by an xor of the sign bit.
@@ -210,10 +221,10 @@ def _pso_batch(fitness, phases: np.ndarray, cfg: PsoConfig):
     buffers = tuple(np.empty((3, m, s)))
     diff, r, _ = buffers
     mask, tmp = (buf.view(np.uint64) for buf in buffers[1:])
-    blocks = _draw_blocks(np.asarray(phases, dtype=np.uint64), s, r, tmp)
+    blocks = _draw_blocks(np.asarray(phases, dtype=np.uint64), s, tmp, mask)  # r's memory mixes, tmp's holds b
     # Stratified start: one particle per 1/s bin keeps narrow feasible bands
     # (penalty presets) populated from iteration zero.
-    x = (np.arange(s) + next(blocks)) / s
+    x = (np.arange(s) + np.multiply(next(blocks), _INV_2_53, out=r)) / s
     v = np.zeros_like(x)
     pbest = x.copy()
     fp = np.array(fitness(x, buffers), dtype=np.float64)
@@ -222,11 +233,11 @@ def _pso_batch(fitness, phases: np.ndarray, cfg: PsoConfig):
     g = pbest[rows, gi]
     fg = fp[rows, gi]
     x_bits, v_bits = x.view(np.uint64), v.view(np.uint64)
+    scales = cfg.cognitive * _INV_2_53, cfg.social * _INV_2_53
     for _ in range(cfg.iterations):
         v *= cfg.inertia
-        for coef, best in ((cfg.cognitive, pbest), (cfg.social, g[:, None])):
-            next(blocks)
-            r *= coef
+        for scale, best in zip(scales, (pbest, g[:, None])):
+            np.multiply(next(blocks), scale, out=r)
             r *= np.subtract(best, x, out=diff)
             v += r
         np.clip(v, -cfg.velocity_clamp, cfg.velocity_clamp, out=v)
@@ -273,8 +284,8 @@ def optimize_table(
     The objective depends on the input only through its grid fraction, so
     each node f_j = j/(grid_size - 1) is an independent scalar problem; node
     j draws from substream j of the swarm seed, which makes the result
-    independent of how the nodes are batched.  The variance-only presets
-    have the two exact optima p = 0 and p = 1; the floor/ceiling preset
+    independent of how the nodes are batched (``_BLOCK_PARTICLES``).  The
+    variance-only presets have the two exact optima p = 0 and p = 1; their
     names pin which endpoint the table stores, and no swarm runs for them.
     """
     if grid_size < 2:
@@ -291,5 +302,9 @@ def optimize_table(
         p_star = np.full(grid_size, 1.0 if preset is Preset.VAR_MIN_FLOOR else 0.0)
     else:
         phases = substream_phases(RandomStream(pso.seed).phase, np.arange(grid_size))
-        p_star, _ = _pso_batch(lambda p, bufs: _objective_into(p, fgrid[:, None], cfg, *bufs), phases, pso)
+        rows = max(1, _BLOCK_PARTICLES // pso.swarm_size)
+        p_star = np.empty(grid_size)
+        for j in range(0, grid_size, rows):  # contiguous fractions: numpy loops over a column row by row
+            f = np.repeat(fgrid[j:j + rows, None], pso.swarm_size, axis=1)
+            p_star[j:j + rows] = _pso_batch(lambda p, bufs: _objective_into(p, f, cfg, *bufs), phases[j:j + rows], pso)[0]
     return ProbabilityTable(grid=fgrid, p=p_star, label=label)

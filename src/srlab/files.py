@@ -63,11 +63,14 @@ def read_distribution(path) -> LoadedDistribution:
             raise ValueError(f"label must be a string, got {label!r}")
         if not isinstance(provenance, dict):
             raise ValueError(f"provenance must be an object, got {provenance!r}")
+        for name, values in (("grid", payload["grid"]), ("p", payload["p"]), ("delta", [payload["delta"]])):
+            if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:  # bool is no number
+                raise ValueError(f"{name} must hold JSON numbers, not strings or booleans")
         table = ProbabilityTable(grid=payload["grid"], p=payload["p"], label=label)
         delta = float(payload["delta"])
         if not 0.0 < delta < math.inf:  # NaN fails too
             raise ValueError(f"delta must be finite and positive, got {delta!r}")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: not a valid distribution file: {exc}") from exc
     return LoadedDistribution(table=table, delta=delta, provenance=provenance, format_version=version)
 

@@ -12,11 +12,12 @@ changes every stream.
 
 All uint64 arithmetic wraps modulo 2^64 and is done on arrays, never on
 numpy scalars, which warn on overflow.  ``_mix64`` is the one SplitMix64
-finalizer and ``_mix_shift`` (mix, then ``>> 11``) the one draw primitive.
-Both work in place, on a fresh array or on a buffer whose contents the
-caller no longer needs.  ``_uniforms`` scales the 53-bit integer draws to
-doubles (``draws_at``, the swarm's ``_draw_blocks``); the studies'
-``_hit_blocks`` compares them as integers, exactly as ``u >= t``.
+finalizer and ``_mix_shift`` (mix, then ``>> 11``) the one draw primitive;
+both write into a buffer the caller no longer needs, from it or from ``src``.
+``draws_at`` scales the 53-bit integer draws to doubles through their int64
+view (a draw is below 2^63, so it is the same double by the faster signed
+conversion); the swarm's ``_draw_blocks`` yields them as integers, and the
+studies' ``_hit_blocks`` compares them as integers, exactly as ``u >= t``.
 """
 
 from __future__ import annotations
@@ -38,23 +39,24 @@ _U_31 = np.uint64(31)
 _INV_2_53 = 2.0 ** -53
 
 
-def _mix64(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
-    """SplitMix64 finalizer, in place on the uint64 array ``z``; returns ``z``.
+def _mix64(z: np.ndarray, tmp: np.ndarray | None = None, src: np.ndarray | None = None) -> np.ndarray:
+    """SplitMix64 finalizer of ``src`` (default: ``z``) into the uint64 array ``z``; returns ``z``.
 
     ``tmp`` is uint64 scratch of z's shape (allocated when omitted).
     """
     tmp = np.empty_like(z) if tmp is None else tmp
+    src = z if src is None else src
     for shift, mul in ((_U_30, _U_MUL1), (_U_27, _U_MUL2)):
-        z ^= np.right_shift(z, shift, out=tmp)
-        z *= mul
+        np.multiply(np.bitwise_xor(src, np.right_shift(src, shift, out=tmp), out=z), mul, out=z)
+        src = z
     z ^= np.right_shift(z, _U_31, out=tmp)
     return z
 
 
-def _mix_shift(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """53-bit integer draws ``mix64(z) >> 11`` of the uint64 counter states
-    ``z``, in place; ``tmp`` is uint64 scratch of z's shape.  Returns ``z``."""
-    _mix64(z, tmp)
+def _mix_shift(z: np.ndarray, tmp: np.ndarray, src: np.ndarray | None = None) -> np.ndarray:
+    """53-bit integer draws ``mix64(src) >> 11`` of the uint64 counter states
+    ``src`` (default: ``z``), into ``z``; ``tmp`` is uint64 scratch.  Returns ``z``."""
+    _mix64(z, tmp, src)
     return np.right_shift(z, _U_11, out=z)
 
 
@@ -64,7 +66,7 @@ def _uniforms(z: np.ndarray, out: np.ndarray) -> np.ndarray:
     ``z`` is overwritten; ``out`` (float64, z's shape) is also the
     finalizer's scratch.  Returns ``out``.
     """
-    return np.multiply(_mix_shift(z, out.view(np.uint64)), _INV_2_53, out=out)
+    return np.multiply(_mix_shift(z, out.view(np.uint64)).view(np.int64), _INV_2_53, out=out)
 
 
 def _draw_thresholds(t) -> np.ndarray:
@@ -91,18 +93,18 @@ def draws_at(phase, counters) -> np.ndarray:
     return u if p.ndim or c.ndim else u.reshape(())
 
 
-def _draw_blocks(phases: np.ndarray, width: int, out: np.ndarray, scratch: np.ndarray):
-    """Yield ``draws_at(phases[:, None], k * width + arange(width))`` for k = 0, 1, ...
+def _draw_blocks(phases: np.ndarray, width: int, out: np.ndarray, tmp: np.ndarray):
+    """Yield the integer draws b with ``b * 2**-53 == draws_at(phases[:, None], k * width + arange(width))``.
 
-    Each block is written into ``out`` (float64, (phases.size, width));
-    ``scratch`` is uint64 of the same shape.  The counter states advance
-    by ``width * GOLDEN`` per block, which modulo 2^64 is the same state.
+    Block k = 0, 1, ... is written into ``out`` (uint64, (phases.size, width))
+    and yielded as its int64 view; ``tmp`` is uint64 scratch of that shape.
+    The states advance by ``width * GOLDEN`` per block, the same modulo 2^64.
     """
     state = np.add(phases.reshape(-1, 1), np.multiply(np.arange(1, width + 1, dtype=np.uint64), _U_GOLDEN))
     while True:
-        np.copyto(scratch, state)
+        _mix_shift(out, tmp, state)
         state += np.uint64(width * int(_U_GOLDEN) & _MASK64)
-        yield _uniforms(scratch, out)
+        yield out.view(np.int64)
 
 
 def _hit_blocks(phases: np.ndarray, t, width: int, block_rows: int):

@@ -150,6 +150,23 @@ def splitmix64_mix(z):
     return z ^ (z >> 31)
 
 
+def splitmix64_unmix(z):
+    """The inverse of ``splitmix64_mix``: the state that mixes to ``z``.
+
+    Each xor-shift ``y = x ^ (x >> s)`` is undone by iterating ``x = y ^
+    (x >> s)``, which fixes s more leading bits per step, and each odd
+    multiplier by its inverse modulo 2^64."""
+    z = int(z) & _MASK64
+    for shift, mul in ((31, None), (27, 0x94D049BB133111EB), (30, 0xBF58476D1CE4E5B9)):
+        if mul is not None:
+            z = (z * pow(mul, -1, 1 << 64)) & _MASK64
+        x = z
+        for _ in range(64 // shift + 1):
+            x = z ^ (x >> shift)
+        z = x
+    return z
+
+
 def splitmix64_draw(phase, counter):
     """Draw ``counter`` of the stream with ``phase``, in exact Python-int
     arithmetic: (mix64(phase + (counter + 1) * GOLDEN) >> 11) * 2**-53."""

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from oracles import equal_weight_root, reference_objective, reference_pso_batch
+from srlab import distopt
 from srlab.distopt import (
     MopConfig,
     Preset,
     PsoConfig,
+    _objective_into,
     _pso_batch,
     bias_of_p,
     objective,
@@ -325,3 +327,56 @@ class TestReferenceSwarm:
                     {"cognitive": np.nan}):
             with pytest.raises(ValueError):
                 PsoConfig(**bad)
+
+    def test_coefficients_zero_or_above_the_folding_bound(self):
+        # c * 2**-53 must be exact, so a nonzero draw coefficient below 2**-969 is refused
+        for name in ("cognitive", "social"):
+            for bad in (1e-300, -1e-300, np.nextafter(2.0**-969, 0.0)):
+                with pytest.raises(ValueError, match="2\\*\\*-969"):
+                    PsoConfig(**{name: bad})
+            for good in (0.0, -0.0, 2.0**-969, -(2.0**-969), -1.0):
+                PsoConfig(**{name: good})
+        PsoConfig(inertia=1e-300)  # scales v, not a draw
+
+    def test_random_configs_match_reference(self):
+        # 300 seeded configurations of the swarm fed by the in-place objective, against
+        # the np.where swarm and the one-temporary-per-operation objective of oracles.py
+        rng = np.random.default_rng(20240607)
+        seen = set()
+        for _ in range(300):
+            theta1 = float(rng.choice([0.0, 0.5, 1.0, rng.random()]))
+            limits = {}
+            if rng.random() < 0.4:
+                limits |= {"v_max": float(rng.uniform(0.05, 0.25)), "k1": float(rng.choice([1.0, 1e6, 1e10]))}
+            if rng.random() < 0.4:
+                limits |= {"b_max": float(rng.uniform(0.01, 0.3)), "k2": float(rng.choice([0.5, 1e10]))}
+            mop = MopConfig(theta1=theta1, theta2=1.0 - theta1, delta=float(rng.choice([1.0, 0.25, 2.0])), **limits)
+            coefs = [0.0, 3.0, -1.0, 1.49445, 0.729, 2.0**-969]
+            pso = PsoConfig(swarm_size=int(rng.choice([2, 3, 7, 9, 13, 50])), iterations=int(rng.integers(1, 25)),
+                            inertia=float(rng.choice(coefs)), cognitive=float(rng.choice(coefs)),
+                            social=float(rng.choice(coefs)), velocity_clamp=float(rng.choice([0.1, 0.5, 1.0])))
+            f = np.concatenate([[0.0, 1.0], rng.random(int(rng.integers(0, 6)))])[:, None]
+            phases = rng.integers(0, 2**64, f.size, dtype=np.uint64)
+            g, fg = reference_pso_batch(lambda p: reference_objective(p, f, mop), phases, pso)
+            f_rows = np.repeat(f, pso.swarm_size, axis=1)
+            got = _pso_batch(lambda p, bufs: _objective_into(p, f_rows, mop, *bufs), phases, pso)
+            assert np.array_equal(bits(got[0]), bits(g)) and np.array_equal(bits(got[1]), bits(fg)), (mop, pso)
+            seen |= {("delta", mop.delta), ("theta1 = 0 with v_max", theta1 == 0.0 and mop.v_max is not None),
+                     ("odd swarm", pso.swarm_size % 2 == 1)}
+            seen |= {("coefficient", c) for c in (pso.cognitive, pso.social)}
+        assert {("delta", 0.25), ("delta", 2.0), ("theta1 = 0 with v_max", True), ("odd swarm", True),
+                ("coefficient", 0.0), ("coefficient", 3.0), ("coefficient", -1.0)} <= seen
+
+    def test_table_does_not_depend_on_node_block(self, monkeypatch):
+        # fewer particles than one node, then blocks of 7, 256 and more nodes than the grid
+        pso = PsoConfig(seed=9, swarm_size=5, iterations=3)
+
+        def run():
+            return [optimize_table(preset, grid_size=n, pso=pso).p.tobytes()
+                    for n in (255, 256, 257, 513) for preset in (Preset.BIAS_MIN, Preset.D2)]
+
+        results = [run()]
+        for particles in (1, 7 * pso.swarm_size, 256 * pso.swarm_size, 1000 * pso.swarm_size):
+            monkeypatch.setattr(distopt, "_BLOCK_PARTICLES", particles)
+            results.append(run())
+        assert all(result == results[0] for result in results[1:])

@@ -61,10 +61,18 @@ class TestDistributionFiles:
         read_distribution(_write_json(tmp_path / "good.json", good))
         for field, value in [("format_version", 1.5), ("format_version", True), ("format_version", "1"),
                              ("delta", float("nan")), ("delta", -3), ("delta", float("inf")), ("delta", 0),
-                             ("provenance", [1, 2]), ("label", 5)]:
+                             ("provenance", [1, 2]), ("label", 5),
+                             # JSON numbers only: no strings or booleans that float() would convert
+                             ("delta", "0.5"), ("delta", True), ("grid", [False, True]), ("grid", ["0", 1.0]),
+                             ("grid", 0.5), ("p", [True, False]), ("p", ["1", 0]), ("p", [[1.0], [0.0]])]:
             path = _write_json(tmp_path / f"{field}.json", good | {field: value})
             with pytest.raises(ValueError, match=f"{path}: not a valid distribution file: .*{field}"):
                 read_distribution(path)
+        integers = read_distribution(_write_json(tmp_path / "ints.json", good | {"delta": 2, "grid": [0, 1], "p": [1, 0]}))
+        assert integers.delta == 2.0 and integers.table == ProbabilityTable(grid=[0.0, 1.0], p=[1.0, 0.0], label="x")
+        huge = _write_json(tmp_path / "huge.json", good | {"p": [1, 10**400]})
+        with pytest.raises(ValueError, match=f"{huge}: not a valid distribution file"):
+            read_distribution(huge)
 
     def test_format_number(self):
         assert format_number(None) == ""
@@ -266,6 +274,14 @@ class TestExperimentCommands:
         assert exc.value.code == 2
         usage, message = capsys.readouterr().err.splitlines()
         assert message.startswith("srlab: error: ") and str(nan_delta) in message and "delta" in message
+        # a string probability that float() would have taken
+        text_p = _write_json(tmp_path / "text.json", {"format_version": 1, "label": "x", "delta": 1.0,
+                                                      "grid": [0.0, 1.0], "p": ["1", 0.0]})
+        with pytest.raises(SystemExit) as exc:
+            run_cli("round", "0.4", "--mode", "table", "--table", str(text_p), "--count", "2")
+        assert exc.value.code == 2
+        usage, message = capsys.readouterr().err.splitlines()
+        assert message.startswith("srlab: error: ") and str(text_p) in message
 
     @pytest.mark.parametrize("labels, culprit, clash", [
         (("d1", "D1"), 1, "t0.json"), (("sr", "d1"), 0, "a builtin mode"), (("d1", "Half-Even"), 1, "a builtin mode"),
@@ -406,6 +422,7 @@ class TestExperimentCommands:
         ["optimize", "--preset", "d1", "--swarm", "1"],
         ["optimize", "--preset", "d1", "--velocity-clamp", "2"],
         ["optimize", "--preset", "d1", "--inertia", "inf"],
+        ["optimize", "--preset", "d1", "--cognitive", "1e-300"],
         ["round", "1.5", "--n", "400", "--base", "10"],
         ["round", "1e300", "--n", "1023"],
         ["experiment", "sum", "--case", ","],

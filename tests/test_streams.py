@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import reference_draws, splitmix64_draw, splitmix64_mix
+from oracles import reference_draws, splitmix64_draw, splitmix64_mix, splitmix64_unmix
 from srlab.distopt import Preset, PsoConfig, optimize_table, pso_minimize
 from srlab.streams import (
     RandomStream,
@@ -11,6 +11,7 @@ from srlab.streams import (
     _draw_thresholds,
     _hit_blocks,
     _mix64,
+    _uniforms,
     draws_at,
     substream_phases,
 )
@@ -145,13 +146,28 @@ def test_draws_match_python_ints_across_the_wrap():
 
 
 def test_draw_blocks_advance_matches_draws_at():
+    # the blocks are the 53-bit integer draws, as int64; times 2**-53 they are draws_at's doubles
     width = 7
-    out = np.empty((NEAR_WRAP.size, width))
-    blocks = _draw_blocks(NEAR_WRAP, width, out, np.empty(out.shape, dtype=np.uint64))
+    out = np.empty((NEAR_WRAP.size, width), dtype=np.uint64)
+    blocks = _draw_blocks(NEAR_WRAP, width, out, np.empty_like(out))
     for k in range(5):
         block = next(blocks)
-        assert block is out
-        assert np.array_equal(block, draws_at(NEAR_WRAP[:, None], k * width + np.arange(width)))
+        assert block.dtype == np.int64 and block.base is out
+        assert block.min() >= 0 and block.max() < 2**53
+        expected = draws_at(NEAR_WRAP[:, None], k * width + np.arange(width))
+        assert np.array_equal((block * 2.0**-53).view(np.uint64), expected.view(np.uint64))
+
+
+def test_uniforms_at_the_extreme_draws():
+    # states that mix to the least and greatest 53-bit draws, whatever the 11 dropped bits
+    top = (2**53 - 1) << 11
+    mixed = [0, 0x7FF, top, top | 0x7FF]
+    expected = [0.0, 0.0, 1.0 - 2.0**-53, 1.0 - 2.0**-53]
+    states = np.array([splitmix64_unmix(z) for z in mixed], dtype=np.uint64)
+    assert _uniforms(states.copy(), np.empty(4)).tolist() == expected
+    golden = 0x9E3779B97F4A7C15
+    phases = np.array([(int(z) - 3 * golden) % 2**64 for z in states], dtype=np.uint64)
+    assert draws_at(phases, 2).tolist() == expected  # the state of draw 2 is phase + 3 * GOLDEN
 
 
 def test_integer_thresholds_are_exact():
