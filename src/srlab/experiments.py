@@ -6,7 +6,10 @@ draws ``draws_at(phase_r, j)``, j = 0, 1, ..., from substream ``16 + r`` of
 the root stream, so blocks of repetitions give the same results as one at a
 time, whatever their size (``_BLOCK_DRAWS``, chosen for the cache); input
 data comes from the low-numbered substreams and is generated once per seed,
-independent of the rounding mode under test.  Studies that round the same
+independent of the rounding mode under test.  Every mode is a probability
+of rounding down, so every mode runs through the same engine: a
+deterministic rule's probabilities are 0 or 1, so its study runs one
+repetition, whose draws cannot change the result.  Studies that round the same
 values in every repetition work out each value's rounding threshold once
 per study, so a repetition costs one comparison per draw, made between
 integers: ``streams._hit_blocks`` compares each 53-bit draw with the
@@ -23,15 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .rounding import (
-    SR,
-    DeterministicMode,
-    RoundingMode,
-    RoundingSpec,
-    round_values,
-    rounding_thresholds,
-    stochastic_round_with,
-)
+from .rounding import SR, DeterministicMode, RoundingMode, RoundingSpec, rounding_thresholds, stochastic_round_with
 from .stats import StatsSummary, sr_variance_theoretical, summarize, variance_bound
 from .streams import RandomStream, _hit_blocks, draws_at, substream_phases
 
@@ -121,7 +116,7 @@ def _digest(arr: np.ndarray) -> str:
 
 
 def _check_reps(n_reps: int) -> None:
-    """Reject a repetition count below 1, whether or not the mode draws."""
+    """Reject a repetition count below 1, also for a mode that runs one."""
     if n_reps < 1:
         raise ValueError(f"n_reps must be at least 1, got {n_reps}")
 
@@ -149,20 +144,16 @@ def _repeat(seed: int, n_reps: int, n_draws: int, t, outcome) -> np.ndarray:
 def _rounding_study(values, exact, combine, mode, subject, n_reps, seed) -> ExperimentReport:
     """Summarize the outcomes of integer roundings of ``values``.
 
-    Element j of a row rounds to ``lower[j] + hit[j]``.  ``combine(lower)``
-    returns the ``_repeat`` outcome that maps (rows, hit, scratch) to one
-    outcome per row.  A deterministic mode gives one row: its rounded values
-    as ``lower``, with no hits.  A stochastic one gives row r of
-    ``_repeat``, where element j takes draw j of repetition r.
+    Row r of ``_repeat`` is repetition r, where element j takes draw j and
+    rounds to ``lower[j] + hit[j]``.  ``combine(lower)`` returns the
+    ``_repeat`` outcome that maps (rows, hit, scratch) to one outcome per
+    row.  A deterministic mode runs one repetition: its thresholds are 0 or
+    1, so its draws cannot change the result.
     """
     _check_reps(n_reps)
-    spec = RoundingSpec()
-    if isinstance(mode, DeterministicMode):
-        no_hits = np.zeros((1, values.size), dtype=bool)
-        outcomes = combine(round_values(values, mode, spec))(slice(0, 1), no_hits, np.empty(no_hits.shape))
-    else:
-        lower, t = rounding_thresholds(values, mode, spec)
-        outcomes = _repeat(seed, n_reps, values.size, t, combine(lower))
+    lower, t = rounding_thresholds(values, mode, RoundingSpec())
+    n_reps = 1 if isinstance(mode, DeterministicMode) else n_reps
+    outcomes = _repeat(seed, n_reps, values.size, t, combine(lower))
     return ExperimentReport(
         label=mode.label,
         subject=subject,
@@ -194,7 +185,7 @@ def gen_case_inputs(case: CaseId, seed: int) -> np.ndarray:
 def run_summation_experiment(case: CaseId, mode: RoundingMode, n_reps: int = 10_000, seed: int = 0) -> ExperimentReport:
     """Repeat the rounded summation of a case's inputs and summarize.
 
-    Deterministic modes are evaluated once (their variance is identically
+    Deterministic modes run one repetition (their variance is identically
     zero); stochastic modes run ``n_reps`` repetitions on fresh substreams.
     """
     xs = gen_case_inputs(case, seed)
@@ -208,7 +199,7 @@ def _sum_rows(lower):
     return lambda rows, hit, scratch: total + hit.sum(axis=1)
 
 
-def _newton_many(a: float, mode: RoundingMode, cfg: NewtonConfig, phases: np.ndarray | None):
+def _newton_many(a: float, mode: RoundingMode, cfg: NewtonConfig, phases: np.ndarray):
     """Rounded Newton square roots of ``a``, one run per repetition, in lockstep.
 
     A run rounds the radicand once, to fa, and from x_0 = ``cfg.x0`` step k
@@ -221,17 +212,11 @@ def _newton_many(a: float, mode: RoundingMode, cfg: NewtonConfig, phases: np.nda
     Repetition r takes draw 0 of its phase for the radicand, then 2k - 1 and
     2k at step k, so results are bit-identical to a serial loop.  The active
     repetitions are kept compact and draw for ``_NEWTON_STEPS`` steps per
-    call.  ``phases=None`` runs a deterministic mode once and takes no draw.
+    call.  A deterministic mode draws too, but its thresholds are 0 or 1,
+    so the draws cannot change its result.
     """
-    n = 1 if phases is None else phases.size
-    u = None if phases is None else draws_at(phases[:, None], [0])
-
-    def fl(vals, j):
-        if phases is None:
-            return round_values(vals, mode, cfg.spec)
-        return stochastic_round_with(vals, mode, cfg.spec, u[:, j])
-
-    fa = fl(np.full(n, float(a)), 0)
+    n = phases.size
+    fa = stochastic_round_with(np.full(n, float(a)), mode, cfg.spec, draws_at(phases, 0))
     # a zero rounded radicand breaks down, as does a zero iterate before a quotient
     breakdown = (fa == 0.0) | (cfg.x0 == 0.0)
     value = np.full(n, np.nan)
@@ -240,15 +225,15 @@ def _newton_many(a: float, mode: RoundingMode, cfg: NewtonConfig, phases: np.nda
     # the active repetitions: original index, rounded radicand, iterate, phase
     rid = np.flatnonzero(~breakdown)
     fa, x = fa[rid], np.full(rid.size, float(cfg.x0))
-    ph = None if phases is None else phases[rid]
+    ph = phases[rid]
     for k in range(1, cfg.n_max + 1):
         if rid.size == 0:
             break
         j = 2 * ((k - 1) % _NEWTON_STEPS)
-        if j == 0 and ph is not None:
+        if j == 0:
             u = draws_at(ph[:, None], np.arange(2 * k - 1, 2 * min(k + _NEWTON_STEPS - 1, cfg.n_max) + 1))
-        q = fl(fa / x, j)
-        x, x_old = fl(0.5 * (x + q), j + 1), x
+        q = stochastic_round_with(fa / x, mode, cfg.spec, u[:, j])
+        x, x_old = stochastic_round_with(0.5 * (x + q), mode, cfg.spec, u[:, j + 1]), x
         conv = np.abs(x - x_old) <= cfg.tol
         stop = conv | ((x == 0.0) & (k < cfg.n_max))
         if stop.any():
@@ -256,9 +241,7 @@ def _newton_many(a: float, mode: RoundingMode, cfg: NewtonConfig, phases: np.nda
             value[done], converged[done], n_it[done] = x[conv], True, k
             breakdown[rid[stop & ~conv]] = True
             keep = ~stop
-            rid, fa, x = rid[keep], fa[keep], x[keep]
-            if ph is not None:
-                ph, u = ph[keep], u[keep]
+            rid, fa, x, ph, u = rid[keep], fa[keep], x[keep], ph[keep], u[keep]
     value[rid] = x
     return value, n_it, converged, breakdown
 
@@ -274,7 +257,7 @@ def run_sqrt_experiment(
 
     Errors are measured against the root of the unrounded ``a``, so they
     include the error of rounding the radicand as well as that of the
-    iteration.  Deterministic modes are evaluated once.
+    iteration.  Deterministic modes run one repetition.
 
     Breakdown repetitions are counted and excluded from the value statistics;
     non-converged repetitions contribute their last iterate but not the mean
@@ -285,8 +268,8 @@ def run_sqrt_experiment(
     if not a > 0.0:
         raise ValueError(f"radicand must be positive, got {a!r}")
     _check_reps(n_reps)
-    phases = None if isinstance(mode, DeterministicMode) else _rep_phases(seed, n_reps)
-    value, n_it, convs, breakdown = _newton_many(a, mode, cfg, phases)
+    n_reps = 1 if isinstance(mode, DeterministicMode) else n_reps
+    value, n_it, convs, breakdown = _newton_many(a, mode, cfg, _rep_phases(seed, n_reps))
     values = value[~breakdown]  # a breakdown never converges
     if values.size == 0:
         summary = None

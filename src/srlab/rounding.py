@@ -1,14 +1,18 @@
 """Rounding kernels over a uniform grid of spacing delta.
 
 A value is rounded by scaling it with theta = base**n, rounding the scaled
-value to an integer, and scaling back.  Deterministic modes implement the
-classic floor/ceiling and round-to-nearest tie rules; stochastic modes round
-down with a probability tabulated over the grid fraction f, and :data:`SR`,
-proximity-proportional rounding, is the two-node table p(f) = 1 - f.
+value to an integer, and scaling back.  Every mode gives each value a
+probability p_down of rounding down to its lower grid neighbour.
+Stochastic modes tabulate p_down over the grid fraction f, and :data:`SR`,
+proximity-proportional rounding, is the two-node table p(f) = 1 - f.  The
+deterministic rules (floor, ceiling and the round-to-nearest tie rules)
+are the corner of that family where p_down is 0 or 1, so one formula
+rounds with every mode, and a zero result is always +0.0.
 
 All kernels accept scalars or numpy arrays and are pure given an explicit
 :class:`~srlab.streams.RandomStream`; stochastic kernels consume exactly one
-uniform draw per rounded element, including elements already on the grid.
+uniform draw per rounded element, including elements already on the grid,
+and deterministic ones take none.
 """
 
 from __future__ import annotations
@@ -161,32 +165,45 @@ def grid_fraction(x, spec: RoundingSpec):
 
 
 def rounding_thresholds(x, mode: RoundingMode, spec: RoundingSpec):
-    """Per-value half of stochastic rounding: ``(lower, t)`` on the scaled grid.
+    """Per-value half of rounding with any mode: ``(lower, t)`` on the scaled grid.
 
     ``lower`` is the scaled grid floor of x and ``t`` its probability of
     rounding down; grid points get ``t = 2.0``, above every draw.  A draw u
     in [0, 1) rounds x to ``(lower + (u >= t)) / theta``, so repeated
-    roundings of the same values work out ``(lower, t)`` only once.  The
-    studies also convert ``t`` once, to the integer thresholds that their
-    53-bit draws are compared with (``streams._draw_thresholds``).
+    roundings of the same values work out ``(lower, t)`` only once.  A
+    deterministic mode's ``t`` is 0 where its rule rounds up and 1 where it
+    rounds down, so every draw gives the rule's result.  The studies also
+    convert ``t`` once, to the integer thresholds that their 53-bit draws
+    are compared with (``streams._draw_thresholds``).
     """
     arr, _ = _prepare(x, spec)
     xt = _scaled(arr, spec)
     lower = np.floor(xt)
     frac = xt - lower
-    if not isinstance(mode, ProbabilityTable):
-        raise TypeError(f"expected a stochastic mode, got {mode!r}")
-    p_down = np.interp(frac, mode.grid, mode.p).clip(0.0, 1.0)  # ndarray.clip skips np.clip's dispatch layer
+    D = DeterministicMode
+    if isinstance(mode, ProbabilityTable):
+        p_down = np.interp(frac, mode.grid, mode.p).clip(0.0, 1.0)  # ndarray.clip skips np.clip's dispatch layer
+    elif not isinstance(mode, D):
+        raise TypeError(f"expected a rounding mode, got {mode!r}")
+    elif mode in (D.FLOOR, D.CEILING):
+        p_down = float(mode is D.FLOOR)
+    else:
+        # ties are decided on the scaled grid, against the midpoint, which is
+        # exact where frac is not (-1 < xt < 0); parity is that of lower
+        mid, odd = lower + 0.5, lower % 2.0 != 0.0
+        tie_up = {D.HALF_UP: True, D.HALF_DOWN: False, D.HALF_EVEN: odd, D.HALF_ODD: ~odd}[mode]
+        p_down = 1.0 - ((xt > mid) | ((xt == mid) & tie_up))
     return lower, np.where(frac > 0.0, p_down, 2.0)
 
 
 def stochastic_round_with(x, mode: RoundingMode, spec: RoundingSpec, uniforms):
-    """Stochastic rounding driven by caller-supplied uniforms in [0, 1).
+    """Rounding with any mode, driven by caller-supplied uniforms in [0, 1).
 
     ``uniforms`` must have one draw per element of ``x``.  An element rounds
     up exactly when its draw is >= its probability of rounding down; grid
-    points never move.  The thresholds come from :func:`rounding_thresholds`,
-    once per value.
+    points never move, and a deterministic mode gives its rule's result
+    whatever the draws.  The thresholds come from
+    :func:`rounding_thresholds`, once per value.
     """
     lower, t = rounding_thresholds(x, mode, spec)
     u = np.asarray(uniforms, dtype=np.float64)
@@ -196,35 +213,18 @@ def stochastic_round_with(x, mode: RoundingMode, spec: RoundingSpec, uniforms):
 
 
 def round_values(x, mode: RoundingMode, spec: RoundingSpec, rng: RandomStream | None = None):
-    """Round to the grid with any mode.
+    """Round to the grid with any mode, by the formula of :func:`rounding_thresholds`.
 
-    Deterministic modes ignore ``rng`` and draw nothing; ties (scaled
-    fraction exactly one half) follow the mode's rule, and parity for the
+    Deterministic modes ignore ``rng`` and draw nothing: their thresholds
+    are 0 or 1, so the draw u = 0 gives the rule's result.  Ties (scaled
+    value exactly halfway) follow the mode's rule, and parity for the
     half-even/half-odd rules is judged on the scaled integer grid.
     Stochastic modes take one draw from ``rng`` per element, and only once
     the values and the mode have passed their checks.
     """
-    if isinstance(mode, DeterministicMode):
-        arr, scalar = _prepare(x, spec)
-        xt = _scaled(arr, spec)
-        lower = np.floor(xt)
-        if mode is DeterministicMode.FLOOR:
-            return _ret(lower / spec.theta, scalar)
-        if mode is DeterministicMode.CEILING:
-            return _ret(np.ceil(xt) / spec.theta, scalar)
-        frac = xt - lower
-        up = frac > 0.5
-        tie = frac == 0.5
-        if mode is DeterministicMode.HALF_UP:
-            up = up | tie
-        elif mode is DeterministicMode.HALF_EVEN:
-            up = up | (tie & (lower % 2.0 != 0.0))
-        elif mode is DeterministicMode.HALF_ODD:
-            up = up | (tie & (lower % 2.0 == 0.0))
-        # HALF_DOWN keeps ties on the lower neighbour.
-        return _ret((lower + up) / spec.theta, scalar)
-    if rng is None:
+    stochastic = isinstance(mode, ProbabilityTable)
+    if stochastic and rng is None:
         raise ValueError("stochastic modes need a RandomStream")
     lower, t = rounding_thresholds(x, mode, spec)
-    u = rng.uniform(lower.shape)
+    u = rng.uniform(lower.shape) if stochastic else 0.0
     return _ret((lower + (u >= t)) / spec.theta, lower.ndim == 0)

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from srlab.experiments import NewtonConfig
-from srlab.rounding import RoundingMode, RoundingSpec, grid_fraction, round_values
+from srlab.rounding import DeterministicMode, RoundingMode, RoundingSpec, grid_fraction, round_values
 from srlab.streams import RandomStream
 
 
@@ -53,6 +53,38 @@ def sr_thresholds(x, spec):
     every draw, on grid points."""
     f = grid_fraction(x, spec)
     return np.where(f > 0.0, 1.0 - f, 2.0)
+
+
+def deterministic_round_reference(x, spec):
+    """Each deterministic rule applied to x: {mode: rounded values}.
+
+    The scaled double is x * theta, snapped to the nearest integer when it
+    lies within one ulp of it (the library's convention, so grid values
+    stay put).  Its floor lo and its fraction come from the double's exact
+    integer ratio, so every rule's choice between lo and lo + 1, ties
+    included, is exact.  Rounded values are (lo + up) / theta, so a zero
+    result is +0.0.
+    """
+    theta = spec.theta
+    rows = []
+    for v in np.asarray(x, dtype=np.float64).ravel().tolist():
+        xt = v * theta
+        nearest = float(round(xt))
+        n, d = (nearest if abs(xt - nearest) <= math.ulp(xt) else xt).as_integer_ratio()
+        lo, r = divmod(n, d)  # the fraction is r / d, in [0, 1)
+        rows.append((lo, (2 * r > d) - (2 * r < d), r > 0))
+    lo, half, off = (np.array(column) for column in zip(*rows))
+    above, tie, odd = half > 0, half == 0, lo % 2 == 1
+    D = DeterministicMode
+    ups = {
+        D.FLOOR: np.zeros(lo.shape, dtype=bool),
+        D.CEILING: off,
+        D.HALF_UP: above | tie,
+        D.HALF_DOWN: above,
+        D.HALF_EVEN: above | (tie & odd),
+        D.HALF_ODD: above | (tie & ~odd),
+    }
+    return {mode: (lo + up) / theta for mode, up in ups.items()}
 
 
 def _two_point(x):

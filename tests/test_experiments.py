@@ -188,6 +188,26 @@ class TestRepetitionEngine:
                for j, x in enumerate(grid.x)]
         assert grid.v_empirical.tolist() == ref
 
+    def test_deterministic_reports_do_not_depend_on_the_draws(self, monkeypatch):
+        # a rule's thresholds are 0 or 1, so its one repetition gives the same
+        # report with the draws of seed 1 in place of those of seed 0
+        def reports(mode):
+            return [
+                *(run_summation_experiment(case, mode, n_reps=50) for case in (CaseId.I, CaseId.IV)),
+                *(run_inner_product_experiment(size, mode, n_reps=50) for size in (50, 200)),
+                *(run_sqrt_experiment(a, mode, NewtonConfig(spec=spec), n_reps=50)
+                  for spec in (MILLI, RoundingSpec(0, 10)) for a in SQRT_TEST_VALUES),
+            ]
+
+        modes = [*D, SR]
+        seed0 = [reports(mode) for mode in modes]
+        rep_phases = experiments._rep_phases
+        monkeypatch.setattr(experiments, "_rep_phases", lambda seed, n_reps: rep_phases(seed + 1, n_reps))
+        seed1 = [reports(mode) for mode in modes]
+        assert seed0[:-1] == seed1[:-1]
+        assert all(rep.n_reps == 1 for rows in seed0[:-1] for rep in rows)
+        assert all(a != b for a, b in zip(seed0[-1], seed1[-1]))  # SR's draws do matter
+
     def test_results_do_not_depend_on_block_size(self, monkeypatch, d1_table):
         def run():
             sums = [run_summation_experiment(case, mode, n_reps=n_reps, seed=3)
@@ -274,7 +294,7 @@ class TestNewton:
         cfg = NewtonConfig(spec=spec)
         for mode in D:
             for a in (*SQRT_TEST_VALUES, 0.7, 1.4):
-                value, n_it, conv, breakdown = _newton_many(a, mode, cfg, None)
+                value, n_it, conv, breakdown = _newton_many(a, mode, cfg, experiments._rep_phases(0, 1))
                 try:
                     expected = (False, *newton_sqrt_rounded(a, mode, cfg))
                 except BreakdownError:

@@ -118,6 +118,12 @@ class TestRoundCommand:
         out = capsys.readouterr().out.strip().splitlines()
         assert out == ["2"]
 
+    @pytest.mark.parametrize("x, mode", [("-0.3", "ceil"), ("-0.3", "half-up"), ("-0.3", "half-down"),
+                                         ("-0.3", "half-even"), ("-0.3", "half-odd"), ("-0", "floor")])
+    def test_zero_prints_without_sign(self, capsys, x, mode):
+        assert run_cli("round", x, "--mode", mode) == 0
+        assert capsys.readouterr().out == "0\n"
+
     def test_stochastic_support(self, capsys):
         assert run_cli("round", "0.4", "--mode", "sr", "--seed", "7", "--count", "5") == 0
         values = {float(line) for line in capsys.readouterr().out.split()}

@@ -1,9 +1,10 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from oracles import sr_thresholds
+from oracles import deterministic_round_reference, sr_thresholds
 from srlab.rounding import (
     SR,
     DeterministicMode,
@@ -19,6 +20,15 @@ from srlab.streams import RandomStream
 D = DeterministicMode
 INT = RoundingSpec()
 MILLI = RoundingSpec(3, 10)
+EDGE_SPECS = (INT, MILLI, RoundingSpec(4, 2), RoundingSpec(52, 2))
+
+
+def _edge_values():
+    """2**19 values in [-8, 8), grid points, values just below them, and
+    tiny negatives whose fraction rounds to 1.0."""
+    x = (RandomStream(2024).uniform(1 << 19) - 0.5) * 16.0
+    edges = [0.0, -0.0, 3.0, -3.0, np.nextafter(1.0, 0.0), np.nextafter(-2.0, -3.0), -1e-300, -5e-324]
+    return np.concatenate([x, edges])
 
 
 class TestRoundingSpec:
@@ -100,9 +110,45 @@ class TestDeterministic:
             with pytest.raises(ValueError):
                 round_values(bad, D.FLOOR, INT)
 
+    def test_rules_match_exact_reference_bit_for_bit(self):
+        for spec in EDGE_SPECS:
+            # the edge values never tie, so add ties and their neighbours;
+            # -1/2 + 2**-54 at INT is a near-tie whose fraction rounds to 1/2
+            ties = (np.arange(-64, 64) + 0.5) * spec.delta
+            x = np.concatenate([_edge_values(), ties, np.nextafter(ties, -np.inf), np.nextafter(ties, np.inf)])
+            for mode, expected in deterministic_round_reference(x, spec).items():
+                got = round_values(x, mode, spec)
+                assert np.array_equal(got.view(np.int64), expected.view(np.int64)), (spec, mode)
+
+    def test_zero_results_are_positive(self):
+        # -0.0 itself, and values in (-delta, 0) that ceil and the half rules round up
+        assert math.copysign(1.0, round_values(-0.0, D.FLOOR, INT)) == 1.0
+        assert math.copysign(1.0, round_values(-0.3, D.CEILING, INT)) == 1.0
+        x = np.array([-0.0, 0.0, -0.3, -0.5, -0.7, -1e-300, -5e-324])
+        for spec in (INT, MILLI, RoundingSpec(4, 2)):
+            for mode in D:
+                got = round_values(x * spec.delta, mode, spec)
+                scalars = np.array([round_values(v, mode, spec) for v in x * spec.delta])
+                for out in (got, scalars):
+                    assert (out == 0.0).any() and not np.signbit(out[out == 0.0]).any(), (spec, mode)
+
+    def test_thresholds_are_zero_one_or_two(self):
+        x = _edge_values()[::64]
+        for spec in EDGE_SPECS:
+            for mode in D:
+                assert np.isin(rounding_thresholds(x, mode, spec)[1], [0.0, 1.0, 2.0]).all(), (spec, mode)
+
+    @pytest.mark.parametrize("u", [0.0, 0.5, 1.0 - 2.0**-53])
+    def test_draws_cannot_change_a_rule(self, u):
+        x = _edge_values()[::16]
+        for spec in EDGE_SPECS:
+            for mode in D:
+                got = stochastic_round_with(x, mode, spec, np.full(x.shape, u))
+                assert np.array_equal(got.view(np.int64), round_values(x, mode, spec).view(np.int64)), (spec, mode)
+
     def test_wrong_mode_type(self):
         with pytest.raises(TypeError):
-            stochastic_round_with(1.0, D.FLOOR, INT, 0.5)
+            stochastic_round_with(1.0, "floor", INT, 0.5)
         with pytest.raises(ValueError, match="RandomStream"):
             round_values(1.0, SR, INT)
 
@@ -150,12 +196,8 @@ class TestSrProbabilities:
         assert _sr_down_up(0.301625, MILLI) == (0.375, 0.625)
 
     def test_thresholds_match_closed_form_bit_for_bit(self):
-        x = (RandomStream(2024).uniform(1 << 19) - 0.5) * 16.0
-        # grid points, values just below them, and tiny negatives whose
-        # fraction rounds to 1.0
-        edges = [0.0, -0.0, 3.0, -3.0, np.nextafter(1.0, 0.0), np.nextafter(-2.0, -3.0), -1e-300, -5e-324]
-        x = np.concatenate([x, edges])
-        for spec in (INT, MILLI, RoundingSpec(4, 2), RoundingSpec(52, 2)):
+        x = _edge_values()
+        for spec in EDGE_SPECS:
             t = rounding_thresholds(x, SR, spec)[1]
             assert np.array_equal(t.view(np.int64), sr_thresholds(x, spec).view(np.int64))
 
@@ -292,7 +334,7 @@ class TestRoundStochastic:
         assert np.array_equal(lower, [0.0, 3.0])
         assert np.array_equal(t, [0.7, 2.0])
         with pytest.raises(TypeError):
-            rounding_thresholds(0.5, D.FLOOR, INT)
+            rounding_thresholds(0.5, "floor", INT)
 
     def test_uniform_shape_mismatch(self):
         with pytest.raises(ValueError):
