@@ -9,7 +9,6 @@ from .distopt import (
     objective,
     optimize_table,
     preset_config,
-    pso_minimize,
     variance_of_p,
 )
 from .experiments import (

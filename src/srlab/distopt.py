@@ -25,7 +25,6 @@ __all__ = [
     "variance_of_p",
     "bias_of_p",
     "objective",
-    "pso_minimize",
     "preset_config",
     "optimize_table",
 ]
@@ -42,7 +41,8 @@ class MopConfig:
     ``theta1``/``theta2`` weigh squared variance and squared bias and must
     sum to one.  A limit (``v_max``/``b_max``) comes with a positive penalty
     (``k1``/``k2``) added whenever the limit is reached or exceeded; absent
-    limits must have zero penalty.  Every field set must be finite.
+    limits must have zero penalty.  Every field set must be finite, and so must
+    the objective's bound ``theta1 (delta^2/4)^2 + theta2 delta^2 + k1 + k2``.
     """
 
     theta1: float
@@ -61,12 +61,16 @@ class MopConfig:
             raise ValueError("weights must be non-negative")
         if abs(self.theta1 + self.theta2 - 1.0) > 1e-12:
             raise ValueError("weights must sum to one")
-        if (self.v_max is None) != (self.k1 == 0.0):
+        if (self.v_max is None) != (self.k1 == 0.0) or self.k1 < 0.0:
             raise ValueError("k1 must be positive exactly when v_max is set")
-        if (self.b_max is None) != (self.k2 == 0.0):
+        if (self.b_max is None) != (self.k2 == 0.0) or self.k2 < 0.0:
             raise ValueError("k2 must be positive exactly when b_max is set")
         if self.delta <= 0.0:
             raise ValueError("delta must be positive")
+        # V <= delta^2/4 and |B| <= delta; Python floats in the objective's order, rounding being monotone
+        t1, t2, k1, k2, d = map(float, (self.theta1, self.theta2, self.k1, self.k2, self.delta))
+        if not np.isfinite(t1 * (d * d / 4.0) * (d * d / 4.0) + t2 * d * d + k1 + k2):
+            raise ValueError("the objective overflows: theta1 (delta^2/4)^2 + theta2 delta^2 + k1 + k2 must be finite")
 
 
 @dataclass(frozen=True)
@@ -186,15 +190,13 @@ def _objective_into(p, f, cfg: MopConfig, out, v, b):
     return out
 
 
-def _pso_batch(fitness, phases: np.ndarray, cfg: PsoConfig):
-    """Synchronous PSO on [0, 1] for a batch of independent 1-D problems.
+def _pso_batch(f: np.ndarray, mop: MopConfig, phases: np.ndarray, pso: PsoConfig):
+    """Synchronous PSO on [0, 1] of the objective of ``mop``, one problem per row.
 
-    ``fitness(x, buffers)`` returns the objective values of an (m, swarm)
-    position array, in the same shape.  It may write them into
-    ``buffers[0]`` and use ``buffers[1:]`` as scratch (float64 arrays of
-    x's shape), and keeps no reference to x or the buffers.  Row j draws
-    from the stream phase ``phases[j]`` only, so a batch run is
-    bit-identical to solving each row on its own.
+    ``f`` is the (m, swarm) float64 array of fractions, row j holding the
+    fraction of problem j in every column.  Row j draws from the stream
+    phase ``phases[j]`` only, so a batch run is bit-identical to solving
+    each row on its own.
 
     An iteration runs in place in the swarm's arrays and the three buffers,
     with the operations in the order of ``inertia * v + cognitive * rp *
@@ -212,14 +214,15 @@ def _pso_batch(fitness, phases: np.ndarray, cfg: PsoConfig):
     - With |v| <= clamp <= 1, positions lie in [-1, 2].  There,
       ``min(|x|, 2 - |x|)`` is -x below 0, x inside [0, 1] and 2 - x above
       1, as the selects give; 2 - |x| is exact for |x| in [1, 2].
-    - pbest and fp take x and fx where fx < fp by the uint64 blend
-      ``a ^ ((a ^ b) & mask)``.  A blend copies bits, so this holds for any
-      fitness value, NaN and -0.0 included.
+    - pbest takes x where fx < fp by the uint64 blend ``a ^ ((a ^ b) &
+      mask)``, and fp is the running minimum with the same bits: fx is
+      finite (``MopConfig`` bounds it) and never -0.0, its first term being
+      a positive weight times a square, so equal values have equal bits.
     """
     m = phases.size
-    s = cfg.swarm_size
+    s = pso.swarm_size
     buffers = tuple(np.empty((3, m, s)))
-    diff, r, _ = buffers
+    diff, r, _ = buffers  # diff also receives fx, which is dead once the bests have taken it
     mask, tmp = (buf.view(np.uint64) for buf in buffers[1:])
     blocks = _draw_blocks(np.asarray(phases, dtype=np.uint64), s, tmp, mask)  # r's memory mixes, tmp's holds b
     # Stratified start: one particle per 1/s bin keeps narrow feasible bands
@@ -227,50 +230,36 @@ def _pso_batch(fitness, phases: np.ndarray, cfg: PsoConfig):
     x = (np.arange(s) + np.multiply(next(blocks), _INV_2_53, out=r)) / s
     v = np.zeros_like(x)
     pbest = x.copy()
-    fp = np.array(fitness(x, buffers), dtype=np.float64)
+    fp = _objective_into(x, f, mop, np.empty_like(x), *buffers[1:])
     rows = np.arange(m)
     gi = np.argmin(fp, axis=1)
     g = pbest[rows, gi]
     fg = fp[rows, gi]
-    x_bits, v_bits = x.view(np.uint64), v.view(np.uint64)
-    scales = cfg.cognitive * _INV_2_53, cfg.social * _INV_2_53
-    for _ in range(cfg.iterations):
-        v *= cfg.inertia
+    x_bits, v_bits, pbest_bits = x.view(np.uint64), v.view(np.uint64), pbest.view(np.uint64)
+    scales = pso.cognitive * _INV_2_53, pso.social * _INV_2_53
+    for _ in range(pso.iterations):
+        v *= pso.inertia
         for scale, best in zip(scales, (pbest, g[:, None])):
             np.multiply(next(blocks), scale, out=r)
             r *= np.subtract(best, x, out=diff)
             v += r
-        np.clip(v, -cfg.velocity_clamp, cfg.velocity_clamp, out=v)
+        np.clip(v, -pso.velocity_clamp, pso.velocity_clamp, out=v)
         x += v
         # Reflective walls: bouncing keeps sampling dense next to 0 and 1,
         # where clamped swarms stall on boundary plateaus.
         v_bits ^= np.left_shift(np.greater(x_bits, _ONE_BITS, out=tmp), 63, out=tmp)
         np.abs(x, out=x)
         np.minimum(x, np.subtract(2.0, x, out=diff), out=x)
-        fx = np.asarray(fitness(x, buffers), dtype=np.float64)
+        fx = _objective_into(x, f, mop, *buffers)
         np.negative(np.less(fx, fp, out=mask), out=mask)
-        for best, new in ((fp, fx), (pbest, x)):
-            bits = best.view(np.uint64)
-            bits ^= np.bitwise_and(np.bitwise_xor(bits, new.view(np.uint64), out=tmp), mask, out=tmp)
+        pbest_bits ^= np.bitwise_and(np.bitwise_xor(pbest_bits, x_bits, out=tmp), mask, out=tmp)
+        np.minimum(fp, fx, out=fp)
         bi = np.argmin(fp, axis=1)
         bf = fp[rows, bi]
         better = bf < fg
         g = np.where(better, pbest[rows, bi], g)
         fg = np.where(better, bf, fg)
     return g, fg
-
-
-def pso_minimize(fitness, cfg: PsoConfig, stream: RandomStream | None = None):
-    """Minimize a scalar fitness on [0, 1]; returns (p_star, fitness_star).
-
-    ``fitness`` must accept numpy arrays elementwise.  It receives the
-    swarm's own position array, which it must neither modify nor keep.  The
-    swarm draws from ``stream`` (fresh, unconsumed) or from
-    ``RandomStream(cfg.seed)``.
-    """
-    phases = np.asarray([(stream or RandomStream(cfg.seed)).phase], dtype=np.uint64)
-    g, fg = _pso_batch(lambda p, _: fitness(p), phases, cfg)
-    return float(g[0]), float(fg[0])
 
 
 def optimize_table(
@@ -306,5 +295,5 @@ def optimize_table(
         p_star = np.empty(grid_size)
         for j in range(0, grid_size, rows):  # contiguous fractions: numpy loops over a column row by row
             f = np.repeat(fgrid[j:j + rows, None], pso.swarm_size, axis=1)
-            p_star[j:j + rows] = _pso_batch(lambda p, bufs: _objective_into(p, f, cfg, *bufs), phases[j:j + rows], pso)[0]
+            p_star[j:j + rows] = _pso_batch(f, cfg, phases[j:j + rows], pso)[0]
     return ProbabilityTable(grid=fgrid, p=p_star, label=label)

@@ -8,8 +8,7 @@ PUBLIC_NAMES = [
     "LoadedDistribution", "MopConfig", "NewtonConfig", "Preset", "ProbabilityTable", "PsoConfig", "RandomStream",
     "RoundingMode", "RoundingSpec", "SQRT_TEST_VALUES", "SR", "StatsSummary", "VarianceBoundGrid",
     "WorstCaseBranches", "bias_of_p", "contour_grid", "draws_at", "gen_case_inputs", "gen_sine_vectors",
-    "grid_fraction", "objective", "optimize_table", "preset_config", "pso_minimize", "read_distribution",
-    "round_values",
+    "grid_fraction", "objective", "optimize_table", "preset_config", "read_distribution", "round_values",
     "run_inner_product_experiment", "run_sqrt_experiment", "run_summation_experiment", "sr_variance_theoretical",
     "stochastic_round_with", "summarize", "validate_variance_bound", "variance_bound", "variance_of_p",
     "worst_case_rel_error", "write_csv", "write_distribution",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,13 +10,11 @@ from srlab.distopt import (
     MopConfig,
     Preset,
     PsoConfig,
-    _objective_into,
     _pso_batch,
     bias_of_p,
     objective,
     optimize_table,
     preset_config,
-    pso_minimize,
     variance_of_p,
 )
 from srlab.streams import RandomStream, substream_phases
@@ -52,6 +51,8 @@ class TestConfigs:
         d2 = preset_config(Preset.D2)
         assert (d2.theta1, d2.theta2, d2.b_max, d2.k2) == (0.5, 0.5, 0.05, 1e10)
         assert d2.v_max is None and d2.k1 == 0.0
+        with pytest.raises(ValueError, match="unknown preset"):
+            preset_config("d1")  # a preset's value, not the Preset
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):
@@ -78,10 +79,60 @@ class TestConfigs:
             MopConfig(theta1=0.5, theta2=0.5, k2=1e10)  # penalty without limit
         with pytest.raises(ValueError):
             MopConfig(theta1=0.5, theta2=0.5, b_max=0.05)  # limit without penalty
+        with pytest.raises(ValueError, match="k1"):
+            MopConfig(theta1=0.5, theta2=0.5, k1=1.0)
+        for negative in ({"v_max": 0.2, "k1": -1.0}, {"b_max": 0.05, "k2": -1e10}):  # a reward, not a penalty
+            with pytest.raises(ValueError, match="positive"):
+                MopConfig(theta1=0.5, theta2=0.5, **negative)
+
+    def test_delta_must_be_positive(self):
+        for delta in (0.0, -0.0, -1.0):
+            with pytest.raises(ValueError, match="delta must be positive"):
+                MopConfig(theta1=0.5, theta2=0.5, delta=delta)
+
+    @pytest.mark.parametrize("fields", [
+        {"theta1": 0.5, "theta2": 0.5, "delta": 1e200},  # objective [nan, inf, nan] at p = 0, 1/2, 1
+        {"theta1": 0.5, "theta2": 0.5, "delta": 1e78},  # finite at p = 0 and 1, inf between
+        {"theta1": 0.0, "theta2": 1.0, "delta": 1e160},
+        {"theta1": 0.5, "theta2": 0.5, "delta": np.float64(1e200)},
+        {"theta1": 0.5, "theta2": 0.5, "b_max": 0.05, "k2": 1e308, "v_max": 0.2, "k1": 1e308},
+    ])
+    def test_overflowing_objective_rejected(self, fields):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                MopConfig(**fields)
+
+    def test_objective_finite_and_never_negative_zero_up_to_the_bound(self):
+        # the largest accepted delta, found on the bit patterns of positive doubles (which order
+        # as the values do), gives objective values near the largest double and none beyond
+        def accepts(delta_bits, fields):
+            try:
+                return MopConfig(delta=float(np.int64(delta_bits).view(np.float64)), **fields)
+            except ValueError:
+                return None
+
+        p = np.concatenate([np.linspace(0.0, 1.0, 2001), np.nextafter(0.5, [0.0, 1.0])])
+        f = np.concatenate([np.linspace(0.0, 1.0, 21), [0.3, 0.7]])[:, None]
+        for theta1 in (0.0, -0.0, 1e-9, 0.5, 0.98, 1.0):
+            for limits in ({}, {"v_max": 0.0, "k1": 1e300}, {"b_max": 0.0, "k2": 1e300}):
+                fields = {"theta1": theta1, "theta2": 1.0 - theta1, **limits}
+                lo, hi = (int(np.float64(d).view(np.int64)) for d in (1.0, 1e300))
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    lo, hi = (mid, hi) if accepts(mid, fields) else (lo, mid)
+                assert accepts(hi, fields) is None
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    values = objective(p, f, accepts(lo, fields))
+                assert np.all(np.isfinite(values)) and not np.any(np.signbit(values)), fields
+                assert values.max() > 1e307
 
     def test_pso_validation(self):
         with pytest.raises(ValueError):
             PsoConfig(swarm_size=1)
+        with pytest.raises(ValueError, match="iterations"):
+            PsoConfig(iterations=0)
 
 
 class TestObjectivePieces:
@@ -133,35 +184,6 @@ class TestObjectivePieces:
         d2 = preset_config(Preset.D2)
         assert objective(0.1, 0.8, d2) > 1e9  # bias 0.1 >= 0.05
         assert objective(0.2, 0.8, d2) < 1.0
-
-
-class TestPsoMinimize:
-    def test_convex_quadratic(self):
-        p, val = pso_minimize(lambda q: (q - 0.3) ** 2, PsoConfig(seed=1))
-        assert abs(p - 0.3) < 1e-6
-        assert val < 1e-12
-
-    def test_penalty_plateau(self):
-        def fitness(q):
-            q = np.asarray(q)
-            return np.where((q < 0.05) | (q > 0.15), 1e10, 0.0) + (q - 0.054) ** 2
-
-        p, _ = pso_minimize(fitness, PsoConfig(seed=2))
-        assert 0.05 <= p <= 0.15
-
-    def test_recovers_proximity_probability(self):
-        cfg = preset_config(Preset.BIAS_MIN)
-        p, _ = pso_minimize(lambda q: objective(q, 0.3, cfg), PsoConfig(seed=3))
-        assert abs(p - 0.7) < 1e-4
-
-    def test_deterministic_given_seed(self):
-        f = lambda q: (q - 0.42) ** 2
-        assert pso_minimize(f, PsoConfig(seed=9)) == pso_minimize(f, PsoConfig(seed=9))
-
-    def test_result_stays_in_bounds(self):
-        p, _ = pso_minimize(lambda q: -q, PsoConfig(seed=4))
-        assert 0.0 <= p <= 1.0
-        assert abs(p - 1.0) < 1e-9
 
 
 class TestOptimizeTable:
@@ -219,10 +241,10 @@ class TestOptimizeTable:
     def test_nodes_match_scalar_solver(self, d1_table):
         cfg = preset_config(Preset.D1)
         pso = PsoConfig()
-        for j in (0, 250, 777):
-            stream = RandomStream(pso.seed).substream(j)
-            p, _ = pso_minimize(lambda q: objective(q, d1_table.grid[j], cfg), pso, stream=stream)
-            assert p == d1_table.p[j]
+        for j in (0, 250, 777):  # node j alone, on substream j
+            phase = np.asarray([RandomStream(pso.seed).substream(j).phase], dtype=np.uint64)
+            p, _ = _pso_batch(np.full((1, pso.swarm_size), d1_table.grid[j]), cfg, phase, pso)
+            assert p[0] == d1_table.p[j]
 
     def test_custom_config_label(self):
         cfg = MopConfig(theta1=0.25, theta2=0.75)
@@ -271,47 +293,21 @@ class TestReferenceSwarm:
             (MopConfig(theta1=0.9, theta2=0.1, v_max=0.24, k1=1.0),
              PsoConfig(seed=6, swarm_size=13, iterations=80, inertia=0.9, cognitive=3.0, social=3.0,
                        velocity_clamp=1.0)),
+            # objective values near the largest double
+            (MopConfig(theta1=0.5, theta2=0.5, delta=2.75e77), PsoConfig(seed=7, iterations=40)),
+            # a -0.0 weight: its term is -0.0, and ties at fp's value abound where the penalty fires
+            (MopConfig(theta1=1.0, theta2=-0.0, v_max=0.2, k1=1.0), PsoConfig(seed=8, iterations=40)),
+            (MopConfig(theta1=-0.0, theta2=1.0), PsoConfig(seed=9, iterations=40)),
         ],
     )
     def test_custom_configs(self, mop, pso):
         g, fg = reference_table(mop, 101, pso)
         assert np.array_equal(bits(optimize_table(mop, grid_size=101, pso=pso).p), bits(g))
-        # the swarm fed by the public objective: positions and fitness alike
-        fgrid = np.linspace(0.0, 1.0, 101)
+        # all 101 nodes in one swarm call: positions and fitness alike
+        f = np.repeat(np.linspace(0.0, 1.0, 101)[:, None], pso.swarm_size, axis=1)
         phases = substream_phases(RandomStream(pso.seed).phase, np.arange(101))
-        got = _pso_batch(lambda p, _: objective(p, fgrid[:, None], mop), phases, pso)
+        got = _pso_batch(f, mop, phases, pso)
         assert np.array_equal(bits(got[0]), bits(g)) and np.array_equal(bits(got[1]), bits(fg))
-
-    @pytest.mark.parametrize(
-        "fitness",
-        [
-            lambda q: (q - 0.3) ** 2,
-            lambda q: -q,  # -0.0 at q = 0
-            lambda q: q,  # returns the swarm's own position array
-            lambda q: np.where((q < 0.05) | (q > 0.15), 1e10, 0.0) + (q - 0.054) ** 2,
-        ],
-        ids=["quadratic", "negated", "identity", "plateau"],
-    )
-    def test_pso_minimize_user_fitness(self, fitness):
-        for pso in (PsoConfig(seed=11), PsoConfig(seed=12, swarm_size=9, velocity_clamp=1.0)):
-            phases = np.asarray([RandomStream(pso.seed).phase], dtype=np.uint64)
-            g, fg = reference_pso_batch(fitness, phases, pso)
-            p, val = pso_minimize(fitness, pso)
-            assert bits(p) == bits(g[0]) and bits(val) == bits(fg[0])
-
-    def test_nan_fitness_met_after_the_start(self):
-        nans = []
-
-        def fitness(q):
-            out = np.where(np.abs(q - 0.5) < 0.01, np.nan, (q - 0.7) ** 2)
-            nans.append(int(np.isnan(out).sum()))
-            return out
-
-        pso = PsoConfig(seed=11, swarm_size=9)
-        g, fg = reference_pso_batch(fitness, np.asarray([RandomStream(11).phase], dtype=np.uint64), pso)
-        assert nans[0] == 0 and sum(nans) > 0 and np.isfinite(fg[0])
-        p, val = pso_minimize(fitness, pso)
-        assert bits(p) == bits(g[0]) and bits(val) == bits(fg[0])
 
     def test_objective_matches_reference(self):
         p = np.concatenate([np.linspace(-0.5, 1.5, 2001), [0.0, 1.0, 0.5]])
@@ -339,8 +335,8 @@ class TestReferenceSwarm:
         PsoConfig(inertia=1e-300)  # scales v, not a draw
 
     def test_random_configs_match_reference(self):
-        # 300 seeded configurations of the swarm fed by the in-place objective, against
-        # the np.where swarm and the one-temporary-per-operation objective of oracles.py
+        # 300 seeded configurations of the in-place swarm and objective, against the
+        # np.where swarm and the one-temporary-per-operation objective of oracles.py
         rng = np.random.default_rng(20240607)
         seen = set()
         for _ in range(300):
@@ -359,7 +355,7 @@ class TestReferenceSwarm:
             phases = rng.integers(0, 2**64, f.size, dtype=np.uint64)
             g, fg = reference_pso_batch(lambda p: reference_objective(p, f, mop), phases, pso)
             f_rows = np.repeat(f, pso.swarm_size, axis=1)
-            got = _pso_batch(lambda p, bufs: _objective_into(p, f_rows, mop, *bufs), phases, pso)
+            got = _pso_batch(f_rows, mop, phases, pso)
             assert np.array_equal(bits(got[0]), bits(g)) and np.array_equal(bits(got[1]), bits(fg)), (mop, pso)
             seen |= {("delta", mop.delta), ("theta1 = 0 with v_max", theta1 == 0.0 and mop.v_max is not None),
                      ("odd swarm", pso.swarm_size % 2 == 1)}

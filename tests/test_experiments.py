@@ -59,6 +59,23 @@ class TestCaseInputs:
         assert np.array_equal(gen_case_inputs(CaseId.II, 5), gen_case_inputs(CaseId.II, 5))
         assert not np.array_equal(gen_case_inputs(CaseId.II, 5), gen_case_inputs(CaseId.II, 6))
 
+    @pytest.mark.parametrize("case, hi", [(CaseId.III, 1.0), (CaseId.IV, 2.0)])
+    def test_small_case_redraws_a_repeated_value(self, case, hi, monkeypatch):
+        # no tested seed draws a repeat among 10 or 20 values, so the first draw is made to repeat one
+        real, draws = RandomStream.uniform, []
+
+        def uniform(stream, size=None):
+            u = real(stream, size)
+            draws.append(u.copy())
+            if len(draws) == 1:
+                u[-1] = u[0]
+            return u
+
+        monkeypatch.setattr(RandomStream, "uniform", uniform)
+        x = gen_case_inputs(case, seed=0)
+        assert len(draws) == 2 and np.array_equal(x, draws[1] * hi)
+        assert not np.array_equal(draws[0], draws[1])  # the redraw continues the same substream
+
 
 class TestRoundedSum:
     def test_integer_inputs_exact(self):
@@ -355,7 +372,8 @@ class TestNewton:
         assert all(result == results[0] for result in results[1:])
 
     def test_config_rejects_non_finite_settings(self):
-        for kwargs in ({"tol": math.nan}, {"tol": math.inf}, {"tol": 0.0}, {"tol": -1e-5}, {"x0": math.nan}, {"x0": math.inf}):
+        for kwargs in ({"tol": math.nan}, {"tol": math.inf}, {"tol": 0.0}, {"tol": -1e-5}, {"x0": math.nan}, {"x0": math.inf},
+                       {"n_max": 0}):
             with pytest.raises(ValueError):
                 NewtonConfig(**kwargs)
 

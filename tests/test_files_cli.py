@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 
 import numpy as np
@@ -6,6 +7,19 @@ import pytest
 
 import srlab.cli
 from oracles import format_number_reference
+from srlab import (
+    DOT_SIZES,
+    SQRT_TEST_VALUES,
+    CaseId,
+    NewtonConfig,
+    PsoConfig,
+    RoundingSpec,
+    optimize_table,
+    run_inner_product_experiment,
+    run_sqrt_experiment,
+    run_summation_experiment,
+    validate_variance_bound,
+)
 from srlab.cli import main
 from srlab.files import (
     format_number,
@@ -447,6 +461,14 @@ class TestExperimentCommands:
         ["optimize", "--config", '{"theta1": 0.5, "theta2": 0.5, "delta": NaN}'],
         ["optimize", "--config", '{"theta1": 0.5, "theta2": 0.5, "b_max": NaN, "k2": 1e10}'],
         ["optimize", "--config", '{"theta1": 0.5, "theta2": 0.5, "b_max": 0.05, "k2": Infinity}'],
+        # finite fields whose objective overflows, and a penalty that rewards
+        ["optimize", "--config", '{"theta1": 0.5, "theta2": 0.5, "delta": 1e200}'],
+        ["optimize", "--config", '{"theta1": 0.5, "theta2": 0.5, "v_max": 0.2, "k1": -1.0}'],
+        # raise statements reached only by these inputs
+        ["experiment", "dot", "--sizes", "1"],
+        ["experiment", "sum", "--modes", ","],
+        ["round", "0.4", "--mode", "table"],
+        ["experiment", "contour", "--x1-max", "2", "--res", "1"],  # the one cell's x1 is the integer 1
         # table labels that no --modes token can name, refused before the swarm runs
         ["optimize", "--preset", "d1", "--label", "sr"],
         ["optimize", "--preset", "d1", "--label", "Half-Even"],
@@ -483,3 +505,34 @@ def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):
     assert message.startswith("srlab: error: ")
     assert config is None or str(config) in message
     assert not out.exists()
+
+
+def test_cli_defaults_are_the_library_defaults():
+    # the parser restates the paper's parameters; each must stay the library's own default
+    def defaults(func):
+        return {name: param.default for name, param in inspect.signature(func).parameters.items()}
+
+    def parse(*argv):
+        return srlab.cli.build_parser().parse_args([*argv, *([] if argv[0] == "round" else ["--out", "x.csv"])])
+
+    opt, pso = parse("optimize"), PsoConfig()
+    assert (opt.swarm, opt.iterations, opt.inertia, opt.cognitive, opt.social, opt.velocity_clamp, opt.seed) == (
+        pso.swarm_size, pso.iterations, pso.inertia, pso.cognitive, pso.social, pso.velocity_clamp, pso.seed)
+    assert opt.grid_size == defaults(optimize_table)["grid_size"]
+    sqrt, newton = parse("experiment", "sqrt"), NewtonConfig()
+    assert (sqrt.tol, sqrt.max_iter, RoundingSpec(sqrt.n, sqrt.base)) == (newton.tol, newton.n_max, newton.spec)
+    assert tuple(float(a) for a in sqrt.values.split(",")) == SQRT_TEST_VALUES
+    assert parse("experiment", "sum").case.split(",") == [case.value for case in CaseId]
+    assert tuple(int(n) for n in parse("experiment", "dot").sizes.split(",")) == DOT_SIZES
+    for study, run in (("sum", run_summation_experiment), ("sqrt", run_sqrt_experiment),
+                       ("dot", run_inner_product_experiment)):
+        args = parse("experiment", study)
+        assert (args.reps, args.seed) == (defaults(run)["n_reps"], defaults(run)["seed"]), study
+    var, bound = parse("experiment", "varbound"), defaults(validate_variance_bound)
+    assert (var.bits, var.xmax, var.step, var.draws, var.seed) == (
+        bound["n_bits"], bound["x_max"], bound["step"], bound["draws"], bound["seed"])
+    con, grid = parse("experiment", "contour"), defaults(contour_grid)
+    assert ((0.0, con.x1_max), (0.0, 1.0), (con.res, con.res)) == (
+        grid["x1_range"], grid["x2_range"], grid["resolution"])
+    rnd = parse("round", "0.5")
+    assert RoundingSpec(rnd.n, rnd.base) == RoundingSpec()

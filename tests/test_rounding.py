@@ -249,6 +249,8 @@ class TestTableProbability:
             ProbabilityTable(grid=[0.0, 1.0], p=[1.0, 1.5])
         with pytest.raises(ValueError):
             ProbabilityTable(grid=[0.0, 0.5, 0.5, 1.0], p=[1.0, 0.5, 0.5, 0.0])
+        with pytest.raises(ValueError, match="equal length"):
+            ProbabilityTable(grid=[0.0, 1.0], p=[1.0, 0.5, 0.0])
 
     @pytest.mark.parametrize("grid, p", [
         ([0.0, np.nan, 1.0], [1.0, 0.5, 0.0]),

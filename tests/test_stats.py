@@ -112,6 +112,8 @@ class TestWorstCase:
             worst_case_rel_error(0.5, 1.0)
         with pytest.raises(ValueError):
             worst_case_rel_error(-0.5, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            worst_case_rel_error(np.nan, 0.5)
 
     def test_down_branch_is_one_below_one(self):
         rng = RandomStream(2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import reference_draws, splitmix64_draw, splitmix64_mix, splitmix64_unmix
-from srlab.distopt import Preset, PsoConfig, optimize_table, pso_minimize
+from srlab.distopt import Preset, PsoConfig, optimize_table
 from srlab.streams import (
     RandomStream,
     _draw_blocks,
@@ -214,4 +214,3 @@ def test_no_overflow_warnings():
         list(_hit_blocks(NEAR_WRAP, 0.5, 3, 4))
         RandomStream(2**64 - 1).substream(2**64 - 1).uniform(10)
         optimize_table(Preset.D2, grid_size=11, pso=PsoConfig(iterations=5))
-        pso_minimize(lambda q: (q - 0.5) ** 2, PsoConfig(iterations=5))
