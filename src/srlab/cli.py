@@ -20,9 +20,9 @@ from .distopt import (
     MopConfig,
     Preset,
     PsoConfig,
+    _objective_config,
     bias_of_p,
     optimize_table,
-    preset_config,
     variance_of_p,
 )
 from .experiments import (
@@ -104,16 +104,15 @@ def _cmd_optimize(args) -> int:
         if args.preset not in names:
             raise ValueError(f"unknown preset {args.preset!r}; choose from {', '.join(names)}")
         target = Preset(args.preset)
-        mop = preset_config(target)
+        mop = _objective_config(target)
     else:
         with open(args.config) as fh:
             text = fh.read()
         try:
-            mop = target = MopConfig(**json.loads(text))
+            mop = target = _objective_config(MopConfig(**json.loads(text)))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{args.config}: invalid objective config: {exc}") from exc
-    pso = PsoConfig(swarm_size=args.swarm, iterations=args.iterations, inertia=args.inertia, cognitive=args.cognitive,
-                    social=args.social, velocity_clamp=args.velocity_clamp, seed=args.seed)
+    pso = PsoConfig(iterations=args.iterations, seed=args.seed)
     table = optimize_table(target, grid_size=args.grid_size, pso=pso, label=args.label)
     provenance = {"mop": dataclasses.asdict(mop), "pso": dataclasses.asdict(pso), "seed": pso.seed}
     write_distribution(args.out, table, delta=mop.delta, provenance=provenance)
@@ -233,12 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--preset", help=f"one of {', '.join(p.value for p in Preset)}")
     p_opt.add_argument("--config", help="JSON file with objective-config fields")
     p_opt.add_argument("--grid-size", type=int, default=1001)
-    p_opt.add_argument("--swarm", type=int, default=50)
     p_opt.add_argument("--iterations", type=int, default=200)
-    p_opt.add_argument("--inertia", type=float, default=0.729)
-    p_opt.add_argument("--cognitive", type=float, default=1.49445)
-    p_opt.add_argument("--social", type=float, default=1.49445)
-    p_opt.add_argument("--velocity-clamp", type=float, default=0.5)
     p_opt.add_argument("--seed", type=int, default=0)
     p_opt.add_argument("--label", default=None, help="override the stored label")
     p_opt.add_argument("--out", required=True, help="output JSON path")

@@ -10,7 +10,7 @@ be computed offline and persisted; rounding never re-runs the optimizer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -31,7 +31,7 @@ __all__ = [
 
 PENALTY_DEFAULT = 1e10
 _ONE_BITS = np.float64(1.0).view(np.uint64)
-_BLOCK_PARTICLES = 256 * 50  # per swarm call, in whole nodes: 100 KB swarm arrays, inside a 2 MB L2
+_BLOCK_NODES = 256  # per swarm call: 100 KB swarm arrays of 50 particles, inside a 2 MB L2
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,9 @@ class MopConfig:
     ``theta1``/``theta2`` weigh squared variance and squared bias and must
     sum to one.  A limit (``v_max``/``b_max``) comes with a positive penalty
     (``k1``/``k2``) added whenever the limit is reached or exceeded; absent
-    limits must have zero penalty.  Every field set must be finite, and so must
-    the objective's bound ``theta1 (delta^2/4)^2 + theta2 delta^2 + k1 + k2``.
+    limits must have zero penalty.  Every field set must be a finite real
+    number (an int or float, not a bool), and so must the objective's bound
+    ``theta1 (delta^2/4)^2 + theta2 delta^2 + k1 + k2``.
     """
 
     theta1: float
@@ -55,8 +56,9 @@ class MopConfig:
 
     def __post_init__(self):
         limits = [v for v in (self.v_max, self.b_max) if v is not None]
-        if not np.all(np.isfinite([self.theta1, self.theta2, self.k1, self.k2, self.delta, *limits])):
-            raise ValueError("weights, limits, penalties and delta must be finite")
+        for v in (self.theta1, self.theta2, self.k1, self.k2, self.delta, *limits):
+            if type(v) is bool or not isinstance(v, (int, float, np.integer, np.floating)) or not np.isfinite(v):
+                raise ValueError("weights, limits, penalties and delta must be finite real numbers, not booleans")
         if self.theta1 < 0.0 or self.theta2 < 0.0:
             raise ValueError("weights must be non-negative")
         if abs(self.theta1 + self.theta2 - 1.0) > 1e-12:
@@ -75,31 +77,24 @@ class MopConfig:
 
 @dataclass(frozen=True)
 class PsoConfig:
-    """Swarm hyperparameters; the search interval is fixed to [0, 1].
+    """Swarm settings; only ``iterations`` and ``seed`` can be set.
 
-    The coefficients must be finite and the velocity clamp in (0, 1], so a
-    particle that leaves [0, 1] is back inside after one reflection; the
-    cognitive and social ones 0 or at least 2**-969 in magnitude (``_pso_batch``).
+    The rest are fixed, and recorded with each table: 50 particles on [0, 1],
+    inertia 0.729, cognitive and social weights 1.49445 (the constriction
+    values of Clerc and Kennedy) and a velocity clamp of 0.5.
     """
 
-    swarm_size: int = 50
+    swarm_size: int = field(default=50, init=False)
     iterations: int = 200
-    inertia: float = 0.729
-    cognitive: float = 1.49445
-    social: float = 1.49445
-    velocity_clamp: float = 0.5
+    inertia: float = field(default=0.729, init=False)
+    cognitive: float = field(default=1.49445, init=False)
+    social: float = field(default=1.49445, init=False)
+    velocity_clamp: float = field(default=0.5, init=False)
     seed: int = 0
 
     def __post_init__(self):
-        if self.swarm_size < 2:
-            raise ValueError("swarm_size must be at least 2")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
-        if not (np.all(np.isfinite([self.inertia, self.cognitive, self.social]))
-                and all(c == 0.0 or abs(c) >= 2.0 ** -969 for c in (self.cognitive, self.social))
-                and 0.0 < self.velocity_clamp <= 1.0):
-            raise ValueError("coefficients must be finite, cognitive and social 0 or at least 2**-969 in magnitude, "
-                             "and velocity_clamp in (0, 1]")
 
 
 class Preset(Enum):
@@ -126,6 +121,18 @@ def preset_config(preset: Preset) -> MopConfig:
     if preset is Preset.D2:
         return MopConfig(theta1=0.5, theta2=0.5, b_max=0.05, k2=PENALTY_DEFAULT)
     raise ValueError(f"unknown preset {preset!r}")
+
+
+def _objective_config(target) -> MopConfig:
+    """The objective of an ``optimize_table`` target; a MopConfig whose objective ignores f is refused."""
+    if isinstance(target, Preset):
+        return preset_config(target)
+    if not isinstance(target, MopConfig):
+        raise TypeError("expected a Preset or MopConfig")
+    if target.theta2 == 0.0 and target.b_max is None:
+        raise ValueError("theta2 = 0 without b_max: the objective ignores f, and p = 0 and p = 1 tie at every "
+                         "node; use the preset var-min-floor or var-min-ceil")
+    return target
 
 
 def _unit_interval(x, name: str) -> np.ndarray:
@@ -201,17 +208,18 @@ def _pso_batch(f: np.ndarray, mop: MopConfig, phases: np.ndarray, pso: PsoConfig
     An iteration runs in place in the swarm's arrays and the three buffers,
     with the operations in the order of ``inertia * v + cognitive * rp *
     (pbest - x) + social * rg * (g - x)``.  ``c * rp`` for the draw rp = b *
-    2**-53 is one pass, b * (c * 2**-53): c * 2**-53 is exact for c = 0 and
-    |c| >= 2**-969 (``PsoConfig`` checks), so both round b * c * 2**-53.  The
-    selects are branch-free and give the bits of the ``np.where`` selects
-    they replace, because a position is never NaN or -0.0: positions start
-    at (j + u) / s >= +0, velocities are finite because the coefficients are,
-    IEEE addition yields -0.0 only from two -0.0 operands, and a reflected
-    position is |x| or 2 - |x|.
+    2**-53 is one pass, b * (c * 2**-53): for the fixed c = 1.49445, c *
+    2**-53 is a normal double and so exact, and both round b * c * 2**-53.
+    The selects are branch-free and give the bits of the ``np.where``
+    selects they replace, because a position is never NaN or -0.0:
+    positions start at (j + u) / s >= +0, velocities are finite because the
+    coefficients are, IEEE addition yields -0.0 only from two -0.0 operands,
+    and a reflected position is |x| or 2 - |x|.
     - A position is outside [0, 1] exactly when its bits, read as uint64,
       exceed those of 1.0, since negative doubles have the top bit set.
       Such a particle's velocity changes sign by an xor of the sign bit.
-    - With |v| <= clamp <= 1, positions lie in [-1, 2].  There,
+    - The fixed clamp, 0.5, is at most 1, so positions lie in [-1, 2] and
+      one reflection brings a particle back into [0, 1].  There,
       ``min(|x|, 2 - |x|)`` is -x below 0, x inside [0, 1] and 2 - x above
       1, as the selects give; 2 - |x| is exact for |x| in [1, 2].
     - pbest takes x where fx < fp by the uint64 blend ``a ^ ((a ^ b) &
@@ -273,16 +281,14 @@ def optimize_table(
     The objective depends on the input only through its grid fraction, so
     each node f_j = j/(grid_size - 1) is an independent scalar problem; node
     j draws from substream j of the swarm seed, which makes the result
-    independent of how the nodes are batched (``_BLOCK_PARTICLES``).  The
+    independent of how the nodes are batched (``_BLOCK_NODES``).  The
     variance-only presets have the two exact optima p = 0 and p = 1; their
     names pin which endpoint the table stores, and no swarm runs for them.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
     preset = preset_or_cfg if isinstance(preset_or_cfg, Preset) else None
-    cfg = preset_config(preset) if preset is not None else preset_or_cfg
-    if not isinstance(cfg, MopConfig):
-        raise TypeError("expected a Preset or MopConfig")
+    cfg = _objective_config(preset_or_cfg)
     pso = pso or PsoConfig()
     fgrid = np.linspace(0.0, 1.0, grid_size)
     if label is None:
@@ -291,9 +297,8 @@ def optimize_table(
         p_star = np.full(grid_size, 1.0 if preset is Preset.VAR_MIN_FLOOR else 0.0)
     else:
         phases = substream_phases(RandomStream(pso.seed).phase, np.arange(grid_size))
-        rows = max(1, _BLOCK_PARTICLES // pso.swarm_size)
         p_star = np.empty(grid_size)
-        for j in range(0, grid_size, rows):  # contiguous fractions: numpy loops over a column row by row
-            f = np.repeat(fgrid[j:j + rows, None], pso.swarm_size, axis=1)
-            p_star[j:j + rows] = _pso_batch(f, cfg, phases[j:j + rows], pso)[0]
+        for j in range(0, grid_size, _BLOCK_NODES):  # contiguous fractions: numpy loops over a column row by row
+            f = np.repeat(fgrid[j:j + _BLOCK_NODES, None], pso.swarm_size, axis=1)
+            p_star[j:j + _BLOCK_NODES] = _pso_batch(f, cfg, phases[j:j + _BLOCK_NODES], pso)[0]
     return ProbabilityTable(grid=fgrid, p=p_star, label=label)

@@ -439,6 +439,7 @@ class TestExperimentCommands:
         ["experiment", "sqrt", "--values", "-1"],
         ["experiment", "contour", "--res", "0"],
         ["optimize", "--preset", "d1", "--grid-size", "1"],
+        # the swarm's constants are fixed: their flags are gone
         ["optimize", "--preset", "d1", "--swarm", "1"],
         ["optimize", "--preset", "d1", "--velocity-clamp", "2"],
         ["optimize", "--preset", "d1", "--inertia", "inf"],
@@ -487,6 +488,11 @@ class TestExperimentCommands:
         ["experiment", "sqrt", "--values", "2", "--modes", "sr", "--reps", "3",
          "--max-iter", "100000000000000000000000"],
         ["round", "0.4", "--n", "100000000000000000000000"],
+        # an objective that ignores f, and booleans where numbers belong
+        ["optimize", "--config", '{"theta1": 1.0, "theta2": 0.0}'],
+        ["optimize", "--config", '{"theta1": 1.0, "theta2": -0.0, "v_max": 0.2, "k1": 1.0}'],
+        ["optimize", "--config", '{"theta1": true, "theta2": false}'],
+        ["optimize", "--config", '{"theta1": 0.5, "theta2": 0.5, "b_max": 0.05, "k2": true}'],
     ],
 )
 def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):
@@ -516,8 +522,7 @@ def test_cli_defaults_are_the_library_defaults():
         return srlab.cli.build_parser().parse_args([*argv, *([] if argv[0] == "round" else ["--out", "x.csv"])])
 
     opt, pso = parse("optimize"), PsoConfig()
-    assert (opt.swarm, opt.iterations, opt.inertia, opt.cognitive, opt.social, opt.velocity_clamp, opt.seed) == (
-        pso.swarm_size, pso.iterations, pso.inertia, pso.cognitive, pso.social, pso.velocity_clamp, pso.seed)
+    assert (opt.iterations, opt.seed) == (pso.iterations, pso.seed)
     assert opt.grid_size == defaults(optimize_table)["grid_size"]
     sqrt, newton = parse("experiment", "sqrt"), NewtonConfig()
     assert (sqrt.tol, sqrt.max_iter, RoundingSpec(sqrt.n, sqrt.base)) == (newton.tol, newton.n_max, newton.spec)
