@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .rounding import ProbabilityTable
-from .streams import _INV_2_53, RandomStream, _draw_blocks, substream_phases
+from .streams import _INV_2_53, _U_GOLDEN, RandomStream, _integer, _mix_shift, _steps, substream_phases
 
 __all__ = [
     "MopConfig",
@@ -77,7 +77,7 @@ class MopConfig:
 
 @dataclass(frozen=True)
 class PsoConfig:
-    """Swarm settings; only ``iterations`` and ``seed`` can be set.
+    """Swarm settings; only ``iterations`` (an integer >= 1) and ``seed`` (in [0, 2^64)) can be set.
 
     The rest are fixed, and recorded with each table: 50 particles on [0, 1],
     inertia 0.729, cognitive and social weights 1.49445 (the constriction
@@ -93,8 +93,8 @@ class PsoConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be at least 1")
+        _integer(self.iterations, "iterations", 1)
+        _integer(self.seed, "seed")
 
 
 class Preset(Enum):
@@ -203,7 +203,9 @@ def _pso_batch(f: np.ndarray, mop: MopConfig, phases: np.ndarray, pso: PsoConfig
     ``f`` is the (m, swarm) float64 array of fractions, row j holding the
     fraction of problem j in every column.  Row j draws from the stream
     phase ``phases[j]`` only, so a batch run is bit-identical to solving
-    each row on its own.
+    each row on its own.  Block k of a row is its draws k s .. k s + s - 1:
+    block 0 is the stratified start, and iteration i takes blocks 2i + 1
+    (cognitive) and 2i + 2 (social).
 
     An iteration runs in place in the swarm's arrays and the three buffers,
     with the operations in the order of ``inertia * v + cognitive * rp *
@@ -232,10 +234,18 @@ def _pso_batch(f: np.ndarray, mop: MopConfig, phases: np.ndarray, pso: PsoConfig
     buffers = tuple(np.empty((3, m, s)))
     diff, r, _ = buffers  # diff also receives fx, which is dead once the bests have taken it
     mask, tmp = (buf.view(np.uint64) for buf in buffers[1:])
-    blocks = _draw_blocks(np.asarray(phases, dtype=np.uint64), s, tmp, mask)  # r's memory mixes, tmp's holds b
+    # block k's states are block 0's plus k s GOLDEN, one element added to each: a
+    # broadcast column of phases would make numpy loop row by row
+    states = np.add(np.asarray(phases, dtype=np.uint64)[:, None], _steps(np.arange(s)))
+    offset = np.empty(1, dtype=np.uint64)  # an array: a uint64 scalar product warns on overflow
+
+    def block(k):  # block k's 53-bit integer draws, in tmp's memory as int64; r's memory mixes
+        np.multiply(k * s, _U_GOLDEN, out=offset)
+        return _mix_shift(np.add(states, offset, out=tmp), mask).view(np.int64)
+
     # Stratified start: one particle per 1/s bin keeps narrow feasible bands
     # (penalty presets) populated from iteration zero.
-    x = (np.arange(s) + np.multiply(next(blocks), _INV_2_53, out=r)) / s
+    x = (np.arange(s) + np.multiply(block(0), _INV_2_53, out=r)) / s
     v = np.zeros_like(x)
     pbest = x.copy()
     fp = _objective_into(x, f, mop, np.empty_like(x), *buffers[1:])
@@ -245,10 +255,10 @@ def _pso_batch(f: np.ndarray, mop: MopConfig, phases: np.ndarray, pso: PsoConfig
     fg = fp[rows, gi]
     x_bits, v_bits, pbest_bits = x.view(np.uint64), v.view(np.uint64), pbest.view(np.uint64)
     scales = pso.cognitive * _INV_2_53, pso.social * _INV_2_53
-    for _ in range(pso.iterations):
+    for i in range(pso.iterations):
         v *= pso.inertia
-        for scale, best in zip(scales, (pbest, g[:, None])):
-            np.multiply(next(blocks), scale, out=r)
+        for k, scale, best in zip((2 * i + 1, 2 * i + 2), scales, (pbest, g[:, None])):
+            np.multiply(block(k), scale, out=r)
             r *= np.subtract(best, x, out=diff)
             v += r
         np.clip(v, -pso.velocity_clamp, pso.velocity_clamp, out=v)

@@ -9,12 +9,12 @@ data comes from the low-numbered substreams and is generated once per seed,
 independent of the rounding mode under test.  Every mode is a probability
 of rounding down, so every mode runs through the same engine: a
 deterministic rule's probabilities are 0 or 1, so its study runs one
-repetition, whose draws cannot change the result.  Studies that round the same
-values in every repetition work out each value's rounding threshold once
-per study, so a repetition costs one comparison per draw, made between
-integers: ``streams._hit_blocks`` compares each 53-bit draw with the
-threshold converted once to an integer, which is exact, and never builds
-the double draw.  The Newton study rounds new values at every step.
+repetition, whose draws cannot change the result.  Studies that round the
+same values in every repetition work out each value's rounding threshold
+once per study, so a repetition costs one comparison per draw, made
+between integers: ``_repeat`` compares each 53-bit draw, taken by counter,
+with the threshold converted once to an integer, which is exact, and never
+builds the double draw.  The Newton study rounds new values at every step.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .rounding import SR, DeterministicMode, RoundingMode, RoundingSpec, rounding_thresholds, stochastic_round_with
 from .stats import StatsSummary, sr_variance_theoretical, summarize, variance_bound
-from .streams import RandomStream, _hit_blocks, draws_at, substream_phases
+from .streams import RandomStream, _draw_thresholds, _integer, _mix_shift, _steps, draws_at, substream_phases
 
 __all__ = [
     "CaseId",
@@ -80,7 +80,7 @@ _CASE_PARAMS = {
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    """Square-root iteration settings; convergence is |x_{k+1} - x_k| <= tol."""
+    """Square-root iteration settings; convergence is |x_{k+1} - x_k| <= tol; ``n_max`` is an integer >= 1."""
 
     x0: float = 1.0
     tol: float = 1e-5
@@ -92,8 +92,7 @@ class NewtonConfig:
             raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
         if not math.isfinite(self.x0):
             raise ValueError(f"x0 must be finite, got {self.x0!r}")
-        if self.n_max < 1:
-            raise ValueError("n_max must be at least 1")
+        _integer(self.n_max, "n_max", 1)
 
 
 @dataclass(frozen=True)
@@ -132,12 +131,21 @@ def _repeat(seed: int, n_reps: int, n_draws: int, t, outcome) -> np.ndarray:
     Element j of repetition r hits when ``draws_at(phase_r, j)``, draw j of
     substream 16 + r, is >= ``t[r, j]`` (``t`` broadcast to (n_reps,
     n_draws)).  ``outcome(rows, hit, scratch)`` maps a slice of repetitions,
-    their bool hits and float64 scratch of hit's shape to one value per
-    repetition.
+    their bool hits and float64 scratch of hit's shape, the block's spent
+    draws, to one value per repetition.
     """
+    phases = _rep_phases(seed, n_reps)[:, None]
+    steps = _steps(np.arange(n_draws))
+    thresholds = np.broadcast_to(_draw_thresholds(t), (n_reps, n_draws))
+    block = max(1, _BLOCK_DRAWS // n_draws)
+    z, tmp = np.empty((2, min(block, n_reps), n_draws), dtype=np.uint64)  # the states, then the draws
+    hits = np.empty(z.shape, dtype=bool)
     out = np.empty(n_reps)
-    for rows, hit, scratch in _hit_blocks(_rep_phases(seed, n_reps), t, n_draws, max(1, _BLOCK_DRAWS // n_draws)):
-        out[rows] = outcome(rows, hit, scratch)
+    for start in range(0, n_reps, block):
+        rows = slice(start, start + block)
+        k = min(block, n_reps - start)
+        b = _mix_shift(np.add(phases[rows], steps, out=z[:k]), tmp[:k])
+        out[rows] = outcome(rows, np.greater_equal(b, thresholds[rows], out=hits[:k]), b.view(np.float64))
     return out
 
 

@@ -4,27 +4,26 @@ The generator is a random-access SplitMix64: draw number ``j`` of a stream
 with 64-bit phase ``h`` is ``mix64(h + (j + 1) * GOLDEN) >> 11`` scaled to
 [0, 1), where ``mix64`` is the SplitMix64 finalizer and ``GOLDEN`` is the
 64-bit golden-ratio increment.  The phase is derived by hashing the seed,
-and substreams re-hash the parent phase with the substream index.  Because
-a draw is a pure function of (phase, counter), draws can be produced in
-bulk, out of order, or for many streams at once, and the sequence is
-identical on every platform.  This scheme is fixed; changing any constant
-changes every stream.
+an integer in [0, 2^64), and substreams re-hash the parent phase with the
+substream index.  Because a draw is a pure function of (phase, counter),
+draws can be produced in bulk, out of order, or for many streams at once,
+and the sequence is identical on every platform.  This scheme is fixed;
+changing any constant changes every stream.
 
 All uint64 arithmetic wraps modulo 2^64 and is done on arrays, never on
-numpy scalars, which warn on overflow.  ``_mix64`` is the one SplitMix64
-finalizer and ``_mix_shift`` (mix, then ``>> 11``) the one draw primitive;
-both write into a buffer the caller no longer needs, from it or from ``src``.
-``draws_at`` scales the 53-bit integer draws to doubles through their int64
-view (a draw is below 2^63, so it is the same double by the faster signed
-conversion); the swarm's ``_draw_blocks`` yields them as integers, and the
-studies' ``_hit_blocks`` compares them as integers, exactly as ``u >= t``.
+numpy scalars, which warn on overflow.  Every consumer takes its draws by
+(phase, counter): ``_steps`` is the one place ``(j + 1) * GOLDEN`` is
+written, and ``_mix_shift`` turns the states ``phase + _steps(j)`` into the
+53-bit integer draws in place.  ``draws_at`` scales them through their
+int64 view (a draw is below 2^63, so the faster signed conversion gives the
+same double); the swarm scales them itself, and the studies compare them
+with integer thresholds, exactly as ``u >= t``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
 _SEED_SALT = 0xD1B54A32D192ED03
 
 _U_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -39,34 +38,23 @@ _U_31 = np.uint64(31)
 _INV_2_53 = 2.0 ** -53
 
 
-def _mix64(z: np.ndarray, tmp: np.ndarray | None = None, src: np.ndarray | None = None) -> np.ndarray:
-    """SplitMix64 finalizer of ``src`` (default: ``z``) into the uint64 array ``z``; returns ``z``.
-
-    ``tmp`` is uint64 scratch of z's shape (allocated when omitted).
-    """
+def _mix64(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+    """SplitMix64 finalizer of the uint64 array ``z``, in place; ``tmp`` is scratch (allocated when omitted)."""
     tmp = np.empty_like(z) if tmp is None else tmp
-    src = z if src is None else src
     for shift, mul in ((_U_30, _U_MUL1), (_U_27, _U_MUL2)):
-        np.multiply(np.bitwise_xor(src, np.right_shift(src, shift, out=tmp), out=z), mul, out=z)
-        src = z
+        np.multiply(np.bitwise_xor(z, np.right_shift(z, shift, out=tmp), out=z), mul, out=z)
     z ^= np.right_shift(z, _U_31, out=tmp)
     return z
 
 
-def _mix_shift(z: np.ndarray, tmp: np.ndarray, src: np.ndarray | None = None) -> np.ndarray:
-    """53-bit integer draws ``mix64(src) >> 11`` of the uint64 counter states
-    ``src`` (default: ``z``), into ``z``; ``tmp`` is uint64 scratch.  Returns ``z``."""
-    _mix64(z, tmp, src)
-    return np.right_shift(z, _U_11, out=z)
+def _mix_shift(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The 53-bit integer draws ``mix64(z) >> 11`` of the uint64 states ``z``, in place; ``tmp`` is scratch."""
+    return np.right_shift(_mix64(z, tmp), _U_11, out=z)
 
 
-def _uniforms(z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Uniform [0, 1) doubles of the uint64 counter states ``z``, into ``out``.
-
-    ``z`` is overwritten; ``out`` (float64, z's shape) is also the
-    finalizer's scratch.  Returns ``out``.
-    """
-    return np.multiply(_mix_shift(z, out.view(np.uint64)).view(np.int64), _INV_2_53, out=out)
+def _steps(counters) -> np.ndarray:
+    """``(counter + 1) * GOLDEN`` as uint64: draw ``counter``'s state is its phase plus this."""
+    return np.multiply(np.add(np.asarray(counters, dtype=np.uint64), _U_1), _U_GOLDEN)
 
 
 def _draw_thresholds(t) -> np.ndarray:
@@ -86,45 +74,18 @@ def draws_at(phase, counters) -> np.ndarray:
     interpreted as uint64.  ``draws_at(s.phase, [0, 1, 2])`` equals the
     first three values of ``RandomStream.uniform`` for the same stream.
     """
-    p = np.asarray(phase, dtype=np.uint64)
-    c = np.asarray(counters, dtype=np.uint64)
-    state = np.atleast_1d(np.add(p, np.multiply(np.add(c, _U_1), _U_GOLDEN)))
-    u = _uniforms(state, np.empty(state.shape))
-    return u if p.ndim or c.ndim else u.reshape(())
+    z = np.add(np.asarray(phase, dtype=np.uint64), _steps(counters))  # a uint64 scalar when both are 0-d
+    state = np.atleast_1d(z)
+    u = np.empty(state.shape)  # the finalizer's scratch, then the draws
+    np.multiply(_mix_shift(state, u.view(np.uint64)).view(np.int64), _INV_2_53, out=u)
+    return u if np.ndim(z) else u.reshape(())
 
 
-def _draw_blocks(phases: np.ndarray, width: int, out: np.ndarray, tmp: np.ndarray):
-    """Yield the integer draws b with ``b * 2**-53 == draws_at(phases[:, None], k * width + arange(width))``.
-
-    Block k = 0, 1, ... is written into ``out`` (uint64, (phases.size, width))
-    and yielded as its int64 view; ``tmp`` is uint64 scratch of that shape.
-    The states advance by ``width * GOLDEN`` per block, the same modulo 2^64.
-    """
-    state = np.add(phases.reshape(-1, 1), np.multiply(np.arange(1, width + 1, dtype=np.uint64), _U_GOLDEN))
-    while True:
-        _mix_shift(out, tmp, state)
-        state += np.uint64(width * int(_U_GOLDEN) & _MASK64)
-        yield out.view(np.int64)
-
-
-def _hit_blocks(phases: np.ndarray, t, width: int, block_rows: int):
-    """Yield ``(rows, hit, scratch)`` for blocks of at most ``block_rows`` rows.
-
-    ``hit[i, j]`` is ``draws_at(phases[rows][i], j) >= t[rows][i, j]`` for
-    j < ``width``, with ``t`` broadcast to (phases.size, width).  Every block
-    reuses the same state, scratch and hit buffers; ``scratch`` (float64,
-    hit's shape) is the spent state, the consumer's until the next block.
-    """
-    thresholds = np.broadcast_to(_draw_thresholds(t), (phases.size, width))
-    steps = np.multiply(np.arange(1, width + 1, dtype=np.uint64), _U_GOLDEN)
-    shape = (min(block_rows, phases.size), width)
-    z, tmp = np.empty((2, *shape), dtype=np.uint64)
-    hits = np.empty(shape, dtype=bool)
-    for start in range(0, phases.size, block_rows):
-        rows = slice(start, start + block_rows)
-        k = min(block_rows, phases.size - start)
-        b = _mix_shift(np.add(phases[rows, None], steps, out=z[:k]), tmp[:k])
-        yield rows, np.greater_equal(b, thresholds[rows], out=hits[:k]), b.view(np.float64)
+def _integer(value, name: str, low: int = 0) -> int:
+    """``value`` as an int, if it is a Python or numpy integer, not a bool, in [low, 2^64)."""
+    if type(value) is bool or not isinstance(value, (int, np.integer)) or not low <= value < 1 << 64:
+        raise ValueError(f"{name} must be an integer in [{low}, 2**64), got {value!r}")
+    return int(value)
 
 
 def substream_phases(phase, indices) -> np.ndarray:
@@ -140,6 +101,7 @@ def substream_phases(phase, indices) -> np.ndarray:
 class RandomStream:
     """A seeded stream of uniform [0, 1) doubles with substream support.
 
+    Seeds and substream indices are integers in [0, 2^64), not booleans.
     Substreams are independent for distinct index paths and may be created
     in any order; each stream keeps its own draw counter.
     """
@@ -147,7 +109,7 @@ class RandomStream:
     __slots__ = ("seed", "phase", "_counter")
 
     def __init__(self, seed: int, *, _phase: int | None = None):
-        self.seed = int(seed) & _MASK64
+        self.seed = _integer(seed, "seed")
         if _phase is None:
             _phase = int(_mix64(np.asarray([self.seed ^ _SEED_SALT], dtype=np.uint64))[0])
         self.phase = _phase
@@ -160,7 +122,7 @@ class RandomStream:
 
     def substream(self, index: int) -> "RandomStream":
         """Derive an independent child stream for ``index``."""
-        phase = substream_phases(self.phase, int(index) & _MASK64)[0]
+        phase = substream_phases(self.phase, _integer(index, "substream index"))[0]
         return RandomStream(self.seed, _phase=int(phase))
 
     def uniform(self, size=None):

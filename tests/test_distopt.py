@@ -146,8 +146,13 @@ class TestConfigs:
         MopConfig(theta1=0, theta2=1, b_max=np.int64(1), k2=np.float32(2.5), delta=np.float64(0.5))
 
     def test_pso_validation(self):
-        with pytest.raises(ValueError, match="iterations"):
-            PsoConfig(iterations=0)
+        for iterations in (0, 1.5, True, np.float64(2.0), "3", None):
+            with pytest.raises(ValueError, match="iterations must be an integer"):
+                PsoConfig(iterations=iterations)
+        for seed in (-1, 1.5, True, 2**64, np.int64(-1), "0", None):  # var-min presets never build a stream
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                PsoConfig(seed=seed)
+        assert PsoConfig(iterations=np.int64(3), seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
         for name in ("swarm_size", "inertia", "cognitive", "social", "velocity_clamp"):  # fixed, not settable
             with pytest.raises(TypeError):
                 PsoConfig(**{name: 1})

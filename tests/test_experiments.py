@@ -27,7 +27,7 @@ from srlab.experiments import (
 )
 from srlab.rounding import SR, DeterministicMode, ProbabilityTable, RoundingSpec, round_values
 from srlab.stats import summarize
-from srlab.streams import RandomStream
+from srlab.streams import RandomStream, draws_at
 
 D = DeterministicMode
 INT = RoundingSpec()
@@ -171,6 +171,32 @@ class TestRepetitionEngine:
         ref = [rounded_inner_product(x, y, SR, INT, root.substream(16 + r)) for r in range(n_reps)]
         assert rep.summary == summarize(ref, float(np.dot(x, y)))
 
+    @pytest.mark.parametrize("block_rows", [1, 4, 5])
+    def test_repeat_hits_are_draws_at_thresholds(self, block_rows, monkeypatch):
+        # blocks of one row, of four rows, and of five with a partial last block of two
+        n_reps, n_draws = 12, 5
+        monkeypatch.setattr(experiments, "_BLOCK_DRAWS", block_rows * n_draws)
+        u = draws_at(experiments._rep_phases(7, n_reps)[:, None], np.arange(n_draws))
+        t_col = np.random.default_rng(1).random(n_draws)
+        t_col[1] = 2.0  # the grid-point sentinel: never hit
+        t_row = np.random.default_rng(2).random((n_reps, 1))
+        for t in (t_col, t_row):
+            hits, sizes = np.zeros(u.shape, dtype=bool), []
+
+            def record(rows, hit, scratch):
+                assert scratch.dtype == np.float64 and scratch.shape == hit.shape
+                hits[rows] = hit
+                sizes.append(hit.shape[0])
+                return hit.sum(axis=1)
+
+            out = experiments._repeat(7, n_reps, n_draws, t, record)
+            expected = u >= np.broadcast_to(t, u.shape)
+            assert np.array_equal(hits, expected)
+            assert out.tolist() == expected.sum(axis=1).tolist()
+            assert sizes == [min(block_rows, n_reps - start) for start in range(0, n_reps, block_rows)]
+            assert hits.any() and not hits.all()
+        assert not (u >= t_col)[:, 1].any()
+
     def test_variance_bound_matches_scalar(self):
         grid = validate_variance_bound(step=0.01, draws=500, seed=2)
         spec = RoundingSpec(4, 2)
@@ -257,6 +283,10 @@ class TestRepetitionEngine:
             validate_variance_bound(x_max=-1.0)
         with pytest.raises(ValueError):
             validate_variance_bound(draws=0)
+        for n_max in (0, 2.5, True, np.float64(3.0), "3", None):
+            with pytest.raises(ValueError, match="n_max must be an integer"):
+                NewtonConfig(n_max=n_max)
+        assert NewtonConfig(n_max=np.int64(3)).n_max == 3
 
 
 class TestNewton:

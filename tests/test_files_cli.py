@@ -493,6 +493,16 @@ class TestExperimentCommands:
         ["optimize", "--config", '{"theta1": 1.0, "theta2": -0.0, "v_max": 0.2, "k1": 1.0}'],
         ["optimize", "--config", '{"theta1": true, "theta2": false}'],
         ["optimize", "--config", '{"theta1": 0.5, "theta2": 0.5, "b_max": 0.05, "k2": true}'],
+        # a seed outside [0, 2**64) names no stream of its own
+        ["optimize", "--preset", "d1", "--grid-size", "5", "--iterations", "3", "--seed", "18446744073709551616"],
+        ["optimize", "--preset", "d1", "--seed", "-1"],
+        ["optimize", "--preset", "var-min-floor", "--seed", "-1"],
+        ["round", "0.4", "--mode", "sr", "--seed", "-1"],
+        ["round", "0.4", "--seed", "18446744073709551616"],
+        ["experiment", "sum", "--case", "III", "--reps", "10", "--seed", "-1"],
+        ["experiment", "sqrt", "--values", "2", "--modes", "cr", "--seed", "18446744073709551616"],
+        ["experiment", "dot", "--sizes", "50", "--reps", "10", "--seed", "-1"],
+        ["experiment", "varbound", "--step", "0.5", "--draws", "10", "--seed", "-1"],
     ],
 )
 def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):

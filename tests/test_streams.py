@@ -4,17 +4,9 @@ import numpy as np
 import pytest
 
 from oracles import reference_draws, splitmix64_draw, splitmix64_mix, splitmix64_unmix
+from srlab import experiments
 from srlab.distopt import Preset, PsoConfig, optimize_table
-from srlab.streams import (
-    RandomStream,
-    _draw_blocks,
-    _draw_thresholds,
-    _hit_blocks,
-    _mix64,
-    _uniforms,
-    draws_at,
-    substream_phases,
-)
+from srlab.streams import RandomStream, _draw_thresholds, _mix64, _mix_shift, _steps, draws_at, substream_phases
 
 
 def test_reproducible_for_seed():
@@ -116,10 +108,18 @@ def test_negative_size_rejected_without_moving_the_counter():
     assert rng.uniform((2, 0)).shape == (2, 0) and rng.counter == 0
 
 
-def test_seed_masked_to_64_bits():
-    big = RandomStream(2**64 + 5)
-    small = RandomStream(5)
-    assert np.array_equal(big.uniform(4), small.uniform(4))
+def test_seed_and_index_must_be_64_bit_integers():
+    # one seed names one stream: no value is reduced to another's stream
+    for bad in (1.5, True, False, -1, 2**64, 2**64 + 5, np.int64(-1), "5", None, np.float64(1.0)):
+        with pytest.raises(ValueError, match="integer in"):
+            RandomStream(bad)
+        with pytest.raises(ValueError, match="integer in"):
+            RandomStream(0).substream(bad)
+    # every valid seed and index keeps its bits
+    for good in (0, 2**63, 2**64 - 1, np.uint64(2**64 - 1), np.int64(7), np.uint8(7)):
+        assert RandomStream(good).seed == int(good)
+        assert RandomStream(3).substream(good).phase == substream_phases(RandomStream(3).phase, int(good))[0]
+    assert RandomStream(2**64 - 1).phase != RandomStream(0).phase
 
 
 # phases whose counter states wrap modulo 2^64 within the first draws
@@ -145,29 +145,39 @@ def test_draws_match_python_ints_across_the_wrap():
     assert np.array_equal(big.view(np.uint64), reference_draws(phases[:, None], np.arange(2**64 - 600, 2**64 - 1, dtype=np.uint64)).view(np.uint64))
 
 
-def test_draw_blocks_advance_matches_draws_at():
-    # the blocks are the 53-bit integer draws, as int64; times 2**-53 they are draws_at's doubles
-    width = 7
-    out = np.empty((NEAR_WRAP.size, width), dtype=np.uint64)
-    blocks = _draw_blocks(NEAR_WRAP, width, out, np.empty_like(out))
-    for k in range(5):
-        block = next(blocks)
-        assert block.dtype == np.int64 and block.base is out
-        assert block.min() >= 0 and block.max() < 2**53
-        expected = draws_at(NEAR_WRAP[:, None], k * width + np.arange(width))
-        assert np.array_equal((block * 2.0**-53).view(np.uint64), expected.view(np.uint64))
+def test_steps_and_mix_shift_match_python_ints_across_the_wrap():
+    # the integer draws every consumer takes, (phase + _steps(j)) mixed and shifted in place
+    counters = np.array([0, 1, 2, 1000, 2**32, 2**64 - 2, 2**64 - 1], dtype=np.uint64)
+    steps = _steps(counters)
+    assert steps.dtype == np.uint64
+    assert steps.tolist() == [(int(c) + 1) * 0x9E3779B97F4A7C15 % 2**64 for c in counters]
+    z = np.add(NEAR_WRAP[:, None], steps)
+    assert _mix_shift(z, np.empty_like(z)) is z
+    assert z.max() < 2**53
+    expected = [[splitmix64_draw(p, c) * 2**53 for c in counters.tolist()] for p in NEAR_WRAP.tolist()]
+    assert z.tolist() == expected
 
 
-def test_uniforms_at_the_extreme_draws():
+def test_uniforms_at_the_extreme_draws(monkeypatch):
     # states that mix to the least and greatest 53-bit draws, whatever the 11 dropped bits
     top = (2**53 - 1) << 11
     mixed = [0, 0x7FF, top, top | 0x7FF]
     expected = [0.0, 0.0, 1.0 - 2.0**-53, 1.0 - 2.0**-53]
-    states = np.array([splitmix64_unmix(z) for z in mixed], dtype=np.uint64)
-    assert _uniforms(states.copy(), np.empty(4)).tolist() == expected
+    states = [splitmix64_unmix(z) for z in mixed]
     golden = 0x9E3779B97F4A7C15
-    phases = np.array([(int(z) - 3 * golden) % 2**64 for z in states], dtype=np.uint64)
+    phases = np.array([(z - 3 * golden) % 2**64 for z in states], dtype=np.uint64)
     assert draws_at(phases, 2).tolist() == expected  # the state of draw 2 is phase + 3 * GOLDEN
+    # the studies' integer compare at the same draws, which hit t = 1 - 2**-53 only at the top
+    monkeypatch.setattr(experiments, "_rep_phases", lambda seed, n_reps: phases[:n_reps])
+    t = np.array([0.0, 2.0**-53, 1.0 - 2.0**-53, 1.0])
+    hits = np.empty(4, dtype=bool)
+
+    def record(rows, hit, scratch):
+        hits[rows] = hit[:, 2]
+        return 0.0
+
+    experiments._repeat(0, 4, 3, t[:, None], record)
+    assert hits.tolist() == [True, False, True, False]
 
 
 def test_integer_thresholds_are_exact():
@@ -187,30 +197,12 @@ def test_integer_thresholds_are_exact():
     assert _draw_thresholds(np.array([np.nan])).tolist() == [2**54]  # no draw passes NaN
 
 
-def test_hit_blocks_match_float_comparison():
-    # several rows per block, a partial last block, per-row and per-column thresholds
-    width = 5
-    counters = np.arange(width)
-    t_col = np.random.default_rng(1).random(width)
-    t_col[1] = 2.0
-    t_row = np.random.default_rng(2).random((NEAR_WRAP.size, 1))
-    for t in (t_col, t_row):
-        seen = 0
-        for rows, hit, scratch in _hit_blocks(NEAR_WRAP, t, width, 4):
-            u = draws_at(NEAR_WRAP[rows, None], counters)
-            assert np.array_equal(hit, u >= np.broadcast_to(t, (NEAR_WRAP.size, width))[rows])
-            assert scratch.shape == hit.shape and scratch.dtype == np.float64
-            seen += hit.shape[0]
-        assert seen == NEAR_WRAP.size
-    assert not any(hit[:, 1].any() for _, hit, _ in _hit_blocks(NEAR_WRAP, t_col, width, 4))
-
-
 def test_no_overflow_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for counter in (7, 2**64 - 1):
             assert draws_at(2**64 - 1, counter) == splitmix64_draw(2**64 - 1, counter)
         draws_at(NEAR_WRAP, 5)
-        list(_hit_blocks(NEAR_WRAP, 0.5, 3, 4))
+        experiments._repeat(0, 5, 3, 0.5, lambda rows, hit, scratch: hit.sum(axis=1))
         RandomStream(2**64 - 1).substream(2**64 - 1).uniform(10)
         optimize_table(Preset.D2, grid_size=11, pso=PsoConfig(iterations=5))
