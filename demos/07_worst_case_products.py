@@ -19,7 +19,7 @@ for x1, x2 in [(0.5, 0.5), (1.5, 0.4), (2.7, 0.3), (4.5, 0.05)]:
         f"error {b.e_down:.3f} with prob {b.p:.2f}, else {b.e_up:.3f}"
     )
 
-grid = contour_grid((0.0, 5.0), (0.0, 1.0), (200, 200))
+grid = contour_grid(x1_max=5.0, resolution=200)
 i = np.floor(grid.x1)[:, None]
 prod = grid.x1[:, None] * grid.x2[None, :]
 small = (prod <= i / 2) & (i >= 1)

@@ -30,6 +30,7 @@ from .experiments import (
     SQRT_TEST_VALUES,
     CaseId,
     NewtonConfig,
+    _runs,
     run_inner_product_experiment,
     run_sqrt_experiment,
     run_summation_experiment,
@@ -135,11 +136,9 @@ def _cmd_round(args) -> int:
         if len(modes) > 1:
             raise ValueError(f"--mode names one mode, got {args.mode!r}")
         mode = modes[0][1]
-    if args.count < 1:
-        raise ValueError(f"--count must be at least 1, got {args.count}")
+    count = _runs(mode, args.count, "--count")
     spec = RoundingSpec(args.n, args.base)
     rng = RandomStream(args.seed)
-    count = 1 if isinstance(mode, DeterministicMode) else args.count
     for _ in range(count):
         print(f"{round_values(args.x, mode, spec, rng):.17g}")
     return 0
@@ -185,11 +184,8 @@ def _sqrt_study(args):
 
 
 def _dot_study(args):
-    sizes = _subjects(args.sizes, int, "--sizes")
-    if min(sizes) < 2:
-        raise ValueError("sizes must be at least 2")
     return _per_mode(
-        args, ["n", "mode", "abs_bias", "variance", "rel_err"], sizes,
+        args, ["n", "mode", "abs_bias", "variance", "rel_err"], _subjects(args.sizes, int, "--sizes"),
         lambda n, mode: run_inner_product_experiment(n, mode, n_reps=args.reps, seed=args.seed),
         lambda n, token, rep: (n, token, *_error_stats(rep.summary)))
 
@@ -204,7 +200,7 @@ def _varbound_study(args):
 
 
 def _contour_study(args):
-    grid = contour_grid((0.0, args.x1_max), (0.0, 1.0), (args.res, args.res))
+    grid = contour_grid(args.x1_max, args.res)
     # a list (the benchmark's write_csv span calls len()) of preformatted lines, floats as
     # format_number writes them; x1, x2 and p (p depends on x1 alone) repeat, so are formatted once
     x1, x2, p = ([format_number(v) for v in c.tolist()] for c in (grid.x1, grid.x2, grid.p[:, 0]))

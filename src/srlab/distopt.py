@@ -295,8 +295,7 @@ def optimize_table(
     variance-only presets have the two exact optima p = 0 and p = 1; their
     names pin which endpoint the table stores, and no swarm runs for them.
     """
-    if grid_size < 2:
-        raise ValueError("grid_size must be at least 2")
+    grid_size = _integer(grid_size, "grid_size", 2)
     preset = preset_or_cfg if isinstance(preset_or_cfg, Preset) else None
     cfg = _objective_config(preset_or_cfg)
     pso = pso or PsoConfig()

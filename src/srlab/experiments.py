@@ -28,7 +28,7 @@ import numpy as np
 
 from .rounding import SR, DeterministicMode, RoundingMode, RoundingSpec, rounding_thresholds, stochastic_round_with
 from .stats import StatsSummary, sr_variance_theoretical, summarize, variance_bound
-from .streams import RandomStream, _draw_thresholds, _integer, _mix_shift, _steps, draws_at, substream_phases
+from .streams import RandomStream, _draw_thresholds, _integer, _mix_shift, _real, _steps, draws_at, substream_phases
 
 __all__ = [
     "CaseId",
@@ -82,16 +82,12 @@ _CASE_PARAMS = {
 class NewtonConfig:
     """Square-root iteration settings; convergence is |x_{k+1} - x_k| <= tol; ``n_max`` is an integer >= 1."""
 
-    x0: float = 1.0
     tol: float = 1e-5
     n_max: int = 100
     spec: RoundingSpec = RoundingSpec(3, 10)
 
     def __post_init__(self):
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
-        if not math.isfinite(self.x0):
-            raise ValueError(f"x0 must be finite, got {self.x0!r}")
+        _real(self.tol, "tol")
         _integer(self.n_max, "n_max", 1)
 
 
@@ -114,10 +110,11 @@ def _digest(arr: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()[:16]
 
 
-def _check_reps(n_reps: int) -> None:
-    """Reject a repetition count below 1, also for a mode that runs one."""
-    if n_reps < 1:
-        raise ValueError(f"n_reps must be at least 1, got {n_reps}")
+def _runs(mode: RoundingMode, n_reps, name: str = "n_reps") -> int:
+    """Repetitions that a study of ``mode`` runs: ``n_reps``, an integer >= 1
+    (checked for every mode), or one for a deterministic mode."""
+    n_reps = _integer(n_reps, name, 1)
+    return 1 if isinstance(mode, DeterministicMode) else n_reps
 
 
 def _rep_phases(seed: int, n_reps: int) -> np.ndarray:
@@ -158,9 +155,8 @@ def _rounding_study(values, exact, combine, mode, subject, n_reps, seed) -> Expe
     row.  A deterministic mode runs one repetition: its thresholds are 0 or
     1, so its draws cannot change the result.
     """
-    _check_reps(n_reps)
+    n_reps = _runs(mode, n_reps)
     lower, t = rounding_thresholds(values, mode, RoundingSpec())
-    n_reps = 1 if isinstance(mode, DeterministicMode) else n_reps
     outcomes = _repeat(seed, n_reps, values.size, t, combine(lower))
     return ExperimentReport(
         label=mode.label,
@@ -210,7 +206,7 @@ def _sum_rows(lower):
 def _newton_many(a: float, mode: RoundingMode, cfg: NewtonConfig, phases: np.ndarray):
     """Rounded Newton square roots of ``a``, one run per repetition, in lockstep.
 
-    A run rounds the radicand once, to fa, and from x_0 = ``cfg.x0`` step k
+    A run rounds the radicand once, to fa, and from x_0 = 1 step k
     rounds the quotient q = fl(fa / x_{k-1}) and then x_k = fl(0.5 (x_{k-1} + q)).
     It converges at the first k with |x_k - x_{k-1}| <= tol, breaks down when
     fa or an iterate that a later step divides by is zero, and otherwise
@@ -225,14 +221,13 @@ def _newton_many(a: float, mode: RoundingMode, cfg: NewtonConfig, phases: np.nda
     """
     n = phases.size
     fa = stochastic_round_with(np.full(n, float(a)), mode, cfg.spec, draws_at(phases, 0))
-    # a zero rounded radicand breaks down, as does a zero iterate before a quotient
-    breakdown = (fa == 0.0) | (cfg.x0 == 0.0)
+    breakdown = fa == 0.0
     value = np.full(n, np.nan)
     n_it = np.full(n, cfg.n_max, dtype=np.int64)
     converged = np.zeros(n, dtype=bool)
     # the active repetitions: original index, rounded radicand, iterate, phase
     rid = np.flatnonzero(~breakdown)
-    fa, x = fa[rid], np.full(rid.size, float(cfg.x0))
+    fa, x = fa[rid], np.ones(rid.size)
     ph = phases[rid]
     for k in range(1, cfg.n_max + 1):
         if rid.size == 0:
@@ -273,10 +268,8 @@ def run_sqrt_experiment(
     not solvable.
     """
     cfg = cfg or NewtonConfig()
-    if not a > 0.0:
-        raise ValueError(f"radicand must be positive, got {a!r}")
-    _check_reps(n_reps)
-    n_reps = 1 if isinstance(mode, DeterministicMode) else n_reps
+    a = _real(a, "radicand")
+    n_reps = _runs(mode, n_reps)
     value, n_it, convs, breakdown = _newton_many(a, mode, cfg, _rep_phases(seed, n_reps))
     values = value[~breakdown]  # a breakdown never converges
     if values.size == 0:
@@ -286,7 +279,7 @@ def run_sqrt_experiment(
         summary = summarize(values, math.sqrt(a), n_it_mean=n_it_mean)
     return ExperimentReport(
         label=mode.label,
-        subject=repr(float(a)),
+        subject=repr(a),
         summary=summary,
         seed=seed,
         n_reps=breakdown.size,
@@ -299,8 +292,7 @@ def run_sqrt_experiment(
 
 def gen_sine_vectors(n: int):
     """(sin(y), y) with y equidistant over the closed interval [0, 2*pi]."""
-    if n < 2:
-        raise ValueError("need at least two points")
+    n = _integer(n, "vector size n", 2)
     y = (2.0 * np.pi) * np.arange(n) / (n - 1.0)
     return np.sin(y), y
 
@@ -339,10 +331,7 @@ def validate_variance_bound(
 ) -> VarianceBoundGrid:
     """Empirical vs. theoretical rounding variance over a fine x grid; grid
     point j is repetition j, so its ``draws`` roundings use substream 16 + j."""
-    if not (step > 0.0 and 0.0 <= x_max < math.inf):
-        raise ValueError(f"need step > 0 and a finite x_max >= 0, got step={step!r}, x_max={x_max!r}")
-    if draws < 1:
-        raise ValueError(f"draws must be at least 1, got {draws}")
+    step, x_max, draws = _real(step, "step"), _real(x_max, "x_max", zero=True), _integer(draws, "draws", 1)
     spec = RoundingSpec(n_bits, 2)
     n_pts = int(round(x_max / step)) + 1
     xs = np.arange(n_pts) * step

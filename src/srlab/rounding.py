@@ -25,7 +25,7 @@ from typing import Union
 
 import numpy as np
 
-from .streams import RandomStream
+from .streams import RandomStream, _integer
 
 __all__ = [
     "RoundingSpec",
@@ -42,7 +42,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RoundingSpec:
-    """Grid description: ``n`` fractional digits in ``base`` (2 or 10).
+    """Grid description: ``n`` fractional digits (an integer >= 0) in ``base`` (2 or 10).
 
     The grid step is ``delta = base**-n`` and the scaling factor is
     ``theta = base**n``; ``n = 0`` means rounding to integers.
@@ -52,8 +52,7 @@ class RoundingSpec:
     base: int = 2
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 0:
-            raise ValueError(f"fractional-digit count must be a non-negative integer, got {self.n!r}")
+        object.__setattr__(self, "n", _integer(self.n, "fractional-digit count n"))
         if self.base not in (2, 10):
             raise ValueError(f"base must be 2 or 10, got {self.base!r}")
         # base**n is a finite double exactly up to n = 1023 (base 2) and 308 (base 10);

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rounding import RoundingSpec, grid_fraction
+from .streams import _integer, _real
 
 __all__ = [
     "StatsSummary",
@@ -130,25 +131,18 @@ def worst_case_rel_error(x1: float, x2: float) -> WorstCaseBranches:
     return WorstCaseBranches(float(e_down), float(e_up), float(p))
 
 
-def contour_grid(x1_range=(0.0, 5.0), x2_range=(0.0, 1.0), resolution=(200, 200)) -> ContourGrid:
-    """Worst-case error branches on a (len(x1), len(x2)) cell-centre grid.
+def contour_grid(x1_max: float = 5.0, resolution: int = 200) -> ContourGrid:
+    """Worst-case error branches on the cell centres of a square grid over
+    (0, x1_max) x (0, 1), ``resolution`` cells a side.
 
-    Cell centres sit half a cell away from the range edges, which keeps x1
-    off integers and x2 inside (0, 1) for the default ranges.
+    Cell centres sit half a cell away from the edges, which keeps x2 inside
+    (0, 1); a grid whose x1 hits an integer is refused.
     """
-    n1, n2 = int(resolution[0]), int(resolution[1])
-    if n1 < 1 or n2 < 1:
-        raise ValueError("resolution must be positive")
-    lo1, hi1 = map(float, x1_range)
-    lo2, hi2 = map(float, x2_range)
-    if not np.all(np.isfinite((lo1, hi1, lo2, hi2))):
-        raise ValueError("ranges must be finite")
-    if not (hi1 > lo1 >= 0.0 and hi2 > lo2 >= 0.0 and hi2 <= 1.0):
-        raise ValueError("ranges must be positive, with x2 within [0, 1]")
-    x1 = lo1 + (np.arange(n1) + 0.5) * (hi1 - lo1) / n1
-    x2 = lo2 + (np.arange(n2) + 0.5) * (hi2 - lo2) / n2
-    if np.any(x1 == np.floor(x1)) or np.any(x2 <= 0.0) or np.any(x2 >= 1.0):
-        raise ValueError("grid cells must avoid integer x1 and the x2 endpoints")
-    # e_down and e_up come out (n1, n2) and fresh; p depends on x1 alone
+    x1_max, n = _real(x1_max, "x1_max"), _integer(resolution, "resolution", 1)
+    x1 = (np.arange(n) + 0.5) * x1_max / n
+    x2 = (np.arange(n) + 0.5) / n
+    if np.any(x1 == np.floor(x1)):
+        raise ValueError("grid cells must avoid integer x1")
+    # e_down and e_up come out (n, n) and fresh; p depends on x1 alone
     e_down, e_up, p = _branches(x1[:, None], x2[None, :])
-    return ContourGrid(x1=x1, x2=x2, e_down=e_down, e_up=e_up, p=np.broadcast_to(p, (n1, n2)).copy())
+    return ContourGrid(x1=x1, x2=x2, e_down=e_down, e_up=e_up, p=np.broadcast_to(p, (n, n)).copy())

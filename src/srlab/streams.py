@@ -22,6 +22,8 @@ with integer thresholds, exactly as ``u >= t``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _SEED_SALT = 0xD1B54A32D192ED03
@@ -82,10 +84,18 @@ def draws_at(phase, counters) -> np.ndarray:
 
 
 def _integer(value, name: str, low: int = 0) -> int:
-    """``value`` as an int, if it is a Python or numpy integer, not a bool, in [low, 2^64)."""
+    """``value`` as an int, if it is a Python or numpy integer, not a bool, in [low, 2^64): every seed and count."""
     if type(value) is bool or not isinstance(value, (int, np.integer)) or not low <= value < 1 << 64:
         raise ValueError(f"{name} must be an integer in [{low}, 2**64), got {value!r}")
     return int(value)
+
+
+def _real(value, name: str, zero: bool = False) -> float:
+    """``value`` as a float, if it is a Python or numpy real, not a bool, finite and positive (or zero, if ``zero``)."""
+    if (type(value) is bool or not isinstance(value, (int, float, np.integer, np.floating))
+            or not (0 <= value if zero else 0 < value) or not value < math.inf):
+        raise ValueError(f"{name} must be a finite {'non-negative' if zero else 'positive'} real number, got {value!r}")
+    return float(value)
 
 
 def substream_phases(phase, indices) -> np.ndarray:

@@ -299,8 +299,9 @@ def rounded_sum(xs, mode: RoundingMode, spec: RoundingSpec = RoundingSpec(), rng
     return float(np.sum(round_values(np.asarray(xs, dtype=np.float64), mode, spec, rng)))
 
 
-def newton_sqrt_rounded(a: float, mode: RoundingMode | None, cfg: NewtonConfig, rng: RandomStream | None = None):
-    """One rounded Newton square-root run; returns (value, n_it, converged).
+def newton_sqrt_rounded(a: float, mode: RoundingMode | None, cfg: NewtonConfig, rng: RandomStream | None = None,
+                        x0: float = 1.0):
+    """One rounded Newton square-root run from ``x0``; returns (value, n_it, converged).
 
     The radicand is rounded once up front; each step rounds the quotient and
     then the halved sum.  ``mode=None`` runs the iteration in plain double
@@ -317,7 +318,7 @@ def newton_sqrt_rounded(a: float, mode: RoundingMode | None, cfg: NewtonConfig, 
     fa = fl(a)
     if fa == 0.0:
         raise BreakdownError(f"rounded radicand of {a} is zero")
-    x = float(cfg.x0)
+    x = float(x0)
     for k in range(1, cfg.n_max + 1):
         if x == 0.0:
             raise BreakdownError("iterate rounded to zero")

@@ -283,7 +283,7 @@ def test_c09_inner_product_narrative(tables_1001):
 
 def test_c10_worst_case_grid():
     failures = []
-    g = contour_grid((0.0, 5.0), (0.0, 1.0), (200, 200))
+    g = contour_grid(5.0, 200)
     i = np.floor(g.x1)[:, None]
     prod = g.x1[:, None] * g.x2[None, :]
     small = (prod <= i / 2) & (i >= 1)

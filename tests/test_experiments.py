@@ -13,6 +13,7 @@ from oracles import (
 )
 from srlab import experiments
 from srlab.cli import _BUILTIN_MODES
+from srlab.distopt import Preset, PsoConfig, optimize_table
 from srlab.experiments import (
     SQRT_TEST_VALUES,
     CaseId,
@@ -26,7 +27,7 @@ from srlab.experiments import (
     validate_variance_bound,
 )
 from srlab.rounding import SR, DeterministicMode, ProbabilityTable, RoundingSpec, round_values
-from srlab.stats import summarize
+from srlab.stats import contour_grid, summarize
 from srlab.streams import RandomStream, draws_at
 
 D = DeterministicMode
@@ -265,28 +266,53 @@ class TestRepetitionEngine:
         assert all(result == results[0] for result in results[1:])
 
     def test_bad_counts_rejected(self):
-        with pytest.raises(ValueError):
-            run_summation_experiment(CaseId.III, SR, n_reps=0)
-        with pytest.raises(ValueError):
-            run_inner_product_experiment(50, SR, n_reps=0)
-        with pytest.raises(ValueError):
-            run_sqrt_experiment(2.0, SR, n_reps=0)
-        with pytest.raises(ValueError):
-            run_sqrt_experiment(-1.0, SR)
-        with pytest.raises(ValueError):
-            run_summation_experiment(CaseId.III, D.HALF_EVEN, n_reps=0)
-        with pytest.raises(ValueError):
-            run_sqrt_experiment(2.0, D.HALF_EVEN, n_reps=0)
-        with pytest.raises(ValueError):
-            validate_variance_bound(step=0.0)
-        with pytest.raises(ValueError):
-            validate_variance_bound(x_max=-1.0)
-        with pytest.raises(ValueError):
-            validate_variance_bound(draws=0)
-        for n_max in (0, 2.5, True, np.float64(3.0), "3", None):
-            with pytest.raises(ValueError, match="n_max must be an integer"):
-                NewtonConfig(n_max=n_max)
+        # every count: its name in the message, its least value, and the calls that take it
+        counts = [
+            ("n_reps", 1, [lambda v: run_summation_experiment(CaseId.III, SR, n_reps=v),
+                           lambda v: run_summation_experiment(CaseId.III, D.HALF_EVEN, n_reps=v),
+                           lambda v: run_inner_product_experiment(50, SR, n_reps=v),
+                           lambda v: run_sqrt_experiment(2.0, SR, n_reps=v),
+                           lambda v: run_sqrt_experiment(2.0, D.HALF_EVEN, n_reps=v)]),
+            ("draws", 1, [lambda v: validate_variance_bound(step=0.5, draws=v)]),
+            ("fractional-digit count n", 0, [RoundingSpec, lambda v: validate_variance_bound(n_bits=v, step=0.5, draws=5)]),
+            ("vector size n", 2, [gen_sine_vectors, lambda v: run_inner_product_experiment(v, SR, n_reps=3)]),
+            ("grid_size", 2, [lambda v: optimize_table(Preset.D1, grid_size=v, pso=PsoConfig(iterations=1))]),
+            ("resolution", 1, [lambda v: contour_grid(resolution=v)]),
+            ("n_max", 1, [lambda v: NewtonConfig(n_max=v)]),
+        ]
+        for name, low, calls in counts:
+            for call in calls:
+                for bad in (low - 1, 2.5, True, np.float64(3.0), "3", None):
+                    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                        call(bad)
+                call(np.int64(low))
+        # the cases that were let through or failed deep inside numpy
+        for call in (lambda: run_sqrt_experiment(2.0, SR, n_reps=2.5), lambda: run_sqrt_experiment(2.0, SR, n_reps=True),
+                     lambda: gen_sine_vectors(2.5), lambda: contour_grid(resolution=(2.5, True)),
+                     lambda: RoundingSpec(True)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                call()
+        assert run_sqrt_experiment(2.0, SR, n_reps=np.int64(3)).n_reps == 3
+        spec = RoundingSpec(np.int64(3))
+        assert spec == RoundingSpec(3) and type(spec.n) is int
         assert NewtonConfig(n_max=np.int64(3)).n_max == 3
+        # reals: finite, positive (x_max may be 0) and not booleans
+        for name, call in (("radicand", lambda v: run_sqrt_experiment(v, SR)),
+                           ("tol", lambda v: NewtonConfig(tol=v)),
+                           ("step", lambda v: validate_variance_bound(step=v)),
+                           ("x_max", lambda v: validate_variance_bound(x_max=v)),
+                           ("x1_max", lambda v: contour_grid(x1_max=v))):
+            for bad in (-1.0, math.nan, math.inf, True, "1", None):
+                with pytest.raises(ValueError, match=f"^{name} must be a finite"):
+                    call(bad)
+        for bad in (0.0, -0.0):
+            with pytest.raises(ValueError, match="^radicand"):
+                run_sqrt_experiment(bad, SR)
+        with pytest.raises(ValueError, match="^step"):
+            validate_variance_bound(step=0.0)
+        with pytest.raises(ValueError, match="^step"):
+            validate_variance_bound(step=True, x_max=True)
+        assert validate_variance_bound(x_max=0.0, step=np.float64(0.5), draws=5).x.tolist() == [0.0]
 
 
 class TestNewton:
@@ -349,27 +375,26 @@ class TestNewton:
                     continue
                 assert (breakdown[0], value[0], n_it[0], conv[0]) == expected
 
+    # x0 is the oracle's start; the engine always starts at 1
     @pytest.mark.parametrize("spec, n_max, x0", [(MILLI, 100, 1.0), (RoundingSpec(0, 10), 100, 1.0), (MILLI, 3, 1.0),
-                                                 (RoundingSpec(0, 10), 13, 1.0), (MILLI, 13, 0.0)])
+                                                 (RoundingSpec(0, 10), 13, 1.0)])
     @pytest.mark.parametrize("mode_name", ["sr", "d1", "d2"])
     def test_engine_matches_scalar_per_repetition(self, mode_name, spec, n_max, x0, d1_table, d2_table):
         # n_max 3 stops inside the first draw block and 13 inside the second
         # (neither is a multiple of its size); the integer grid breaks down
-        # at 0.30146 and cycles at 6.55501, and x0 = 0 breaks down everywhere
+        # at 0.30146 and cycles at 6.55501
         mode = {"sr": SR, "d1": d1_table, "d2": d2_table}[mode_name]
-        cfg = NewtonConfig(x0=x0, n_max=n_max, spec=spec)
+        cfg = NewtonConfig(n_max=n_max, spec=spec)
         root = RandomStream(11)
         for a in (0.30146, 6.55501, 8133.27762):
             got = _newton_rows(a, mode, cfg, seed=11, n_reps=40)
             ref = []
             for r in range(40):
                 try:
-                    ref.append((False, *newton_sqrt_rounded(a, mode, cfg, root.substream(16 + r))))
+                    ref.append((False, *newton_sqrt_rounded(a, mode, cfg, root.substream(16 + r), x0=x0)))
                 except BreakdownError:
                     ref.append((True, None, None, None))
             assert got == ref, (a, mode_name)
-        if x0 == 0.0:
-            assert all(row[0] for row in got)
 
     def test_engine_reports_breakdowns_and_nonconvergence(self):
         # the cases above meet both: SR on the integer grid breaks down at
@@ -402,8 +427,7 @@ class TestNewton:
         assert all(result == results[0] for result in results[1:])
 
     def test_config_rejects_non_finite_settings(self):
-        for kwargs in ({"tol": math.nan}, {"tol": math.inf}, {"tol": 0.0}, {"tol": -1e-5}, {"x0": math.nan}, {"x0": math.inf},
-                       {"n_max": 0}):
+        for kwargs in ({"tol": math.nan}, {"tol": math.inf}, {"tol": 0.0}, {"tol": -1e-5}, {"n_max": 0}):
             with pytest.raises(ValueError):
                 NewtonConfig(**kwargs)
 

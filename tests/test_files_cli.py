@@ -322,7 +322,7 @@ class TestExperimentCommands:
     @pytest.mark.parametrize("res", [1, 7, 100])
     @pytest.mark.parametrize("x1_max", [5.0, 3.7])
     def test_contour_cells_match_the_float_rows(self, res, x1_max):
-        grid = contour_grid((0.0, x1_max), (0.0, 1.0), (res, res))
+        grid = contour_grid(x1_max, res)
         columns = (*np.meshgrid(grid.x1, grid.x2, indexing="ij"), grid.e_down, grid.e_up, grid.p)
         expected = [",".join(format_number_reference(v) for v in row)
                     for row in zip(*(c.ravel().tolist() for c in columns))]
@@ -503,6 +503,11 @@ class TestExperimentCommands:
         ["experiment", "sqrt", "--values", "2", "--modes", "cr", "--seed", "18446744073709551616"],
         ["experiment", "dot", "--sizes", "50", "--reps", "10", "--seed", "-1"],
         ["experiment", "varbound", "--step", "0.5", "--draws", "10", "--seed", "-1"],
+        # a radicand that is not finite, and counts outside [least, 2**64)
+        ["experiment", "sqrt", "--values", "inf", "--modes", "cr"],
+        ["round", "0.4", "--mode", "sr", "--count", "18446744073709551616"],
+        ["experiment", "contour", "--res", "18446744073709551616"],
+        ["experiment", "dot", "--sizes", "50,1", "--reps", "3"],
     ],
 )
 def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):
@@ -547,7 +552,6 @@ def test_cli_defaults_are_the_library_defaults():
     assert (var.bits, var.xmax, var.step, var.draws, var.seed) == (
         bound["n_bits"], bound["x_max"], bound["step"], bound["draws"], bound["seed"])
     con, grid = parse("experiment", "contour"), defaults(contour_grid)
-    assert ((0.0, con.x1_max), (0.0, 1.0), (con.res, con.res)) == (
-        grid["x1_range"], grid["x2_range"], grid["resolution"])
+    assert (con.x1_max, con.res) == (grid["x1_max"], grid["resolution"])
     rnd = parse("round", "0.5")
     assert RoundingSpec(rnd.n, rnd.base) == RoundingSpec()

@@ -138,22 +138,22 @@ class TestWorstCase:
 
 class TestContourGrid:
     def test_shapes_and_cells(self):
-        g = contour_grid((0.0, 5.0), (0.0, 1.0), (200, 200))
+        g = contour_grid(5.0, 200)
         assert g.e_down.shape == (200, 200)
         assert np.all(g.x1 != np.floor(g.x1))
         assert np.all((g.x2 > 0) & (g.x2 < 1))
 
     def test_down_branch_constant_below_one(self):
-        g = contour_grid((0.0, 1.0), (0.0, 1.0), (50, 50))
+        g = contour_grid(1.0, 50)
         assert np.all(g.e_down == 1.0)
 
     def test_error_grows_as_x2_shrinks(self):
-        g = contour_grid((0.0, 5.0), (0.0, 1.0), (100, 100))
+        g = contour_grid(5.0, 100)
         assert g.e_up[:, 0].min() > g.e_up[:, -1].max()
         assert g.e_up.max() > 100.0
 
     def test_half_product_locus(self):
-        g = contour_grid((0.0, 5.0), (0.0, 1.0), (400, 400))
+        g = contour_grid(5.0, 400)
         prod = g.x1[:, None] * g.x2[None, :]
         i = np.floor(g.x1)[:, None]
         near = np.abs(prod - i / 2) < 1e-3
@@ -162,10 +162,7 @@ class TestContourGrid:
         assert np.allclose(g.e_down[near], 1.0, atol=0.02)
 
     def test_invalid_ranges(self):
-        with pytest.raises(ValueError):
-            contour_grid((0.0, 5.0), (0.0, 1.5), (10, 10))
-        with pytest.raises(ValueError):
-            contour_grid((1.0, 1.0), (0.0, 1.0), (10, 10))
-        for bad in (np.inf, np.nan):
-            with pytest.raises(ValueError, match="ranges must be finite"):
-                contour_grid((0.0, bad), (0.0, 1.0), (10, 10))
+        # x1 spans (0, x1_max), which must be a finite positive real, and x2 spans (0, 1)
+        for bad in (np.inf, np.nan, 0.0, True):
+            with pytest.raises(ValueError, match="x1_max must be a finite positive real"):
+                contour_grid(bad, 10)
