@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Subcommands: ``optimize`` (build and persist a probability table),
-``round`` (round values interactively), and ``experiment`` with the study
-runners ``sum``, ``sqrt``, ``dot``, ``varbound`` and ``contour``.  All
-randomness flows from ``--seed`` (default 0, never wall-clock), and equal
-invocations produce byte-identical output files.
+Subcommands: ``optimize`` (persist a probability table), ``round`` (round
+values interactively), ``experiment`` with the studies ``sum``, ``sqrt``,
+``dot``, ``varbound`` and ``contour``, and ``reproduce`` (the paper's seven
+runs in one process).  All randomness flows from ``--seed`` (default 0,
+never wall-clock), and equal invocations produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import errno
+import functools
 import json
 import os
 import sys
@@ -39,7 +40,7 @@ from .experiments import (
 from .files import format_number, read_distribution, write_csv, write_distribution
 from .rounding import SR, DeterministicMode, RoundingSpec, round_values
 from .stats import contour_grid
-from .streams import RandomStream
+from .streams import RandomStream, _integer
 
 _BUILTIN_MODES = {m.label: m for m in (*DeterministicMode, SR)} | {"cr": DeterministicMode.HALF_EVEN}
 
@@ -145,7 +146,7 @@ def _cmd_round(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    header, rows = args.study(args)
+    header, rows = globals()[f"_{args.experiment}_study"](args)
     print(f"wrote {args.out} ({write_csv(args.out, header, rows)} rows)")
     return 0
 
@@ -209,8 +210,7 @@ def _contour_study(args):
         for a, pa, dns, ups in zip(x1, p, grid.e_down, grid.e_up) for b, dn, up in zip(x2, dns.tolist(), ups.tolist())]
 
 
-def _add_common_experiment_args(p, study, with_modes=True):
-    p.set_defaults(handler=_cmd_experiment, study=study)
+def _add_common_experiment_args(p, with_modes=True):
     if with_modes:
         p.add_argument("--modes", default="sr,cr", help="comma list of modes (builtin or table labels)")
         p.add_argument("--table", action="append", metavar="FILE", help="distribution file; adds its label as a mode")
@@ -224,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_opt = sub.add_parser("optimize", help="optimize a rounding probability table")
-    p_opt.set_defaults(handler=_cmd_optimize)
     p_opt.add_argument("--preset", help=f"one of {', '.join(p.value for p in Preset)}")
     p_opt.add_argument("--config", help="JSON file with objective-config fields")
     p_opt.add_argument("--grid-size", type=int, default=1001)
@@ -234,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--out", required=True, help="output JSON path")
 
     p_round = sub.add_parser("round", help="round one value and print the result(s)")
-    p_round.set_defaults(handler=_cmd_round)
     p_round.add_argument("x", type=float)
     p_round.add_argument("--mode", default="half-even",
                          help="floor, ceil, half-up, half-down, half-even, half-odd, cr, sr, or table")
@@ -249,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sum = exp_sub.add_parser("sum", help="rounded summation study")
     p_sum.add_argument("--case", default="I,II,III,IV", help="comma list from I,II,III,IV")
-    _add_common_experiment_args(p_sum, _sum_study)
+    _add_common_experiment_args(p_sum)
 
     p_sqrt = exp_sub.add_parser("sqrt", help="rounded Newton square-root study")
     p_sqrt.add_argument("--values", default=",".join(repr(v) for v in SQRT_TEST_VALUES))
@@ -257,23 +255,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_sqrt.add_argument("--base", type=int, choices=(2, 10), default=10)
     p_sqrt.add_argument("--tol", type=float, default=1e-5)
     p_sqrt.add_argument("--max-iter", type=int, default=100)
-    _add_common_experiment_args(p_sqrt, _sqrt_study)
+    _add_common_experiment_args(p_sqrt)
 
     p_dot = exp_sub.add_parser("dot", help="rounded inner-product study")
     p_dot.add_argument("--sizes", default=",".join(str(n) for n in DOT_SIZES))
-    _add_common_experiment_args(p_dot, _dot_study)
+    _add_common_experiment_args(p_dot)
 
     p_var = exp_sub.add_parser("varbound", help="variance-bound validation grid")
     p_var.add_argument("--bits", type=int, default=4)
     p_var.add_argument("--xmax", type=float, default=2.0)
     p_var.add_argument("--step", type=float, default=1e-4)
     p_var.add_argument("--draws", type=int, default=10_000)
-    _add_common_experiment_args(p_var, _varbound_study, with_modes=False)
+    _add_common_experiment_args(p_var, with_modes=False)
 
     p_con = exp_sub.add_parser("contour", help="worst-case product error grid")
     p_con.add_argument("--res", type=int, default=200)
     p_con.add_argument("--x1-max", type=float, default=5.0)
-    _add_common_experiment_args(p_con, _contour_study, with_modes=False)
+    _add_common_experiment_args(p_con, with_modes=False)
+
+    p_rep = sub.add_parser("reproduce", help="run the paper's seven commands in this process")
+    p_rep.add_argument("--out", dest="dir", metavar="DIR", required=True, help="directory for the seven files")
+    p_rep.add_argument("--seed", type=int, default=0)
 
     return parser
 
@@ -286,13 +288,43 @@ def _check_out(path) -> None:
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
+def _run(args) -> int:
+    """Check ``--out``, then run the handler (and study) that the parsed command names, looked up now."""
+    if getattr(args, "out", None) is not None:
+        _check_out(args.out)
+    return globals()[f"_cmd_{args.command}"](args)
+
+
+_parser = functools.cache(lambda: build_parser())  # the process's one parser, built by its first main call
+_PAPER_MODES = ("--modes", "sr,cr,d1,d2", "--table", "{dir}/d1.json", "--table", "{dir}/d2.json")
+_PAPER_RUNS = (  # (output file, argv) in order; reproduce puts DIR for {dir}, then adds --seed and --out
+    ("d1.json", ("optimize", "--preset", "d1")),
+    ("d2.json", ("optimize", "--preset", "d2")),
+    ("sum.csv", ("experiment", "sum", *_PAPER_MODES)),
+    ("sqrt.csv", ("experiment", "sqrt", *_PAPER_MODES)),
+    ("dot.csv", ("experiment", "dot", *_PAPER_MODES)),
+    ("varbound.csv", ("experiment", "varbound")),
+    ("contour.csv", ("experiment", "contour")),
+)
+
+
+def _cmd_reproduce(args) -> int:
+    """Parse every paper run and check its ``--out`` before running any, each as its own command."""
+    seed = str(_integer(args.seed, "seed"))
+    runs = [_parser().parse_args([*(a.format(dir=args.dir) for a in argv),
+                                  "--seed", seed, "--out", os.path.join(args.dir, name)]) for name, argv in _PAPER_RUNS]
+    for run in runs:
+        _check_out(run.out)
+    for run in runs:
+        _run(run)
+    return 0
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "out", None) is not None:
-            _check_out(args.out)
-        return args.handler(args)
+        return _run(args)
     except OSError as exc:  # a file that cannot be opened or written
         parser.exit(1, f"srlab: {exc}\n")
     except ValueError as exc:  # bad input, including a file with invalid contents

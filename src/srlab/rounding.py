@@ -53,6 +53,7 @@ class RoundingSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _integer(self.n, "fractional-digit count n"))
+        object.__setattr__(self, "base", _integer(self.base, "base"))
         if self.base not in (2, 10):
             raise ValueError(f"base must be 2 or 10, got {self.base!r}")
         # base**n is a finite double exactly up to n = 1023 (base 2) and 308 (base 10);

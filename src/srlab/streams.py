@@ -136,10 +136,9 @@ class RandomStream:
         return RandomStream(self.seed, _phase=int(phase))
 
     def uniform(self, size=None):
-        """Draw uniforms in [0, 1); a scalar when ``size`` is None."""
-        shape = () if size is None else (size,) if np.isscalar(size) else tuple(size)
-        if min(shape, default=0) < 0:
-            raise ValueError(f"negative dimensions are not allowed, got size {size!r}")
+        """Draw uniforms in [0, 1); a scalar when ``size`` is None, else a count or a tuple of counts."""
+        dims = () if size is None else (size,) if np.isscalar(size) else size
+        shape = tuple(_integer(d, "size") for d in dims)
         n = int(np.prod(shape, dtype=np.int64))
         u = draws_at(self.phase, np.arange(self._counter, self._counter + n)).reshape(shape)
         self._counter += n

@@ -18,6 +18,7 @@ from oracles import (
     rounded_radicand_sqrt_error,
     varhat_mean_std,
 )
+import srlab.cli
 from srlab.cli import main as cli_main
 from srlab.distopt import Preset, bias_of_p, objective, preset_config
 from srlab.experiments import (
@@ -364,6 +365,24 @@ def test_c11_output_fingerprints(tmp_path, capsys):
         for name in ["d1.json"] + [name for name, _ in invocations]
     }
     assert got == C11_DIGESTS
+
+
+def test_reproduce_matches_the_separate_commands(tmp_path, capsys, monkeypatch):
+    # reproduce with its table patched to c11's runs: the separate commands' bytes, so c11's digests
+    separate, together = tmp_path / "separate", tmp_path / "together"
+    separate.mkdir()
+    together.mkdir()
+    runs = [("d1.json", ["optimize", "--preset", "d1", "--grid-size", "41", "--iterations", "60"])]
+    for name, argv in _c11_invocations(separate):
+        assert argv[-2:] == ["--seed", "1"]  # reproduce adds the seed
+        runs.append((name, [a.replace(str(separate), "{dir}") for a in argv[:-2]]))
+        assert cli_main(argv + ["--out", str(separate / name)]) == 0
+    monkeypatch.setattr(srlab.cli, "_PAPER_RUNS", runs)
+    assert cli_main(["reproduce", "--out", str(together), "--seed", "1"]) == 0
+    assert sorted(p.name for p in together.iterdir()) == sorted(C11_DIGESTS)
+    for name, digest in C11_DIGESTS.items():
+        assert (together / name).read_bytes() == (separate / name).read_bytes(), name
+        assert hashlib.sha256((together / name).read_bytes()).hexdigest() == digest, name
 
 
 # sha256 of a summation run at the paper's 10 000 repetitions, on case III

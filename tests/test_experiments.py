@@ -296,6 +296,14 @@ class TestRepetitionEngine:
         spec = RoundingSpec(np.int64(3))
         assert spec == RoundingSpec(3) and type(spec.n) is int
         assert NewtonConfig(n_max=np.int64(3)).n_max == 3
+        # the base is 2 or 10 as a Python int: a numpy base must not overflow in base**n
+        spec = RoundingSpec(20, np.int64(10))
+        assert spec.theta == 1e20 and type(spec.base) is int
+        for bad in (10.0, True, "10"):
+            with pytest.raises(ValueError, match="^base must be an integer"):
+                RoundingSpec(3, bad)
+        with pytest.raises(ValueError, match="^base must be 2 or 10, got 3$"):
+            RoundingSpec(3, np.int64(3))
         # reals: finite, positive (x_max may be 0) and not booleans
         for name, call in (("radicand", lambda v: run_sqrt_experiment(v, SR)),
                            ("tol", lambda v: NewtonConfig(tol=v)),

@@ -20,7 +20,7 @@ from srlab import (
     run_summation_experiment,
     validate_variance_bound,
 )
-from srlab.cli import main
+from srlab.cli import build_parser, main
 from srlab.files import (
     format_number,
     read_distribution,
@@ -124,6 +124,14 @@ class TestDistributionFiles:
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def _no_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran the work before checking the input")
+
+    for name in ("optimize_table", "_sum_study", "_sqrt_study", "_dot_study", "_varbound_study", "_contour_study"):
+        monkeypatch.setattr(srlab.cli, name, no_work)
 
 
 class TestRoundCommand:
@@ -347,11 +355,7 @@ class TestExperimentCommands:
         ],
     )
     def test_unwritable_out_exits_1(self, argv, tmp_path, capsys, monkeypatch):
-        def no_work(*args, **kwargs):
-            raise AssertionError("ran the work before checking --out")
-
-        monkeypatch.setattr(srlab.cli, "optimize_table", no_work)
-        monkeypatch.setattr(srlab.cli, "_contour_study", no_work)
+        _no_work(monkeypatch)
         with pytest.raises(SystemExit) as exc:
             run_cli(*argv, "--out", str(tmp_path))
         assert exc.value.code == 1
@@ -427,6 +431,67 @@ class TestExperimentCommands:
             assert run_cli(*args, "--out", str(first)) == 0
             assert run_cli(*args, "--out", str(second)) == 0
             assert first.read_bytes() == second.read_bytes()
+
+
+class TestOneProcess:
+    def test_parser_built_once_across_main_calls(self, monkeypatch, capsys):
+        builds = []
+
+        def counting_build():
+            builds.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(srlab.cli, "build_parser", counting_build)
+        srlab.cli._parser.cache_clear()
+        assert run_cli("round", "1.6") == 0 and run_cli("round", "0.4", "--mode", "ceil") == 0
+        assert builds == [1]
+        assert capsys.readouterr().out == "2\n1\n"
+
+    def test_a_study_patched_after_a_main_call_runs(self, tmp_path, monkeypatch, capsys):
+        assert run_cli("round", "1.6") == 0  # the parser exists before the patch
+        monkeypatch.setattr(srlab.cli, "_contour_study", lambda args: (["a", "b"], [(1, "x"), (2.5, "y")]))
+        out = tmp_path / "c.csv"
+        assert run_cli("experiment", "contour", "--out", str(out)) == 0
+        assert out.read_text() == "a,b\n1,x\n2.5,y\n"
+
+    def test_help_lists_reproduce(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--help")
+        assert exc.value.code == 0
+        assert "reproduce" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_reproduce_into_no_directory_exits_1(self, kind, tmp_path, capsys, monkeypatch):
+        _no_work(monkeypatch)
+        target = tmp_path / "repro"
+        if kind == "file":
+            target.write_text("")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("reproduce", "--out", str(target))
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("srlab: ") and str(target) in err and len(err.splitlines()) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ([] if kind == "missing" else ["repro"])
+
+    @pytest.mark.parametrize("order", [1, -1])  # reversed, contour, which ignores the seed, runs first
+    def test_reproduce_bad_seed_exits_2_before_any_work(self, order, tmp_path, capsys, monkeypatch):
+        _no_work(monkeypatch)
+        monkeypatch.setattr(srlab.cli, "_PAPER_RUNS", srlab.cli._PAPER_RUNS[::order])
+        with pytest.raises(SystemExit) as exc:
+            run_cli("reproduce", "--out", str(tmp_path), "--seed", "-1")
+        assert exc.value.code == 2
+        usage, message = capsys.readouterr().err.splitlines()
+        assert usage.startswith("usage: srlab") and message == "srlab: error: seed must be an integer in [0, 2**64), got -1"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_reproduce_checks_every_out_before_any_work(self, tmp_path, capsys, monkeypatch):
+        _no_work(monkeypatch)
+        (tmp_path / "contour.csv").mkdir()  # the last run's output is a directory
+        with pytest.raises(SystemExit) as exc:
+            run_cli("reproduce", "--out", str(tmp_path))
+        assert exc.value.code == 1
+        assert str(tmp_path / "contour.csv") in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["contour.csv"]
 
 
 @pytest.mark.parametrize(

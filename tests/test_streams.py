@@ -100,12 +100,15 @@ def test_uniform_shapes():
 
 
 def test_negative_size_rejected_without_moving_the_counter():
+    # each dimension is a count: a negative, bool, float or string is a one-line ValueError, not numpy's TypeError
     rng = RandomStream(0)
-    for size in (-1, (2, -1), (-2, -3)):
-        with pytest.raises(ValueError, match="negative"):
+    for size in (-1, (2, -1), (-2, -3), 2.5, True, np.float64(3.0), "3", (2, 1.5), (np.True_, 2), (None,)):
+        with pytest.raises(ValueError, match=r"^size must be an integer in \[0, 2\*\*64\), got "):
             rng.uniform(size)
     assert rng.counter == 0
     assert rng.uniform((2, 0)).shape == (2, 0) and rng.counter == 0
+    assert rng.uniform(np.int64(3)).shape == (3,) and rng.uniform((2, np.uint8(3))).shape == (2, 3)
+    assert rng.counter == 9
 
 
 def test_seed_and_index_must_be_64_bit_integers():
