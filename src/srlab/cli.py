@@ -53,23 +53,19 @@ def _check_label(label, where) -> None:
         raise ValueError(f"{where}: table label {label!r} clashes with a builtin mode")
 
 
-def _load_tables(paths):
-    """Tables by case-insensitive label, which a ``--modes`` token can name and no two files share."""
-    tables, files = {}, {}
+def _modes(text, paths):
+    """The (token, mode) pairs that the comma list ``text`` names: builtin modes, and the tables of the
+    ``--table`` files ``paths`` by case-insensitive label, which a token can name and no two files share."""
+    known, files = dict(_BUILTIN_MODES), {}
     for path in paths or []:
         table = read_distribution(path).table
-        _check_label(table.label, path)
+        _check_label(table.label, path)  # keeps table labels off the builtin names
         key = table.label.lower()
         if key in files:
             raise ValueError(f"{path}: table label {table.label!r} clashes with {files[key]}")
-        tables[key], files[key] = table, path
-    return tables
-
-
-def _resolve_modes(spec_text, tables):
-    known = _BUILTIN_MODES | tables  # _check_label keeps table labels off the builtin names
+        known[key], files[key] = table, path
     modes = {}
-    for token in spec_text.split(","):
+    for token in text.split(","):
         token = token.strip().lower()
         if not token:
             continue
@@ -97,14 +93,9 @@ def _subjects(text, parse, flag):
 
 
 def _cmd_optimize(args) -> int:
-    if (args.preset is None) == (args.config is None):
-        raise ValueError("give exactly one of --preset or --config")
     if args.label is not None:
         _check_label(args.label, "--label")
     if args.preset is not None:
-        names = [p.value for p in Preset]
-        if args.preset not in names:
-            raise ValueError(f"unknown preset {args.preset!r}; choose from {', '.join(names)}")
         target = Preset(args.preset)
         mop = _objective_config(target)
     else:
@@ -133,7 +124,7 @@ def _cmd_round(args) -> int:
             raise ValueError("--mode table needs a --table file")
         mode = [read_distribution(path).table for path in args.table][0]
     else:
-        modes = _resolve_modes(token, _load_tables(args.table))
+        modes = _modes(token, args.table)
         if len(modes) > 1:
             raise ValueError(f"--mode names one mode, got {args.mode!r}")
         mode = modes[0][1]
@@ -154,7 +145,7 @@ def _cmd_experiment(args) -> int:
 def _per_mode(args, header, subjects, run, cells):
     """(header, rows) of a study: row ``cells(subject, token, run(subject, mode))``
     for each subject, then each requested mode."""
-    modes = _resolve_modes(args.modes, _load_tables(args.table))
+    modes = _modes(args.modes, args.table)
     return header, [cells(s, token, run(s, mode)) for s in subjects for token, mode in modes]
 
 
@@ -224,8 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_opt = sub.add_parser("optimize", help="optimize a rounding probability table")
-    p_opt.add_argument("--preset", help=f"one of {', '.join(p.value for p in Preset)}")
-    p_opt.add_argument("--config", help="JSON file with objective-config fields")
+    source = p_opt.add_mutually_exclusive_group(required=True)
+    source.add_argument("--preset", choices=[p.value for p in Preset], help="a named objective config")
+    source.add_argument("--config", help="JSON file with objective-config fields")
     p_opt.add_argument("--grid-size", type=int, default=1001)
     p_opt.add_argument("--iterations", type=int, default=200)
     p_opt.add_argument("--seed", type=int, default=0)
@@ -237,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_round.add_argument("--mode", default="half-even",
                          help="floor, ceil, half-up, half-down, half-even, half-odd, cr, sr, or table")
     p_round.add_argument("--n", type=int, default=0, help="fractional digits (default 0: integers)")
-    p_round.add_argument("--base", type=int, choices=(2, 10), default=2)
+    p_round.add_argument("--base", type=int, default=2, help="2 or 10 (default 2)")
     p_round.add_argument("--seed", type=int, default=0)
     p_round.add_argument("--count", type=int, default=1, help="number of stochastic draws to print")
     p_round.add_argument("--table", action="append", metavar="FILE")
@@ -252,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sqrt = exp_sub.add_parser("sqrt", help="rounded Newton square-root study")
     p_sqrt.add_argument("--values", default=",".join(repr(v) for v in SQRT_TEST_VALUES))
     p_sqrt.add_argument("--n", type=int, default=3, help="fractional digits (default 3)")
-    p_sqrt.add_argument("--base", type=int, choices=(2, 10), default=10)
+    p_sqrt.add_argument("--base", type=int, default=10, help="2 or 10 (default 10)")
     p_sqrt.add_argument("--tol", type=float, default=1e-5)
     p_sqrt.add_argument("--max-iter", type=int, default=100)
     _add_common_experiment_args(p_sqrt)

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .rounding import ProbabilityTable
+from .rounding import ProbabilityTable, _unit_interval
 from .streams import _INV_2_53, _U_GOLDEN, RandomStream, _integer, _mix_shift, _steps, substream_phases
 
 __all__ = [
@@ -135,13 +135,6 @@ def _objective_config(target) -> MopConfig:
     return target
 
 
-def _unit_interval(x, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise ValueError(f"{name} must lie in [0, 1]")
-    return arr
-
-
 def variance_of_p(p, delta: float = 1.0):
     """Rounding variance delta^2 (p - p^2); maximal at p = 1/2."""
     arr = _unit_interval(p, "p")
@@ -159,10 +152,11 @@ def bias_of_p(p, f, delta: float = 1.0):
 def objective(p, f, cfg: MopConfig):
     """Scalarized objective theta1 V^2 + theta2 B^2 plus indicator penalties.
 
-    Out-of-bounds p is clamped to [0, 1] before evaluation.  A penalty fires
-    when its constraint value reaches the limit (closed interval).
+    Out-of-bounds p is clamped to [0, 1] before evaluation; a NaN p, which
+    no clamp moves, is refused.  A penalty fires when its constraint value
+    reaches the limit (closed interval).
     """
-    arr = np.clip(np.asarray(p, dtype=np.float64), 0.0, 1.0)
+    arr = _unit_interval(np.clip(np.asarray(p, dtype=np.float64), 0.0, 1.0), "p")
     fr = _unit_interval(f, "f")
     shape = np.broadcast_shapes(arr.shape, fr.shape)
     total = _objective_into(arr, fr, cfg, *(np.empty(shape) for _ in range(3)))

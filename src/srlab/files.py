@@ -9,12 +9,12 @@ order, which makes equal-seed runs byte-identical.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .rounding import ProbabilityTable
+from .streams import _real
 
 __all__ = [
     "DIST_FORMAT_VERSION",
@@ -63,13 +63,11 @@ def read_distribution(path) -> LoadedDistribution:
             raise ValueError(f"label must be a string, got {label!r}")
         if not isinstance(provenance, dict):
             raise ValueError(f"provenance must be an object, got {provenance!r}")
-        for name, values in (("grid", payload["grid"]), ("p", payload["p"]), ("delta", [payload["delta"]])):
+        for name, values in (("grid", payload["grid"]), ("p", payload["p"])):
             if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:  # bool is no number
                 raise ValueError(f"{name} must hold JSON numbers, not strings or booleans")
+        delta = _real(payload["delta"], "delta")
         table = ProbabilityTable(grid=payload["grid"], p=payload["p"], label=label)
-        delta = float(payload["delta"])
-        if not 0.0 < delta < math.inf:  # NaN fails too
-            raise ValueError(f"delta must be finite and positive, got {delta!r}")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: not a valid distribution file: {exc}") from exc
     return LoadedDistribution(table=table, delta=delta, provenance=provenance, format_version=version)

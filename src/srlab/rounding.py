@@ -40,6 +40,14 @@ __all__ = [
 ]
 
 
+def _unit_interval(x, name: str) -> np.ndarray:
+    """``x`` as a float64 array, if every element lies in [0, 1] (NaN does not)."""
+    arr = np.asarray(x, dtype=np.float64)
+    if not np.all((0.0 <= arr) & (arr <= 1.0)):
+        raise ValueError(f"{name} must lie in [0, 1]")
+    return arr
+
+
 @dataclass(frozen=True)
 class RoundingSpec:
     """Grid description: ``n`` fractional digits (an integer >= 0) in ``base`` (2 or 10).
@@ -106,8 +114,7 @@ class ProbabilityTable:
             raise ValueError("grid and p must be 1-D arrays of equal length >= 2")
         if grid[0] != 0.0 or grid[-1] != 1.0 or not np.all(np.diff(grid) > 0):  # NaN fails too
             raise ValueError("grid must increase strictly from 0 to 1")
-        if not np.all((p >= 0.0) & (p <= 1.0)):
-            raise ValueError("probabilities must lie in [0, 1]")
+        _unit_interval(p, "probabilities")
         grid.flags.writeable = p.flags.writeable = False
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "p", p)

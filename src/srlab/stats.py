@@ -104,10 +104,17 @@ def summarize(rounded_outcomes, exact: float, n_it_mean: float | None = None) ->
 
 
 def _branches(x1, x2):
+    """Branches (e_down, e_up, p) of the products x1 x2, each x1 strictly between integers; a product
+    so close to 0 that a branch is not finite is refused, and no RuntimeWarning escapes."""
     lower = np.floor(x1)
-    prod = x1 * x2
-    e_down = np.abs(1.0 - lower / prod)
-    e_up = np.abs(1.0 - (lower + 1.0) / prod)
+    if np.any(x1 == lower):
+        raise ValueError("x1 must lie strictly between integers")
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        prod = x1 * x2
+        e_down = np.abs(1.0 - lower / prod)
+        e_up = np.abs(1.0 - (lower + 1.0) / prod)
+    if not (np.all(np.isfinite(e_down)) and np.all(np.isfinite(e_up))):
+        raise ValueError("x1 * x2 is too small: its error branches overflow a double")
     p = 1.0 - (x1 - lower)
     return e_down, e_up, p
 
@@ -116,16 +123,11 @@ def worst_case_rel_error(x1: float, x2: float) -> WorstCaseBranches:
     """Worst-case relative error branches of a rounded product to integers.
 
     Requires x1 strictly inside an interval (i, i+1) with integer i >= 0 and
-    x2 strictly inside (0, 1); integer inputs are degenerate for the
-    two-branch analysis and are rejected.
+    x2 strictly inside (0, 1), both real numbers; integer inputs are
+    degenerate for the two-branch analysis and are rejected.
     """
-    x1 = float(x1)
-    x2 = float(x2)
-    if not (np.isfinite(x1) and np.isfinite(x2)):
-        raise ValueError("inputs must be finite")
-    if x1 <= 0.0 or x1 == np.floor(x1):
-        raise ValueError("x1 must be positive and strictly between integers")
-    if not 0.0 < x2 < 1.0:
+    x1, x2 = _real(x1, "x1"), _real(x2, "x2")
+    if not x2 < 1.0:
         raise ValueError("x2 must lie strictly inside (0, 1)")
     e_down, e_up, p = _branches(x1, x2)
     return WorstCaseBranches(float(e_down), float(e_up), float(p))
@@ -136,13 +138,12 @@ def contour_grid(x1_max: float = 5.0, resolution: int = 200) -> ContourGrid:
     (0, x1_max) x (0, 1), ``resolution`` cells a side.
 
     Cell centres sit half a cell away from the edges, which keeps x2 inside
-    (0, 1); a grid whose x1 hits an integer is refused.
+    (0, 1); a grid whose x1 hits an integer, or whose products are too small
+    for finite branches, is refused.
     """
     x1_max, n = _real(x1_max, "x1_max"), _integer(resolution, "resolution", 1)
     x1 = (np.arange(n) + 0.5) * x1_max / n
     x2 = (np.arange(n) + 0.5) / n
-    if np.any(x1 == np.floor(x1)):
-        raise ValueError("grid cells must avoid integer x1")
     # e_down and e_up come out (n, n) and fresh; p depends on x1 alone
     e_down, e_up, p = _branches(x1[:, None], x2[None, :])
     return ContourGrid(x1=x1, x2=x2, e_down=e_down, e_up=e_up, p=np.broadcast_to(p, (n, n)).copy())

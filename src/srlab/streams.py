@@ -139,7 +139,9 @@ class RandomStream:
         """Draw uniforms in [0, 1); a scalar when ``size`` is None, else a count or a tuple of counts."""
         dims = () if size is None else (size,) if np.isscalar(size) else size
         shape = tuple(_integer(d, "size") for d in dims)
-        n = int(np.prod(shape, dtype=np.int64))
+        n = math.prod(shape)
+        if n >= 1 << 63:  # np.arange(0, 2**63) is empty: no larger count can be drawn
+            raise ValueError(f"size must be fewer than 2**63 elements, got {size!r}")
         u = draws_at(self.phase, np.arange(self._counter, self._counter + n)).reshape(shape)
         self._counter += n
         return float(u) if size is None else u

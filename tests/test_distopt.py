@@ -191,6 +191,12 @@ class TestObjectivePieces:
             variance_of_p(1.5)
         with pytest.raises(ValueError):
             bias_of_p(0.5, 1.5)
+        # NaN lies in no interval, and no clamp moves a NaN p
+        d1 = preset_config(Preset.D1)
+        for name, call in (("p", lambda: variance_of_p(np.nan)), ("f", lambda: bias_of_p(0.5, np.nan)),
+                           ("f", lambda: objective(0.5, np.nan, d1)), ("p", lambda: objective(np.nan, 0.5, d1))):
+            with pytest.raises(ValueError, match=rf"^{name} must lie in \[0, 1\]$"):
+                call()
 
     def test_objective_examples(self):
         bias_min = preset_config(Preset.BIAS_MIN)

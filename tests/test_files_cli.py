@@ -227,15 +227,26 @@ class TestOptimizeCommand:
         assert capsys.readouterr().err.startswith("srlab: ")
         assert not (tmp_path / "x.json").exists()
 
-    def test_needs_exactly_one_source(self):
-        with pytest.raises(SystemExit) as exc:
-            run_cli("optimize", "--out", "x.json")
-        assert exc.value.code == 2
+    def test_needs_exactly_one_source(self, tmp_path, capsys):
+        # argparse checks the source; the subcommand's usage may wrap, so only the last line is read
+        cfg = tmp_path / "mop.json"
+        cfg.write_text(json.dumps({"theta1": 0.5, "theta2": 0.5}))
+        both = ("--preset", "d1", "--config", str(cfg))
+        for source, message in (((), "one of the arguments --preset --config is required"),
+                                (both, "argument --config: not allowed with argument --preset")):
+            with pytest.raises(SystemExit) as exc:
+                run_cli("optimize", *source, "--out", str(tmp_path / "x.json"))
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.splitlines()[-1] == f"srlab optimize: error: {message}"
+        assert not (tmp_path / "x.json").exists()
 
-    def test_unknown_preset(self, capsys):
+    def test_unknown_preset(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
-            run_cli("optimize", "--preset", "zzz", "--out", "x.json")
+            run_cli("optimize", "--preset", "zzz", "--out", str(tmp_path / "x.json"))
         assert exc.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("srlab optimize: error: argument --preset: invalid choice: 'zzz'")
+        assert not (tmp_path / "x.json").exists()
 
 
 class TestExperimentCommands:
@@ -573,6 +584,10 @@ class TestOneProcess:
         ["round", "0.4", "--mode", "sr", "--count", "18446744073709551616"],
         ["experiment", "contour", "--res", "18446744073709551616"],
         ["experiment", "dot", "--sizes", "50,1", "--reps", "3"],
+        # products whose error branches overflow, and a base that RoundingSpec alone refuses
+        ["experiment", "contour", "--x1-max", "1e-310", "--res", "2"],
+        ["round", "0.4", "--base", "3"],
+        ["experiment", "sqrt", "--values", "2", "--modes", "cr", "--base", "3"],
     ],
 )
 def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):
@@ -601,7 +616,7 @@ def test_cli_defaults_are_the_library_defaults():
     def parse(*argv):
         return srlab.cli.build_parser().parse_args([*argv, *([] if argv[0] == "round" else ["--out", "x.csv"])])
 
-    opt, pso = parse("optimize"), PsoConfig()
+    opt, pso = parse("optimize", "--preset", "d1"), PsoConfig()
     assert (opt.iterations, opt.seed) == (pso.iterations, pso.seed)
     assert opt.grid_size == defaults(optimize_table)["grid_size"]
     sqrt, newton = parse("experiment", "sqrt"), NewtonConfig()

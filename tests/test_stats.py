@@ -114,6 +114,11 @@ class TestWorstCase:
             worst_case_rel_error(-0.5, 0.5)
         with pytest.raises(ValueError, match="finite"):
             worst_case_rel_error(np.nan, 0.5)
+        # x1 and x2 are real numbers, and both branches of their product must be finite
+        with pytest.raises(ValueError, match=r"^x1 must be a finite positive real number, got '1.5'$"):
+            worst_case_rel_error("1.5", 0.5)
+        with pytest.raises(ValueError, match=r"^x1 \* x2 is too small: its error branches overflow a double$"):
+            worst_case_rel_error(1e-310, 0.5)
 
     def test_down_branch_is_one_below_one(self):
         rng = RandomStream(2)

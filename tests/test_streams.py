@@ -105,6 +105,10 @@ def test_negative_size_rejected_without_moving_the_counter():
     for size in (-1, (2, -1), (-2, -3), 2.5, True, np.float64(3.0), "3", (2, 1.5), (np.True_, 2), (None,)):
         with pytest.raises(ValueError, match=r"^size must be an integer in \[0, 2\*\*64\), got "):
             rng.uniform(size)
+    # a count of 2**63 or more is refused before any allocation, whatever its product wraps to in int64
+    for size in ((2**32, 2**32), (2**62, 2), 2**63):
+        with pytest.raises(ValueError, match=r"^size must be fewer than 2\*\*63 elements, got "):
+            rng.uniform(size)
     assert rng.counter == 0
     assert rng.uniform((2, 0)).shape == (2, 0) and rng.counter == 0
     assert rng.uniform(np.int64(3)).shape == (3,) and rng.uniform((2, np.uint8(3))).shape == (2, 3)
