@@ -16,7 +16,6 @@ from .experiments import (
     SQRT_TEST_VALUES,
     CaseId,
     ExperimentReport,
-    NewtonConfig,
     VarianceBoundGrid,
     gen_case_inputs,
     gen_sine_vectors,

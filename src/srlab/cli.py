@@ -30,7 +30,6 @@ from .experiments import (
     DOT_SIZES,
     SQRT_TEST_VALUES,
     CaseId,
-    NewtonConfig,
     _runs,
     run_inner_product_experiment,
     run_sqrt_experiment,
@@ -162,17 +161,17 @@ def _sum_study(args):
 
 
 def _sqrt_study(args):
-    cfg = NewtonConfig(tol=args.tol, n_max=args.max_iter, spec=RoundingSpec(args.n, args.base))
+    spec = RoundingSpec(args.n, args.base)
 
     def cells(a, token, rep):
         s = rep.summary
         stats = (None,) * 5 if s is None else (s.mu, *_error_stats(s), s.n_it_mean)
-        return (a, token, cfg.spec.delta, *stats, rep.n_breakdowns)
+        return (a, token, spec.delta, *stats, rep.n_breakdowns)
 
     return _per_mode(
         args, ["a", "mode", "delta", "mu", "abs_bias", "variance", "rel_err", "n_it_mean", "breakdowns"],
         _subjects(args.values, float, "--values"),
-        lambda a, mode: run_sqrt_experiment(a, mode, cfg, n_reps=args.reps, seed=args.seed), cells)
+        lambda a, mode: run_sqrt_experiment(a, mode, spec, n_reps=args.reps, seed=args.seed), cells)
 
 
 def _dot_study(args):
@@ -245,8 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sqrt.add_argument("--values", default=",".join(repr(v) for v in SQRT_TEST_VALUES))
     p_sqrt.add_argument("--n", type=int, default=3, help="fractional digits (default 3)")
     p_sqrt.add_argument("--base", type=int, default=10, help="2 or 10 (default 10)")
-    p_sqrt.add_argument("--tol", type=float, default=1e-5)
-    p_sqrt.add_argument("--max-iter", type=int, default=100)
     _add_common_experiment_args(p_sqrt)
 
     p_dot = exp_sub.add_parser("dot", help="rounded inner-product study")
@@ -302,7 +299,7 @@ _PAPER_RUNS = (  # (output file, argv) in order; reproduce puts DIR for {dir}, t
 
 def _cmd_reproduce(args) -> int:
     """Parse every paper run and check its ``--out`` before running any, each as its own command."""
-    seed = str(_integer(args.seed, "seed"))
+    seed = str(_integer(args.seed, "seed", bits=64))
     runs = [_parser().parse_args([*(a.format(dir=args.dir) for a in argv),
                                   "--seed", seed, "--out", os.path.join(args.dir, name)]) for name, argv in _PAPER_RUNS]
     for run in runs:

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .rounding import ProbabilityTable, _unit_interval
-from .streams import _INV_2_53, _U_GOLDEN, RandomStream, _integer, _mix_shift, _steps, substream_phases
+from .streams import _INV_2_53, _U_GOLDEN, RandomStream, _integer, _mix_shift, _real, _steps, substream_phases
 
 __all__ = [
     "MopConfig",
@@ -41,9 +41,10 @@ class MopConfig:
     ``theta1``/``theta2`` weigh squared variance and squared bias and must
     sum to one.  A limit (``v_max``/``b_max``) comes with a positive penalty
     (``k1``/``k2``) added whenever the limit is reached or exceeded; absent
-    limits must have zero penalty.  Every field set must be a finite real
-    number (an int or float, not a bool), and so must the objective's bound
-    ``theta1 (delta^2/4)^2 + theta2 delta^2 + k1 + k2``.
+    limits must have zero penalty.  Every field set must be a real number
+    (an int or float, not a bool): ``delta`` finite and positive, the others
+    finite and non-negative.  So must the objective's bound
+    ``theta1 (delta^2/4)^2 + theta2 delta^2 + k1 + k2`` be finite.
     """
 
     theta1: float
@@ -55,22 +56,16 @@ class MopConfig:
     delta: float = 1.0
 
     def __post_init__(self):
-        limits = [v for v in (self.v_max, self.b_max) if v is not None]
-        for v in (self.theta1, self.theta2, self.k1, self.k2, self.delta, *limits):
-            if type(v) is bool or not isinstance(v, (int, float, np.integer, np.floating)) or not np.isfinite(v):
-                raise ValueError("weights, limits, penalties and delta must be finite real numbers, not booleans")
-        if self.theta1 < 0.0 or self.theta2 < 0.0:
-            raise ValueError("weights must be non-negative")
+        names = ("theta1", "theta2", "k1", "k2", *(n for n in ("v_max", "b_max") if getattr(self, n) is not None))
+        t1, t2, k1, k2, *_ = [_real(getattr(self, name), name, zero=True) for name in names]
+        d = _real(self.delta, "delta")
         if abs(self.theta1 + self.theta2 - 1.0) > 1e-12:
             raise ValueError("weights must sum to one")
-        if (self.v_max is None) != (self.k1 == 0.0) or self.k1 < 0.0:
+        if (self.v_max is None) != (k1 == 0.0):
             raise ValueError("k1 must be positive exactly when v_max is set")
-        if (self.b_max is None) != (self.k2 == 0.0) or self.k2 < 0.0:
+        if (self.b_max is None) != (k2 == 0.0):
             raise ValueError("k2 must be positive exactly when b_max is set")
-        if self.delta <= 0.0:
-            raise ValueError("delta must be positive")
         # V <= delta^2/4 and |B| <= delta; Python floats in the objective's order, rounding being monotone
-        t1, t2, k1, k2, d = map(float, (self.theta1, self.theta2, self.k1, self.k2, self.delta))
         if not np.isfinite(t1 * (d * d / 4.0) * (d * d / 4.0) + t2 * d * d + k1 + k2):
             raise ValueError("the objective overflows: theta1 (delta^2/4)^2 + theta2 delta^2 + k1 + k2 must be finite")
 
@@ -94,7 +89,7 @@ class PsoConfig:
 
     def __post_init__(self):
         _integer(self.iterations, "iterations", 1)
-        _integer(self.seed, "seed")
+        _integer(self.seed, "seed", bits=64)
 
 
 class Preset(Enum):

@@ -32,7 +32,6 @@ from .streams import RandomStream, _draw_thresholds, _integer, _mix_shift, _real
 
 __all__ = [
     "CaseId",
-    "NewtonConfig",
     "ExperimentReport",
     "SQRT_TEST_VALUES",
     "DOT_SIZES",
@@ -54,6 +53,10 @@ _BLOCK_DRAWS = 1 << 16
 # Newton steps whose draws take one call; 4-16 ran the sqrt study alike, 1
 # (a call per step) 15 % and 32 (draws past convergence) 8 % slower.
 _NEWTON_STEPS = 8
+# the square-root study's one stopping rule: a run converges at |x_k - x_{k-1}| <= _NEWTON_TOL
+# and stops after _NEWTON_MAX steps
+_NEWTON_TOL = 1e-5
+_NEWTON_MAX = 100
 
 SQRT_TEST_VALUES = (0.30146, 6.55501, 51.16904, 357.00272, 8133.27762)
 DOT_SIZES = (50, 200, 400, 600, 800, 1000)
@@ -79,19 +82,6 @@ _CASE_PARAMS = {
 
 
 @dataclass(frozen=True)
-class NewtonConfig:
-    """Square-root iteration settings; convergence is |x_{k+1} - x_k| <= tol; ``n_max`` is an integer >= 1."""
-
-    tol: float = 1e-5
-    n_max: int = 100
-    spec: RoundingSpec = RoundingSpec(3, 10)
-
-    def __post_init__(self):
-        _real(self.tol, "tol")
-        _integer(self.n_max, "n_max", 1)
-
-
-@dataclass(frozen=True)
 class ExperimentReport:
     """One table row: a rounding mode's statistics for one experiment subject."""
 
@@ -103,7 +93,6 @@ class ExperimentReport:
     digest: str
     n_breakdowns: int = 0
     n_nonconverged: int = 0
-    not_solvable: bool = False
 
 
 def _digest(arr: np.ndarray) -> str:
@@ -203,15 +192,16 @@ def _sum_rows(lower):
     return lambda rows, hit, scratch: total + hit.sum(axis=1)
 
 
-def _newton_many(a: float, mode: RoundingMode, cfg: NewtonConfig, phases: np.ndarray):
+def _newton_many(a: float, mode: RoundingMode, spec: RoundingSpec, phases: np.ndarray):
     """Rounded Newton square roots of ``a``, one run per repetition, in lockstep.
 
     A run rounds the radicand once, to fa, and from x_0 = 1 step k
     rounds the quotient q = fl(fa / x_{k-1}) and then x_k = fl(0.5 (x_{k-1} + q)).
-    It converges at the first k with |x_k - x_{k-1}| <= tol, breaks down when
-    fa or an iterate that a later step divides by is zero, and otherwise
-    stops after ``n_max`` steps with its last iterate.  Returns (value, n_it,
-    converged, breakdown), with value NaN for a breakdown.
+    It converges at the first k with |x_k - x_{k-1}| <= ``_NEWTON_TOL``,
+    breaks down when fa or an iterate that a later step divides by is zero,
+    and otherwise stops after ``_NEWTON_MAX`` steps with its last iterate.
+    Returns (value, n_it, converged, breakdown), with value NaN for a
+    breakdown.
 
     Repetition r takes draw 0 of its phase for the radicand, then 2k - 1 and
     2k at step k, so results are bit-identical to a serial loop.  The active
@@ -220,25 +210,25 @@ def _newton_many(a: float, mode: RoundingMode, cfg: NewtonConfig, phases: np.nda
     so the draws cannot change its result.
     """
     n = phases.size
-    fa = stochastic_round_with(np.full(n, float(a)), mode, cfg.spec, draws_at(phases, 0))
+    fa = stochastic_round_with(np.full(n, float(a)), mode, spec, draws_at(phases, 0))
     breakdown = fa == 0.0
     value = np.full(n, np.nan)
-    n_it = np.full(n, cfg.n_max, dtype=np.int64)
+    n_it = np.full(n, _NEWTON_MAX, dtype=np.int64)
     converged = np.zeros(n, dtype=bool)
     # the active repetitions: original index, rounded radicand, iterate, phase
     rid = np.flatnonzero(~breakdown)
     fa, x = fa[rid], np.ones(rid.size)
     ph = phases[rid]
-    for k in range(1, cfg.n_max + 1):
+    for k in range(1, _NEWTON_MAX + 1):
         if rid.size == 0:
             break
         j = 2 * ((k - 1) % _NEWTON_STEPS)
         if j == 0:
-            u = draws_at(ph[:, None], np.arange(2 * k - 1, 2 * min(k + _NEWTON_STEPS - 1, cfg.n_max) + 1))
-        q = stochastic_round_with(fa / x, mode, cfg.spec, u[:, j])
-        x, x_old = stochastic_round_with(0.5 * (x + q), mode, cfg.spec, u[:, j + 1]), x
-        conv = np.abs(x - x_old) <= cfg.tol
-        stop = conv | ((x == 0.0) & (k < cfg.n_max))
+            u = draws_at(ph[:, None], np.arange(2 * k - 1, 2 * min(k + _NEWTON_STEPS - 1, _NEWTON_MAX) + 1))
+        q = stochastic_round_with(fa / x, mode, spec, u[:, j])
+        x, x_old = stochastic_round_with(0.5 * (x + q), mode, spec, u[:, j + 1]), x
+        conv = np.abs(x - x_old) <= _NEWTON_TOL
+        stop = conv | ((x == 0.0) & (k < _NEWTON_MAX))
         if stop.any():
             done = rid[conv]
             value[done], converged[done], n_it[done] = x[conv], True, k
@@ -252,25 +242,25 @@ def _newton_many(a: float, mode: RoundingMode, cfg: NewtonConfig, phases: np.nda
 def run_sqrt_experiment(
     a: float,
     mode: RoundingMode,
-    cfg: NewtonConfig | None = None,
+    spec: RoundingSpec = RoundingSpec(3, 10),
     n_reps: int = 10_000,
     seed: int = 0,
 ) -> ExperimentReport:
-    """Repeat the rounded square root of ``a`` and summarize against sqrt(a).
+    """Repeat the rounded square root of ``a`` on the grid ``spec`` and summarize against sqrt(a).
 
-    Errors are measured against the root of the unrounded ``a``, so they
-    include the error of rounding the radicand as well as that of the
-    iteration.  Deterministic modes run one repetition.
+    Every run stops at |x_k - x_{k-1}| <= 1e-5 or after 100 steps.  Errors
+    are measured against the root of the unrounded ``a``, so they include
+    the error of rounding the radicand as well as that of the iteration.
+    Deterministic modes run one repetition.
 
     Breakdown repetitions are counted and excluded from the value statistics;
     non-converged repetitions contribute their last iterate but not the mean
-    iteration count.  A report where every repetition broke down is flagged
-    not solvable.
+    iteration count.  A report where every repetition broke down has no
+    summary.
     """
-    cfg = cfg or NewtonConfig()
     a = _real(a, "radicand")
     n_reps = _runs(mode, n_reps)
-    value, n_it, convs, breakdown = _newton_many(a, mode, cfg, _rep_phases(seed, n_reps))
+    value, n_it, convs, breakdown = _newton_many(a, mode, spec, _rep_phases(seed, n_reps))
     values = value[~breakdown]  # a breakdown never converges
     if values.size == 0:
         summary = None
@@ -286,7 +276,6 @@ def run_sqrt_experiment(
         digest=_digest(np.asarray([a])),
         n_breakdowns=int(np.sum(breakdown)),
         n_nonconverged=int(values.size - np.sum(convs)),
-        not_solvable=values.size == 0,
     )
 
 

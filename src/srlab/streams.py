@@ -83,19 +83,28 @@ def draws_at(phase, counters) -> np.ndarray:
     return u if np.ndim(z) else u.reshape(())
 
 
-def _integer(value, name: str, low: int = 0) -> int:
-    """``value`` as an int, if it is a Python or numpy integer, not a bool, in [low, 2^64): every seed and count."""
-    if type(value) is bool or not isinstance(value, (int, np.integer)) or not low <= value < 1 << 64:
-        raise ValueError(f"{name} must be an integer in [{low}, 2**64), got {value!r}")
+# every count is below 2**62: np.arange(n) is empty, and np.linspace fails, from just below 2**63
+_COUNT_BITS = 62
+
+
+def _integer(value, name: str, low: int = 0, bits: int = _COUNT_BITS) -> int:
+    """``value`` as an int, if it is a Python or numpy integer, not a bool, in [low, 2**bits):
+    a count, or with ``bits=64`` a seed or substream index."""
+    if type(value) is bool or not isinstance(value, (int, np.integer)) or not low <= value < 1 << bits:
+        raise ValueError(f"{name} must be an integer in [{low}, 2**{bits}), got {value!r}")
     return int(value)
 
 
 def _real(value, name: str, zero: bool = False) -> float:
     """``value`` as a float, if it is a Python or numpy real, not a bool, finite and positive (or zero, if ``zero``)."""
-    if (type(value) is bool or not isinstance(value, (int, float, np.integer, np.floating))
-            or not (0 <= value if zero else 0 < value) or not value < math.inf):
+    real = type(value) is not bool and isinstance(value, (int, float, np.integer, np.floating))
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:  # an int beyond the largest double
+        x = math.nan
+    if not (0 <= x if zero else 0 < x) or not x < math.inf:
         raise ValueError(f"{name} must be a finite {'non-negative' if zero else 'positive'} real number, got {value!r}")
-    return float(value)
+    return x
 
 
 def substream_phases(phase, indices) -> np.ndarray:
@@ -119,7 +128,7 @@ class RandomStream:
     __slots__ = ("seed", "phase", "_counter")
 
     def __init__(self, seed: int, *, _phase: int | None = None):
-        self.seed = _integer(seed, "seed")
+        self.seed = _integer(seed, "seed", bits=64)
         if _phase is None:
             _phase = int(_mix64(np.asarray([self.seed ^ _SEED_SALT], dtype=np.uint64))[0])
         self.phase = _phase
@@ -132,7 +141,7 @@ class RandomStream:
 
     def substream(self, index: int) -> "RandomStream":
         """Derive an independent child stream for ``index``."""
-        phase = substream_phases(self.phase, _integer(index, "substream index"))[0]
+        phase = substream_phases(self.phase, _integer(index, "substream index", bits=64))[0]
         return RandomStream(self.seed, _phase=int(phase))
 
     def uniform(self, size=None):
@@ -140,8 +149,8 @@ class RandomStream:
         dims = () if size is None else (size,) if np.isscalar(size) else size
         shape = tuple(_integer(d, "size") for d in dims)
         n = math.prod(shape)
-        if n >= 1 << 63:  # np.arange(0, 2**63) is empty: no larger count can be drawn
-            raise ValueError(f"size must be fewer than 2**63 elements, got {size!r}")
+        if n >= 1 << _COUNT_BITS:
+            raise ValueError(f"size must be fewer than 2**{_COUNT_BITS} elements, got {size!r}")
         u = draws_at(self.phase, np.arange(self._counter, self._counter + n)).reshape(shape)
         self._counter += n
         return float(u) if size is None else u

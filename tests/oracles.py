@@ -15,7 +15,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from srlab.experiments import NewtonConfig
 from srlab.rounding import DeterministicMode, RoundingMode, RoundingSpec, grid_fraction, round_values
 from srlab.streams import RandomStream
 
@@ -299,13 +298,14 @@ def rounded_sum(xs, mode: RoundingMode, spec: RoundingSpec = RoundingSpec(), rng
     return float(np.sum(round_values(np.asarray(xs, dtype=np.float64), mode, spec, rng)))
 
 
-def newton_sqrt_rounded(a: float, mode: RoundingMode | None, cfg: NewtonConfig, rng: RandomStream | None = None,
-                        x0: float = 1.0):
-    """One rounded Newton square-root run from ``x0``; returns (value, n_it, converged).
+def newton_sqrt_rounded(a: float, mode: RoundingMode | None, spec: RoundingSpec, tol: float, n_max: int,
+                        rng: RandomStream | None = None, x0: float = 1.0):
+    """One rounded Newton square-root run from ``x0`` on the grid ``spec``; returns (value, n_it, converged).
 
-    The radicand is rounded once up front; each step rounds the quotient and
-    then the halved sum.  ``mode=None`` runs the iteration in plain double
-    precision.  Raises :class:`BreakdownError` when the rounded radicand or
+    It converges at the first step k with |x_k - x_{k-1}| <= ``tol`` and
+    otherwise stops after ``n_max`` steps.  The radicand is rounded once up
+    front; each step rounds the quotient and then the halved sum.
+    ``mode=None`` runs the iteration in plain double precision.  Raises :class:`BreakdownError` when the rounded radicand or
     an iterate hits zero.
     """
     a = float(a)
@@ -314,20 +314,20 @@ def newton_sqrt_rounded(a: float, mode: RoundingMode | None, cfg: NewtonConfig, 
     if mode is None:
         fl = lambda v: v
     else:
-        fl = lambda v: round_values(v, mode, cfg.spec, rng)
+        fl = lambda v: round_values(v, mode, spec, rng)
     fa = fl(a)
     if fa == 0.0:
         raise BreakdownError(f"rounded radicand of {a} is zero")
     x = float(x0)
-    for k in range(1, cfg.n_max + 1):
+    for k in range(1, n_max + 1):
         if x == 0.0:
             raise BreakdownError("iterate rounded to zero")
         q = fl(fa / x)
         x_new = fl(0.5 * (x + q))
-        if abs(x_new - x) <= cfg.tol:
+        if abs(x_new - x) <= tol:
             return x_new, k, True
         x = x_new
-    return x, cfg.n_max, False
+    return x, n_max, False
 
 
 def rounded_inner_product(x, y, mode: RoundingMode, spec: RoundingSpec = RoundingSpec(), rng: RandomStream | None = None) -> float:

@@ -25,7 +25,6 @@ from srlab.experiments import (
     DOT_SIZES,
     SQRT_TEST_VALUES,
     CaseId,
-    NewtonConfig,
     run_inner_product_experiment,
     run_sqrt_experiment,
     run_summation_experiment,
@@ -231,20 +230,20 @@ def test_c07_summation_orderings(tables_1001):
 def test_c08_newton_study(tables_1001):
     failures = []
     d1 = tables_1001[Preset.D1]
-    milli = NewtonConfig()
+    milli = RoundingSpec(3, 10)
     for a in SQRT_TEST_VALUES:
         rep = run_sqrt_experiment(a, d1, milli, n_reps=10_000, seed=0)
         err = rep.summary.mean_abs_rel_err
         # the radicand is rounded once per repetition, so err already carries
         # E|sqrt(fl(a)) - sqrt(a)|/sqrt(a) before Newton starts; the 2e-4
         # allowance is for what the iteration adds on top of it
-        radicand = rounded_radicand_sqrt_error(a, d1, digits=milli.spec.n)
+        radicand = rounded_radicand_sqrt_error(a, d1, digits=milli.n)
         if err - radicand >= 2e-4:
             failures.append(
                 f"equal-weight error {err:.2e} at a={a}: radicand term {radicand:.2e}, "
                 f"excess {err - radicand:.2e} >= 2e-4"
             )
-    ints = NewtonConfig(spec=RoundingSpec(0, 10))
+    ints = RoundingSpec(0, 10)
     for label, mode in (("sr", SR), ("cr", D.HALF_EVEN), ("d1", d1), ("d2", tables_1001[Preset.D2])):
         rep = run_sqrt_experiment(0.30146, mode, ints, n_reps=10_000, seed=0)
         if rep.n_breakdowns == 0:

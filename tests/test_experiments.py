@@ -17,7 +17,6 @@ from srlab.distopt import Preset, PsoConfig, optimize_table
 from srlab.experiments import (
     SQRT_TEST_VALUES,
     CaseId,
-    NewtonConfig,
     _newton_many,
     gen_case_inputs,
     gen_sine_vectors,
@@ -33,6 +32,8 @@ from srlab.streams import RandomStream, draws_at
 D = DeterministicMode
 INT = RoundingSpec()
 MILLI = RoundingSpec(3, 10)
+# the square-root study's stopping rule: |x_k - x_{k-1}| <= 1e-5, at most 100 steps
+TOL, N_MAX = 1e-5, 100
 
 
 class TestCaseInputs:
@@ -137,10 +138,10 @@ def _past_one_block(width, extra):
     return max(1, experiments._BLOCK_DRAWS // width) + extra
 
 
-def _newton_rows(a, mode, cfg, seed, n_reps):
+def _newton_rows(a, mode, spec, seed, n_reps):
     """``_newton_many`` on repetitions 0 .. n_reps - 1 as one
     (breakdown, value, n_it, converged) row each, None for a breakdown."""
-    value, n_it, conv, breakdown = _newton_many(a, mode, cfg, experiments._rep_phases(seed, n_reps))
+    value, n_it, conv, breakdown = _newton_many(a, mode, spec, experiments._rep_phases(seed, n_reps))
     assert np.isnan(value[breakdown]).all()
     return [(True, None, None, None) if b else (False, v, k, c)
             for b, v, k, c in zip(breakdown.tolist(), value.tolist(), n_it.tolist(), conv.tolist())]
@@ -239,7 +240,7 @@ class TestRepetitionEngine:
             return [
                 *(run_summation_experiment(case, mode, n_reps=50) for case in (CaseId.I, CaseId.IV)),
                 *(run_inner_product_experiment(size, mode, n_reps=50) for size in (50, 200)),
-                *(run_sqrt_experiment(a, mode, NewtonConfig(spec=spec), n_reps=50)
+                *(run_sqrt_experiment(a, mode, spec, n_reps=50)
                   for spec in (MILLI, RoundingSpec(0, 10)) for a in SQRT_TEST_VALUES),
             ]
 
@@ -278,11 +279,11 @@ class TestRepetitionEngine:
             ("vector size n", 2, [gen_sine_vectors, lambda v: run_inner_product_experiment(v, SR, n_reps=3)]),
             ("grid_size", 2, [lambda v: optimize_table(Preset.D1, grid_size=v, pso=PsoConfig(iterations=1))]),
             ("resolution", 1, [lambda v: contour_grid(resolution=v)]),
-            ("n_max", 1, [lambda v: NewtonConfig(n_max=v)]),
         ]
         for name, low, calls in counts:
             for call in calls:
-                for bad in (low - 1, 2.5, True, np.float64(3.0), "3", None):
+                # from 2**62 up numpy cannot size the arrays: np.arange(2**63 - 1) is empty
+                for bad in (low - 1, 2.5, True, np.float64(3.0), "3", None, 2**62, 2**63 - 1, np.uint64(2**63)):
                     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
                         call(bad)
                 call(np.int64(low))
@@ -295,7 +296,6 @@ class TestRepetitionEngine:
         assert run_sqrt_experiment(2.0, SR, n_reps=np.int64(3)).n_reps == 3
         spec = RoundingSpec(np.int64(3))
         assert spec == RoundingSpec(3) and type(spec.n) is int
-        assert NewtonConfig(n_max=np.int64(3)).n_max == 3
         # the base is 2 or 10 as a Python int: a numpy base must not overflow in base**n
         spec = RoundingSpec(20, np.int64(10))
         assert spec.theta == 1e20 and type(spec.base) is int
@@ -306,11 +306,10 @@ class TestRepetitionEngine:
             RoundingSpec(3, np.int64(3))
         # reals: finite, positive (x_max may be 0) and not booleans
         for name, call in (("radicand", lambda v: run_sqrt_experiment(v, SR)),
-                           ("tol", lambda v: NewtonConfig(tol=v)),
                            ("step", lambda v: validate_variance_bound(step=v)),
                            ("x_max", lambda v: validate_variance_bound(x_max=v)),
                            ("x1_max", lambda v: contour_grid(x1_max=v))):
-            for bad in (-1.0, math.nan, math.inf, True, "1", None):
+            for bad in (-1.0, math.nan, math.inf, True, "1", None, 10**400):  # 10**400 has no double
                 with pytest.raises(ValueError, match=f"^{name} must be a finite"):
                     call(bad)
         for bad in (0.0, -0.0):
@@ -325,59 +324,52 @@ class TestRepetitionEngine:
 
 class TestNewton:
     def test_plain_double_precision(self):
-        cfg = NewtonConfig()
-        value, n_it, conv = newton_sqrt_rounded(4.0, None, cfg)
-        assert conv and abs(value - 2.0) <= cfg.tol
+        value, n_it, conv = newton_sqrt_rounded(4.0, None, MILLI, TOL, N_MAX)
+        assert conv and abs(value - 2.0) <= TOL
         assert n_it <= 12
 
     def test_plain_converges_for_all_magnitudes(self):
-        cfg = NewtonConfig()
         for a in SQRT_TEST_VALUES:
-            value, n_it, conv = newton_sqrt_rounded(a, None, cfg)
+            value, n_it, conv = newton_sqrt_rounded(a, None, MILLI, TOL, N_MAX)
             assert conv and n_it <= 12
-            assert abs(value - math.sqrt(a)) <= cfg.tol * max(1.0, math.sqrt(a))
+            assert abs(value - math.sqrt(a)) <= TOL * max(1.0, math.sqrt(a))
 
     def test_integer_grid_reference_run(self):
-        cfg = NewtonConfig(spec=RoundingSpec(0, 10))
-        assert newton_sqrt_rounded(51.16904, D.HALF_EVEN, cfg) == (7.0, 6, True)
+        assert newton_sqrt_rounded(51.16904, D.HALF_EVEN, RoundingSpec(0, 10), TOL, N_MAX) == (7.0, 6, True)
 
     def test_integer_grid_two_cycle_detected(self):
-        cfg = NewtonConfig(spec=RoundingSpec(0, 10))
-        value, n_it, conv = newton_sqrt_rounded(6.55501, D.HALF_EVEN, cfg)
+        value, n_it, conv = newton_sqrt_rounded(6.55501, D.HALF_EVEN, RoundingSpec(0, 10), TOL, N_MAX)
         assert (value, n_it, conv) == (3.0, 100, False)
 
     def test_small_radicand_breaks_down(self):
-        cfg = NewtonConfig(spec=RoundingSpec(0, 10))
         with pytest.raises(BreakdownError):
-            newton_sqrt_rounded(0.30146, D.HALF_EVEN, cfg)
+            newton_sqrt_rounded(0.30146, D.HALF_EVEN, RoundingSpec(0, 10), TOL, N_MAX)
 
     def test_milli_grid_reference_runs(self):
-        cfg = NewtonConfig()
-        assert newton_sqrt_rounded(0.30146, D.HALF_EVEN, cfg) == (0.548, 4, True)
-        assert newton_sqrt_rounded(357.00272, D.HALF_EVEN, cfg) == (18.894, 8, True)
+        assert newton_sqrt_rounded(0.30146, D.HALF_EVEN, MILLI, TOL, N_MAX) == (0.548, 4, True)
+        assert newton_sqrt_rounded(357.00272, D.HALF_EVEN, MILLI, TOL, N_MAX) == (18.894, 8, True)
 
     def test_invalid_radicand(self):
         with pytest.raises(ValueError):
-            newton_sqrt_rounded(-1.0, None, NewtonConfig())
+            newton_sqrt_rounded(-1.0, None, MILLI, TOL, N_MAX)
 
     def test_vectorized_path_matches_scalar(self):
-        cfg = NewtonConfig()
         root = RandomStream(7)
         phases = np.asarray([root.substream(16 + r).phase for r in range(50)], dtype=np.uint64)
-        value, n_it, conv, breakdown = _newton_many(6.55501, SR, cfg, phases)
+        value, n_it, conv, breakdown = _newton_many(6.55501, SR, MILLI, phases)
         for r in range(50):
-            got = newton_sqrt_rounded(6.55501, SR, cfg, root.substream(16 + r))
+            got = newton_sqrt_rounded(6.55501, SR, MILLI, TOL, N_MAX, root.substream(16 + r))
             assert got == (value[r], n_it[r], conv[r])
         assert not breakdown.any()
 
-    @pytest.mark.parametrize("spec", [RoundingSpec(0, 10), MILLI, RoundingSpec(2, 2)])
+    # steps on the 1e-8 grid come below TOL, so only there does the tolerance decide where a run stops
+    @pytest.mark.parametrize("spec", [RoundingSpec(0, 10), MILLI, RoundingSpec(2, 2), RoundingSpec(8, 10)])
     def test_vectorized_deterministic_matches_scalar(self, spec):
-        cfg = NewtonConfig(spec=spec)
         for mode in D:
             for a in (*SQRT_TEST_VALUES, 0.7, 1.4):
-                value, n_it, conv, breakdown = _newton_many(a, mode, cfg, experiments._rep_phases(0, 1))
+                value, n_it, conv, breakdown = _newton_many(a, mode, spec, experiments._rep_phases(0, 1))
                 try:
-                    expected = (False, *newton_sqrt_rounded(a, mode, cfg))
+                    expected = (False, *newton_sqrt_rounded(a, mode, spec, TOL, N_MAX))
                 except BreakdownError:
                     assert breakdown.tolist() == [True] and np.isnan(value[0])
                     continue
@@ -387,31 +379,32 @@ class TestNewton:
     @pytest.mark.parametrize("spec, n_max, x0", [(MILLI, 100, 1.0), (RoundingSpec(0, 10), 100, 1.0), (MILLI, 3, 1.0),
                                                  (RoundingSpec(0, 10), 13, 1.0)])
     @pytest.mark.parametrize("mode_name", ["sr", "d1", "d2"])
-    def test_engine_matches_scalar_per_repetition(self, mode_name, spec, n_max, x0, d1_table, d2_table):
+    def test_engine_matches_scalar_per_repetition(self, monkeypatch, mode_name, spec, n_max, x0, d1_table, d2_table):
         # n_max 3 stops inside the first draw block and 13 inside the second
         # (neither is a multiple of its size); the integer grid breaks down
         # at 0.30146 and cycles at 6.55501
         mode = {"sr": SR, "d1": d1_table, "d2": d2_table}[mode_name]
-        cfg = NewtonConfig(n_max=n_max, spec=spec)
+        monkeypatch.setattr(experiments, "_NEWTON_MAX", n_max)
         root = RandomStream(11)
         for a in (0.30146, 6.55501, 8133.27762):
-            got = _newton_rows(a, mode, cfg, seed=11, n_reps=40)
+            got = _newton_rows(a, mode, spec, seed=11, n_reps=40)
             ref = []
             for r in range(40):
                 try:
-                    ref.append((False, *newton_sqrt_rounded(a, mode, cfg, root.substream(16 + r), x0=x0)))
+                    ref.append((False, *newton_sqrt_rounded(a, mode, spec, TOL, n_max, root.substream(16 + r), x0=x0)))
                 except BreakdownError:
                     ref.append((True, None, None, None))
             assert got == ref, (a, mode_name)
 
-    def test_engine_reports_breakdowns_and_nonconvergence(self):
+    def test_engine_reports_breakdowns_and_nonconvergence(self, monkeypatch):
         # the cases above meet both: SR on the integer grid breaks down at
         # 0.30146 in some repetitions, and from x0 = 1 the milli grid needs
         # 11 to 18 steps at 8133.27762, so n_max 13 leaves some repetitions
         # unconverged in the second draw block and converges others there
-        rows = _newton_rows(0.30146, SR, NewtonConfig(spec=RoundingSpec(0, 10)), seed=2, n_reps=200)
+        rows = _newton_rows(0.30146, SR, RoundingSpec(0, 10), seed=2, n_reps=200)
         assert 0 < sum(row[0] for row in rows) < 200
-        rows = _newton_rows(8133.27762, SR, NewtonConfig(n_max=13), seed=2, n_reps=200)
+        monkeypatch.setattr(experiments, "_NEWTON_MAX", 13)
+        rows = _newton_rows(8133.27762, SR, MILLI, seed=2, n_reps=200)
         unconverged = [n_it for _, _, n_it, conv in rows if not conv]
         assert unconverged and set(unconverged) == {13}
         assert any(conv and n_it > experiments._NEWTON_STEPS for _, _, n_it, conv in rows)
@@ -420,11 +413,11 @@ class TestNewton:
         def run():
             out = []
             for spec, n_max in ((MILLI, 100), (RoundingSpec(0, 10), 100), (RoundingSpec(0, 10), 13), (MILLI, 3)):
-                cfg = NewtonConfig(n_max=n_max, spec=spec)
+                monkeypatch.setattr(experiments, "_NEWTON_MAX", n_max)
                 for a in SQRT_TEST_VALUES:
                     for mode in (SR, d1_table):
                         phases = experiments._rep_phases(5, 300)
-                        out.append(b"".join(v.tobytes() for v in _newton_many(a, mode, cfg, phases)))
+                        out.append(b"".join(v.tobytes() for v in _newton_many(a, mode, spec, phases)))
             return out
 
         default = experiments._NEWTON_STEPS
@@ -434,11 +427,6 @@ class TestNewton:
             results.append(run())
         assert all(result == results[0] for result in results[1:])
 
-    def test_config_rejects_non_finite_settings(self):
-        for kwargs in ({"tol": math.nan}, {"tol": math.inf}, {"tol": 0.0}, {"tol": -1e-5}, {"n_max": 0}):
-            with pytest.raises(ValueError):
-                NewtonConfig(**kwargs)
-
 
 class TestSqrtExperiment:
     def test_deterministic_iteration_count_is_integer(self):
@@ -447,16 +435,14 @@ class TestSqrtExperiment:
         assert rep.summary.variance == 0.0
 
     def test_integer_grid_small_radicand(self):
-        cfg = NewtonConfig(spec=RoundingSpec(0, 10))
-        cr = run_sqrt_experiment(0.30146, D.HALF_EVEN, cfg)
-        assert cr.not_solvable and cr.summary is None and cr.n_breakdowns == 1
-        sr = run_sqrt_experiment(0.30146, SR, cfg, n_reps=2000, seed=0)
+        cr = run_sqrt_experiment(0.30146, D.HALF_EVEN, RoundingSpec(0, 10))
+        assert cr.summary is None and cr.n_breakdowns == 1
+        sr = run_sqrt_experiment(0.30146, SR, RoundingSpec(0, 10), n_reps=2000, seed=0)
         assert sr.n_breakdowns > 0
-        assert not sr.not_solvable
+        assert sr.summary is not None
 
     def test_nonconvergence_reported_with_value(self):
-        cfg = NewtonConfig(spec=RoundingSpec(0, 10))
-        rep = run_sqrt_experiment(6.55501, D.HALF_EVEN, cfg)
+        rep = run_sqrt_experiment(6.55501, D.HALF_EVEN, RoundingSpec(0, 10))
         assert rep.summary.mu == 3.0
         assert rep.summary.n_it_mean is None
         assert rep.n_nonconverged == 1

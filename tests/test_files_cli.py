@@ -11,7 +11,6 @@ from srlab import (
     DOT_SIZES,
     SQRT_TEST_VALUES,
     CaseId,
-    NewtonConfig,
     PsoConfig,
     RoundingSpec,
     optimize_table,
@@ -78,6 +77,7 @@ class TestDistributionFiles:
                              ("provenance", [1, 2]), ("label", 5),
                              # JSON numbers only: no strings or booleans that float() would convert
                              ("delta", "0.5"), ("delta", True), ("grid", [False, True]), ("grid", ["0", 1.0]),
+                             ("delta", 10**400),  # a 401-digit integer literal, which has no double
                              ("grid", 0.5), ("p", [True, False]), ("p", ["1", 0]), ("p", [[1.0], [0.0]])]:
             path = _write_json(tmp_path / f"{field}.json", good | {field: value})
             with pytest.raises(ValueError, match=f"{path}: not a valid distribution file: .*{field}"):
@@ -529,8 +529,8 @@ class TestOneProcess:
         ["round", "0.4", "--mode", "sr", "--count", "0"],
         ["experiment", "sum", "--case", "III", "--modes", "cr", "--reps", "0"],
         ["experiment", "sqrt", "--values", "0.30146", "--modes", "cr", "--reps", "0"],
-        ["experiment", "sqrt", "--values", "2", "--modes", "sr", "--reps", "5", "--tol", "nan"],
-        ["experiment", "sqrt", "--values", "2", "--modes", "sr", "--reps", "5", "--tol", "inf"],
+        ["experiment", "sqrt", "--values", "nan", "--modes", "sr", "--reps", "5"],
+        ["experiment", "varbound", "--step", "inf"],
         ["experiment", "contour", "--x1-max", "inf"],
         # 2e14 grid points (1.6 PB) exceed any address space, so nothing is allocated
         ["experiment", "varbound", "--step", "1e-14"],
@@ -561,8 +561,7 @@ class TestOneProcess:
         ["round", "0.4", "--mode", "sr,cr"],
         # numbers too large to round or to hold in an int64
         ["experiment", "varbound", "--xmax", "1e300", "--step", "1e-300"],
-        ["experiment", "sqrt", "--values", "2", "--modes", "sr", "--reps", "3",
-         "--max-iter", "100000000000000000000000"],
+        ["experiment", "sqrt", "--values", "2", "--modes", "sr", "--reps", "100000000000000000000000"],
         ["round", "0.4", "--n", "100000000000000000000000"],
         # an objective that ignores f, and booleans where numbers belong
         ["optimize", "--config", '{"theta1": 1.0, "theta2": 0.0}'],
@@ -579,7 +578,7 @@ class TestOneProcess:
         ["experiment", "sqrt", "--values", "2", "--modes", "cr", "--seed", "18446744073709551616"],
         ["experiment", "dot", "--sizes", "50", "--reps", "10", "--seed", "-1"],
         ["experiment", "varbound", "--step", "0.5", "--draws", "10", "--seed", "-1"],
-        # a radicand that is not finite, and counts outside [least, 2**64)
+        # a radicand that is not finite, and counts outside [least, 2**62)
         ["experiment", "sqrt", "--values", "inf", "--modes", "cr"],
         ["round", "0.4", "--mode", "sr", "--count", "18446744073709551616"],
         ["experiment", "contour", "--res", "18446744073709551616"],
@@ -588,6 +587,14 @@ class TestOneProcess:
         ["experiment", "contour", "--x1-max", "1e-310", "--res", "2"],
         ["round", "0.4", "--base", "3"],
         ["experiment", "sqrt", "--values", "2", "--modes", "cr", "--base", "3"],
+        # counts that numpy cannot size (np.arange(2**63 - 1) is empty), and a weight with no double
+        ["experiment", "sqrt", "--values", "2", "--modes", "sr", "--reps", "9223372036854775807"],
+        ["experiment", "dot", "--sizes", "9223372036854775807", "--modes", "cr", "--reps", "1"],
+        ["optimize", "--preset", "d1", "--grid-size", "9223372036854775807"],
+        ["optimize", "--config", '{"theta1": 1' + "0" * 400 + ', "theta2": 0.5}'],
+        # the square-root study's stopping rule (1e-5, at most 100 steps) has no flags
+        ["experiment", "sqrt", "--values", "2", "--modes", "cr", "--tol", "1e-5"],
+        ["experiment", "sqrt", "--values", "2", "--modes", "cr", "--max-iter", "100"],
     ],
 )
 def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):
@@ -619,8 +626,8 @@ def test_cli_defaults_are_the_library_defaults():
     opt, pso = parse("optimize", "--preset", "d1"), PsoConfig()
     assert (opt.iterations, opt.seed) == (pso.iterations, pso.seed)
     assert opt.grid_size == defaults(optimize_table)["grid_size"]
-    sqrt, newton = parse("experiment", "sqrt"), NewtonConfig()
-    assert (sqrt.tol, sqrt.max_iter, RoundingSpec(sqrt.n, sqrt.base)) == (newton.tol, newton.n_max, newton.spec)
+    sqrt = parse("experiment", "sqrt")
+    assert RoundingSpec(sqrt.n, sqrt.base) == defaults(run_sqrt_experiment)["spec"]
     assert tuple(float(a) for a in sqrt.values.split(",")) == SQRT_TEST_VALUES
     assert parse("experiment", "sum").case.split(",") == [case.value for case in CaseId]
     assert tuple(int(n) for n in parse("experiment", "dot").sizes.split(",")) == DOT_SIZES

@@ -117,6 +117,9 @@ class TestWorstCase:
         # x1 and x2 are real numbers, and both branches of their product must be finite
         with pytest.raises(ValueError, match=r"^x1 must be a finite positive real number, got '1.5'$"):
             worst_case_rel_error("1.5", 0.5)
+        for x1, x2 in ((10**400, 0.5), (0.5, 10**400)):  # an int with no double, not float()'s OverflowError
+            with pytest.raises(ValueError, match=r"^x[12] must be a finite positive real number, got 1000"):
+                worst_case_rel_error(x1, x2)
         with pytest.raises(ValueError, match=r"^x1 \* x2 is too small: its error branches overflow a double$"):
             worst_case_rel_error(1e-310, 0.5)
 

@@ -103,11 +103,15 @@ def test_negative_size_rejected_without_moving_the_counter():
     # each dimension is a count: a negative, bool, float or string is a one-line ValueError, not numpy's TypeError
     rng = RandomStream(0)
     for size in (-1, (2, -1), (-2, -3), 2.5, True, np.float64(3.0), "3", (2, 1.5), (np.True_, 2), (None,)):
-        with pytest.raises(ValueError, match=r"^size must be an integer in \[0, 2\*\*64\), got "):
+        with pytest.raises(ValueError, match=r"^size must be an integer in \[0, 2\*\*62\), got "):
             rng.uniform(size)
-    # a count of 2**63 or more is refused before any allocation, whatever its product wraps to in int64
-    for size in ((2**32, 2**32), (2**62, 2), 2**63):
-        with pytest.raises(ValueError, match=r"^size must be fewer than 2\*\*63 elements, got "):
+    # a count of 2**62 or more is refused before any allocation, whatever its product wraps to in int64:
+    # numpy cannot size it (np.arange(2**63 - 1) is empty)
+    for size in (2**62, 2**63 - 1, 2**63, (2**62, 1)):
+        with pytest.raises(ValueError, match=r"^size must be an integer in \[0, 2\*\*62\), got "):
+            rng.uniform(size)
+    for size in ((2**32, 2**32), (2**31, 2**31), (2**61, 2)):
+        with pytest.raises(ValueError, match=r"^size must be fewer than 2\*\*62 elements, got "):
             rng.uniform(size)
     assert rng.counter == 0
     assert rng.uniform((2, 0)).shape == (2, 0) and rng.counter == 0
