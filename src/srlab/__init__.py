@@ -39,7 +39,6 @@ from .rounding import (
     RoundingSpec,
     grid_fraction,
     round_values,
-    stochastic_round_with,
 )
 from .stats import (
     ContourGrid,

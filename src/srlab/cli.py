@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import errno
-import functools
 import json
 import os
 import sys
@@ -284,7 +283,7 @@ def _run(args) -> int:
     return globals()[f"_cmd_{args.command}"](args)
 
 
-_parser = functools.cache(lambda: build_parser())  # the process's one parser, built by its first main call
+_PARSER = build_parser()  # the process's one parser, which every main call uses
 _PAPER_MODES = ("--modes", "sr,cr,d1,d2", "--table", "{dir}/d1.json", "--table", "{dir}/d2.json")
 _PAPER_RUNS = (  # (output file, argv) in order; reproduce puts DIR for {dir}, then adds --seed and --out
     ("d1.json", ("optimize", "--preset", "d1")),
@@ -300,7 +299,7 @@ _PAPER_RUNS = (  # (output file, argv) in order; reproduce puts DIR for {dir}, t
 def _cmd_reproduce(args) -> int:
     """Parse every paper run and check its ``--out`` before running any, each as its own command."""
     seed = str(_integer(args.seed, "seed", bits=64))
-    runs = [_parser().parse_args([*(a.format(dir=args.dir) for a in argv),
+    runs = [_PARSER.parse_args([*(a.format(dir=args.dir) for a in argv),
                                   "--seed", seed, "--out", os.path.join(args.dir, name)]) for name, argv in _PAPER_RUNS]
     for run in runs:
         _check_out(run.out)
@@ -310,7 +309,7 @@ def _cmd_reproduce(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _parser()
+    parser = _PARSER
     args = parser.parse_args(argv)
     try:
         return _run(args)

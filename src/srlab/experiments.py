@@ -2,19 +2,20 @@
 products, and the variance-bound validation grid.
 
 Every study is parameterized by a rounding mode and a seed.  Repetition r
-draws ``draws_at(phase_r, j)``, j = 0, 1, ..., from substream ``16 + r`` of
-the root stream, so blocks of repetitions give the same results as one at a
-time, whatever their size (``_BLOCK_DRAWS``, chosen for the cache); input
-data comes from the low-numbered substreams and is generated once per seed,
-independent of the rounding mode under test.  Every mode is a probability
-of rounding down, so every mode runs through the same engine: a
+takes draw j = 0, 1, ... (``draws_at(phase_r, j)``) of substream ``16 + r``
+of the root stream, so blocks of repetitions give the same results as one
+at a time, whatever their size (``_BLOCK_DRAWS``, chosen for the cache);
+input data comes from the low-numbered substreams and is generated once per
+seed, independent of the rounding mode under test.  Every mode is a
+probability of rounding down, so every mode runs through the same engine: a
 deterministic rule's probabilities are 0 or 1, so its study runs one
-repetition, whose draws cannot change the result.  Studies that round the
-same values in every repetition work out each value's rounding threshold
-once per study, so a repetition costs one comparison per draw, made
-between integers: ``_repeat`` compares each 53-bit draw, taken by counter,
-with the threshold converted once to an integer, which is exact, and never
-builds the double draw.  The Newton study rounds new values at every step.
+repetition, whose draws cannot change the result.  Every study decides a
+rounding between integers: it compares the 53-bit draw, taken by counter,
+with the threshold converted to an integer, which is exact, and never
+builds the double draw.  Studies that round the same values in every
+repetition (``_repeat``) convert each value's threshold once per study, so
+a repetition costs one comparison per draw; the Newton study rounds new
+values at every step.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from enum import Enum
 
 import numpy as np
 
-from .rounding import SR, DeterministicMode, RoundingMode, RoundingSpec, rounding_thresholds, stochastic_round_with
+from .rounding import SR, DeterministicMode, RoundingMode, RoundingSpec, rounding_thresholds
 from .stats import StatsSummary, sr_variance_theoretical, summarize, variance_bound
-from .streams import RandomStream, _draw_thresholds, _integer, _mix_shift, _real, _steps, draws_at, substream_phases
+from .streams import RandomStream, _draw_thresholds, _integer, _mix_shift, _real, _steps, substream_phases
 
 __all__ = [
     "CaseId",
@@ -85,10 +86,7 @@ _CASE_PARAMS = {
 class ExperimentReport:
     """One table row: a rounding mode's statistics for one experiment subject."""
 
-    label: str
-    subject: str
     summary: StatsSummary | None
-    seed: int
     n_reps: int
     digest: str
     n_breakdowns: int = 0
@@ -135,7 +133,7 @@ def _repeat(seed: int, n_reps: int, n_draws: int, t, outcome) -> np.ndarray:
     return out
 
 
-def _rounding_study(values, exact, combine, mode, subject, n_reps, seed) -> ExperimentReport:
+def _rounding_study(values, exact, combine, mode, n_reps, seed) -> ExperimentReport:
     """Summarize the outcomes of integer roundings of ``values``.
 
     Row r of ``_repeat`` is repetition r, where element j takes draw j and
@@ -148,10 +146,7 @@ def _rounding_study(values, exact, combine, mode, subject, n_reps, seed) -> Expe
     lower, t = rounding_thresholds(values, mode, RoundingSpec())
     outcomes = _repeat(seed, n_reps, values.size, t, combine(lower))
     return ExperimentReport(
-        label=mode.label,
-        subject=subject,
         summary=summarize(outcomes, exact),
-        seed=seed,
         n_reps=outcomes.size,
         digest=_digest(values),
     )
@@ -182,7 +177,7 @@ def run_summation_experiment(case: CaseId, mode: RoundingMode, n_reps: int = 10_
     zero); stochastic modes run ``n_reps`` repetitions on fresh substreams.
     """
     xs = gen_case_inputs(case, seed)
-    return _rounding_study(xs, float(np.sum(xs)), _sum_rows, mode, case.value, n_reps, seed)
+    return _rounding_study(xs, float(np.sum(xs)), _sum_rows, mode, n_reps, seed)
 
 
 def _sum_rows(lower):
@@ -209,8 +204,17 @@ def _newton_many(a: float, mode: RoundingMode, spec: RoundingSpec, phases: np.nd
     call.  A deterministic mode draws too, but its thresholds are 0 or 1,
     so the draws cannot change its result.
     """
+
+    def draws(ph, counters):  # the 53-bit draws at ``counters`` of the runs with phases ``ph``
+        z = np.add(ph[:, None], _steps(counters))
+        return _mix_shift(z, np.empty_like(z))
+
+    def rounded(x, b):  # x rounds up where its draw b passes its threshold
+        lower, t = rounding_thresholds(x, mode, spec)
+        return (lower + (b >= _draw_thresholds(t))) / spec.theta
+
     n = phases.size
-    fa = stochastic_round_with(np.full(n, float(a)), mode, spec, draws_at(phases, 0))
+    fa = rounded(np.full(n, float(a)), draws(phases, [0])[:, 0])
     breakdown = fa == 0.0
     value = np.full(n, np.nan)
     n_it = np.full(n, _NEWTON_MAX, dtype=np.int64)
@@ -224,9 +228,9 @@ def _newton_many(a: float, mode: RoundingMode, spec: RoundingSpec, phases: np.nd
             break
         j = 2 * ((k - 1) % _NEWTON_STEPS)
         if j == 0:
-            u = draws_at(ph[:, None], np.arange(2 * k - 1, 2 * min(k + _NEWTON_STEPS - 1, _NEWTON_MAX) + 1))
-        q = stochastic_round_with(fa / x, mode, spec, u[:, j])
-        x, x_old = stochastic_round_with(0.5 * (x + q), mode, spec, u[:, j + 1]), x
+            b = draws(ph, np.arange(2 * k - 1, 2 * min(k + _NEWTON_STEPS - 1, _NEWTON_MAX) + 1))
+        q = rounded(fa / x, b[:, j])
+        x, x_old = rounded(0.5 * (x + q), b[:, j + 1]), x
         conv = np.abs(x - x_old) <= _NEWTON_TOL
         stop = conv | ((x == 0.0) & (k < _NEWTON_MAX))
         if stop.any():
@@ -234,7 +238,7 @@ def _newton_many(a: float, mode: RoundingMode, spec: RoundingSpec, phases: np.nd
             value[done], converged[done], n_it[done] = x[conv], True, k
             breakdown[rid[stop & ~conv]] = True
             keep = ~stop
-            rid, fa, x, ph, u = rid[keep], fa[keep], x[keep], ph[keep], u[keep]
+            rid, fa, x, ph, b = rid[keep], fa[keep], x[keep], ph[keep], b[keep]
     value[rid] = x
     return value, n_it, converged, breakdown
 
@@ -268,10 +272,7 @@ def run_sqrt_experiment(
         n_it_mean = float(np.mean(n_it[convs])) if convs.any() else None
         summary = summarize(values, math.sqrt(a), n_it_mean=n_it_mean)
     return ExperimentReport(
-        label=mode.label,
-        subject=repr(a),
         summary=summary,
-        seed=seed,
         n_reps=breakdown.size,
         digest=_digest(np.asarray([a])),
         n_breakdowns=int(np.sum(breakdown)),
@@ -298,7 +299,7 @@ def run_inner_product_experiment(size: int, mode: RoundingMode, n_reps: int = 10
 
     # x takes draws 0 .. size-1 and y takes size .. 2*size-1; the integer
     # grid needs no product rounding
-    return _rounding_study(np.concatenate([x, y]), float(np.dot(x, y)), products, mode, str(size), n_reps, seed)
+    return _rounding_study(np.concatenate([x, y]), float(np.dot(x, y)), products, mode, n_reps, seed)
 
 
 @dataclass(frozen=True)
@@ -322,7 +323,8 @@ def validate_variance_bound(
     point j is repetition j, so its ``draws`` roundings use substream 16 + j."""
     step, x_max, draws = _real(step, "step"), _real(x_max, "x_max", zero=True), _integer(draws, "draws", 1)
     spec = RoundingSpec(n_bits, 2)
-    n_pts = int(round(x_max / step)) + 1
+    ratio = x_max / step  # inf when the quotient overflows
+    n_pts = _integer(round(ratio) + 1 if ratio < math.inf else ratio, "grid size x_max / step + 1", 1)
     xs = np.arange(n_pts) * step
     lower, t = rounding_thresholds(xs, SR, spec)
 

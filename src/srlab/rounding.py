@@ -35,7 +35,6 @@ __all__ = [
     "RoundingMode",
     "grid_fraction",
     "rounding_thresholds",
-    "stochastic_round_with",
     "round_values",
 ]
 
@@ -179,9 +178,10 @@ def rounding_thresholds(x, mode: RoundingMode, spec: RoundingSpec):
     in [0, 1) rounds x to ``(lower + (u >= t)) / theta``, so repeated
     roundings of the same values work out ``(lower, t)`` only once.  A
     deterministic mode's ``t`` is 0 where its rule rounds up and 1 where it
-    rounds down, so every draw gives the rule's result.  The studies also
-    convert ``t`` once, to the integer thresholds that their 53-bit draws
-    are compared with (``streams._draw_thresholds``).
+    rounds down, so every draw gives the rule's result.  The studies
+    convert ``t`` to the integer thresholds that their 53-bit draws are
+    compared with (``streams._draw_thresholds``); only :func:`round_values`
+    builds the draw u.
     """
     arr, _ = _prepare(x, spec)
     xt = _scaled(arr, spec)
@@ -201,22 +201,6 @@ def rounding_thresholds(x, mode: RoundingMode, spec: RoundingSpec):
         tie_up = {D.HALF_UP: True, D.HALF_DOWN: False, D.HALF_EVEN: odd, D.HALF_ODD: ~odd}[mode]
         p_down = 1.0 - ((xt > mid) | ((xt == mid) & tie_up))
     return lower, np.where(frac > 0.0, p_down, 2.0)
-
-
-def stochastic_round_with(x, mode: RoundingMode, spec: RoundingSpec, uniforms):
-    """Rounding with any mode, driven by caller-supplied uniforms in [0, 1).
-
-    ``uniforms`` must have one draw per element of ``x``.  An element rounds
-    up exactly when its draw is >= its probability of rounding down; grid
-    points never move, and a deterministic mode gives its rule's result
-    whatever the draws.  The thresholds come from
-    :func:`rounding_thresholds`, once per value.
-    """
-    lower, t = rounding_thresholds(x, mode, spec)
-    u = np.asarray(uniforms, dtype=np.float64)
-    if u.shape != lower.shape:
-        raise ValueError(f"need one uniform per element: {u.shape} vs {lower.shape}")
-    return _ret((lower + (u >= t)) / spec.theta, lower.ndim == 0)
 
 
 def round_values(x, mode: RoundingMode, spec: RoundingSpec, rng: RandomStream | None = None):

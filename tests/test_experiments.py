@@ -320,6 +320,10 @@ class TestRepetitionEngine:
         with pytest.raises(ValueError, match="^step"):
             validate_variance_bound(step=True, x_max=True)
         assert validate_variance_bound(x_max=0.0, step=np.float64(0.5), draws=5).x.tolist() == [0.0]
+        # the grid size derived from x_max / step is a count too, also where the quotient overflows
+        for x_max, step in ((9223372036854775000, 1), (1e20, 1), (1e308, 1e-308)):
+            with pytest.raises(ValueError, match=r"^grid size x_max / step \+ 1 must be an integer in \[1, 2\*\*62\)"):
+                validate_variance_bound(x_max=x_max, step=step, draws=1)
 
 
 class TestNewton:

@@ -446,6 +446,7 @@ class TestExperimentCommands:
 
 class TestOneProcess:
     def test_parser_built_once_across_main_calls(self, monkeypatch, capsys):
+        # the one parser is built on import; main calls only use it
         builds = []
 
         def counting_build():
@@ -453,9 +454,8 @@ class TestOneProcess:
             return build_parser()
 
         monkeypatch.setattr(srlab.cli, "build_parser", counting_build)
-        srlab.cli._parser.cache_clear()
         assert run_cli("round", "1.6") == 0 and run_cli("round", "0.4", "--mode", "ceil") == 0
-        assert builds == [1]
+        assert builds == []
         assert capsys.readouterr().out == "2\n1\n"
 
     def test_a_study_patched_after_a_main_call_runs(self, tmp_path, monkeypatch, capsys):
@@ -595,6 +595,10 @@ class TestOneProcess:
         # the square-root study's stopping rule (1e-5, at most 100 steps) has no flags
         ["experiment", "sqrt", "--values", "2", "--modes", "cr", "--tol", "1e-5"],
         ["experiment", "sqrt", "--values", "2", "--modes", "cr", "--max-iter", "100"],
+        # grid sizes x_max / step + 1 beyond every count, and a quotient that overflows
+        ["experiment", "varbound", "--xmax", "9223372036854775000", "--step", "1"],
+        ["experiment", "varbound", "--xmax", "1e20", "--step", "1"],
+        ["experiment", "varbound", "--xmax", "1e308", "--step", "1e-308"],
     ],
 )
 def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):

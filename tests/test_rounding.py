@@ -13,9 +13,8 @@ from srlab.rounding import (
     grid_fraction,
     round_values,
     rounding_thresholds,
-    stochastic_round_with,
 )
-from srlab.streams import RandomStream
+from srlab.streams import RandomStream, _draw_thresholds
 
 D = DeterministicMode
 INT = RoundingSpec()
@@ -63,7 +62,7 @@ class TestRoundingSpec:
             lambda: round_values(1e300, D.FLOOR, spec),
             lambda: grid_fraction(-1e300, spec),
             lambda: round_values(1e300, D.HALF_EVEN, spec),
-            lambda: stochastic_round_with(1e300, SR, spec, 0.5),
+            lambda: round_values(1e300, SR, spec, RandomStream(0)),
             lambda: rounding_thresholds(np.array([1.0, -1e300]), SR, spec),
         ]
         with warnings.catch_warnings():
@@ -140,15 +139,18 @@ class TestDeterministic:
 
     @pytest.mark.parametrize("u", [0.0, 0.5, 1.0 - 2.0**-53])
     def test_draws_cannot_change_a_rule(self, u):
+        # the studies' compare: the 53-bit draw b = u * 2**53 against the integer thresholds
         x = _edge_values()[::16]
+        b = np.full(x.shape, u * 2.0**53).astype(np.uint64)
         for spec in EDGE_SPECS:
             for mode in D:
-                got = stochastic_round_with(x, mode, spec, np.full(x.shape, u))
+                lower, t = rounding_thresholds(x, mode, spec)
+                got = (lower + (b >= _draw_thresholds(t))) / spec.theta
                 assert np.array_equal(got.view(np.int64), round_values(x, mode, spec).view(np.int64)), (spec, mode)
 
     def test_wrong_mode_type(self):
         with pytest.raises(TypeError):
-            stochastic_round_with(1.0, "floor", INT, 0.5)
+            round_values(1.0, "floor", INT, RandomStream(0))
         with pytest.raises(ValueError, match="RandomStream"):
             round_values(1.0, SR, INT)
 
@@ -321,11 +323,13 @@ class TestRoundStochastic:
         ceilish = ProbabilityTable(grid=[0.0, 1.0], p=[0.0, 0.0], label="zero")
         rng = RandomStream(5)
         assert round_values(3.0, ceilish, INT, rng) == 3.0
-        # p = 0.5 at f = 0 as well: a draw of 0.9 moves 2.25 up, no grid point
+        # p = 0.5 at f = 0 as well: 2.25 has threshold 0.5, a grid point one above every draw
         half = ProbabilityTable(grid=[0.0, 1.0], p=[0.5, 0.5], label="half")
         g = np.arange(-5.0, 6.0)
-        assert np.array_equal(stochastic_round_with(g, half, INT, np.full(g.shape, 0.9)), g)
-        assert stochastic_round_with(2.25, half, INT, 0.9) == 3.0
+        assert np.array_equal(rounding_thresholds(g, half, INT)[1], np.full(g.shape, 2.0))
+        assert rounding_thresholds(2.25, half, INT)[1] == 0.5
+        for _ in range(20):
+            assert np.array_equal(round_values(g, half, INT, rng), g)
 
     def test_thresholds(self):
         lower, t = rounding_thresholds(np.array([0.25, 2.0, -1.75]), SR, INT)
@@ -337,10 +341,6 @@ class TestRoundStochastic:
         assert np.array_equal(t, [0.7, 2.0])
         with pytest.raises(TypeError):
             rounding_thresholds(0.5, "floor", INT)
-
-    def test_uniform_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            stochastic_round_with(np.ones(3), SR, INT, np.zeros(4))
 
 
 class TestSharedProperties:

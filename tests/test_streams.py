@@ -6,6 +6,7 @@ import pytest
 from oracles import reference_draws, splitmix64_draw, splitmix64_mix, splitmix64_unmix
 from srlab import experiments
 from srlab.distopt import Preset, PsoConfig, optimize_table
+from srlab.rounding import ProbabilityTable, RoundingSpec
 from srlab.streams import RandomStream, _draw_thresholds, _mix64, _mix_shift, _steps, draws_at, substream_phases
 
 
@@ -189,6 +190,12 @@ def test_uniforms_at_the_extreme_draws(monkeypatch):
 
     experiments._repeat(0, 4, 3, t[:, None], record)
     assert hits.tolist() == [True, False, True, False]
+    # and the Newton engine's: at the least draw, a table that never rounds down (t = 0) still rounds
+    # the radicand 0.5 up to 1, not down to 0, a breakdown; the root of 1 converges at step 1
+    least = np.array([(states[0] - golden) % 2**64], dtype=np.uint64)  # its draw 0, the radicand's, is the least
+    never_down = ProbabilityTable([0.0, 1.0], [0.0, 0.0])
+    value, n_it, converged, breakdown = experiments._newton_many(0.5, never_down, RoundingSpec(), least)
+    assert (value.tolist(), n_it.tolist(), converged.tolist(), breakdown.tolist()) == ([1.0], [1], [True], [False])
 
 
 def test_integer_thresholds_are_exact():
