@@ -51,7 +51,7 @@ def _check_label(label, where) -> None:
         raise ValueError(f"{where}: table label {label!r} clashes with a builtin mode")
 
 
-def _modes(text, paths):
+def _modes(text, paths, flag="--modes"):
     """The (token, mode) pairs that the comma list ``text`` names: builtin modes, and the tables of the
     ``--table`` files ``paths`` by case-insensitive label, which a token can name and no two files share."""
     known, files = dict(_BUILTIN_MODES), {}
@@ -62,19 +62,14 @@ def _modes(text, paths):
         if key in files:
             raise ValueError(f"{path}: table label {table.label!r} clashes with {files[key]}")
         known[key], files[key] = table, path
-    modes = {}
-    for token in text.split(","):
-        token = token.strip().lower()
-        if not token:
-            continue
-        if token in modes:
-            raise ValueError(f"mode {token!r} requested twice")
+
+    def lookup(token):
+        token = token.lower()
         if token not in known:
             raise ValueError(f"unknown mode {token!r}; available: {', '.join(sorted(known))}")
-        modes[token] = known[token]
-    if not modes:
-        raise ValueError("no modes requested")
-    return list(modes.items())
+        return token
+
+    return [(token, known[token]) for token in _subjects(text, lookup, flag)]
 
 
 def _subjects(text, parse, flag):
@@ -116,16 +111,9 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_round(args) -> int:
-    token = args.mode.strip().lower()
-    if token == "table":  # the first file, whatever the labels
-        if not args.table:
-            raise ValueError("--mode table needs a --table file")
-        mode = [read_distribution(path).table for path in args.table][0]
-    else:
-        modes = _modes(token, args.table)
-        if len(modes) > 1:
-            raise ValueError(f"--mode names one mode, got {args.mode!r}")
-        mode = modes[0][1]
+    (_, mode), *rest = _modes(args.mode, args.table, "--mode")
+    if rest:
+        raise ValueError(f"--mode names one mode, got {args.mode!r}")
     count = _runs(mode, args.count, "--count")
     spec = RoundingSpec(args.n, args.base)
     rng = RandomStream(args.seed)
@@ -204,66 +192,64 @@ def _add_common_experiment_args(p, with_modes=True):
         p.add_argument("--modes", default="sr,cr", help="comma list of modes (builtin or table labels)")
         p.add_argument("--table", action="append", metavar="FILE", help="distribution file; adds its label as a mode")
         p.add_argument("--reps", type=int, default=10_000, help="repetitions per stochastic mode")
-    p.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
     p.add_argument("--out", required=True, help="output CSV path")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="srlab", description=__doc__)
+    seeded = argparse.ArgumentParser(add_help=False)  # the parent of every subcommand
+    seeded.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_opt = sub.add_parser("optimize", help="optimize a rounding probability table")
+    p_opt = sub.add_parser("optimize", parents=[seeded], help="optimize a rounding probability table")
     source = p_opt.add_mutually_exclusive_group(required=True)
     source.add_argument("--preset", choices=[p.value for p in Preset], help="a named objective config")
     source.add_argument("--config", help="JSON file with objective-config fields")
     p_opt.add_argument("--grid-size", type=int, default=1001)
     p_opt.add_argument("--iterations", type=int, default=200)
-    p_opt.add_argument("--seed", type=int, default=0)
     p_opt.add_argument("--label", default=None, help="override the stored label")
     p_opt.add_argument("--out", required=True, help="output JSON path")
 
-    p_round = sub.add_parser("round", help="round one value and print the result(s)")
+    p_round = sub.add_parser("round", parents=[seeded], help="round one value and print the result(s)")
     p_round.add_argument("x", type=float)
     p_round.add_argument("--mode", default="half-even",
-                         help="floor, ceil, half-up, half-down, half-even, half-odd, cr, sr, or table")
+                         help="floor, ceil, half-up, half-down, half-even, half-odd, cr, sr, or a table label")
     p_round.add_argument("--n", type=int, default=0, help="fractional digits (default 0: integers)")
     p_round.add_argument("--base", type=int, default=2, help="2 or 10 (default 2)")
-    p_round.add_argument("--seed", type=int, default=0)
     p_round.add_argument("--count", type=int, default=1, help="number of stochastic draws to print")
     p_round.add_argument("--table", action="append", metavar="FILE")
 
     p_exp = sub.add_parser("experiment", help="run a study and write a CSV report")
     exp_sub = p_exp.add_subparsers(dest="experiment", required=True)
 
-    p_sum = exp_sub.add_parser("sum", help="rounded summation study")
+    p_sum = exp_sub.add_parser("sum", parents=[seeded], help="rounded summation study")
     p_sum.add_argument("--case", default="I,II,III,IV", help="comma list from I,II,III,IV")
     _add_common_experiment_args(p_sum)
 
-    p_sqrt = exp_sub.add_parser("sqrt", help="rounded Newton square-root study")
+    p_sqrt = exp_sub.add_parser("sqrt", parents=[seeded], help="rounded Newton square-root study")
     p_sqrt.add_argument("--values", default=",".join(repr(v) for v in SQRT_TEST_VALUES))
     p_sqrt.add_argument("--n", type=int, default=3, help="fractional digits (default 3)")
     p_sqrt.add_argument("--base", type=int, default=10, help="2 or 10 (default 10)")
     _add_common_experiment_args(p_sqrt)
 
-    p_dot = exp_sub.add_parser("dot", help="rounded inner-product study")
+    p_dot = exp_sub.add_parser("dot", parents=[seeded], help="rounded inner-product study")
     p_dot.add_argument("--sizes", default=",".join(str(n) for n in DOT_SIZES))
     _add_common_experiment_args(p_dot)
 
-    p_var = exp_sub.add_parser("varbound", help="variance-bound validation grid")
+    p_var = exp_sub.add_parser("varbound", parents=[seeded], help="variance-bound validation grid")
     p_var.add_argument("--bits", type=int, default=4)
     p_var.add_argument("--xmax", type=float, default=2.0)
     p_var.add_argument("--step", type=float, default=1e-4)
     p_var.add_argument("--draws", type=int, default=10_000)
     _add_common_experiment_args(p_var, with_modes=False)
 
-    p_con = exp_sub.add_parser("contour", help="worst-case product error grid")
+    p_con = exp_sub.add_parser("contour", parents=[seeded], help="worst-case product error grid")
     p_con.add_argument("--res", type=int, default=200)
     p_con.add_argument("--x1-max", type=float, default=5.0)
     _add_common_experiment_args(p_con, with_modes=False)
 
-    p_rep = sub.add_parser("reproduce", help="run the paper's seven commands in this process")
+    p_rep = sub.add_parser("reproduce", parents=[seeded], help="run the paper's seven commands in this process")
     p_rep.add_argument("--out", dest="dir", metavar="DIR", required=True, help="directory for the seven files")
-    p_rep.add_argument("--seed", type=int, default=0)
 
     return parser
 
@@ -277,7 +263,8 @@ def _check_out(path) -> None:
 
 
 def _run(args) -> int:
-    """Check ``--out``, then run the handler (and study) that the parsed command names, looked up now."""
+    """Check ``--seed`` and ``--out``, then run the handler (and study) the parsed command names, looked up now."""
+    _integer(args.seed, "seed", bits=64)
     if getattr(args, "out", None) is not None:
         _check_out(args.out)
     return globals()[f"_cmd_{args.command}"](args)
@@ -298,9 +285,8 @@ _PAPER_RUNS = (  # (output file, argv) in order; reproduce puts DIR for {dir}, t
 
 def _cmd_reproduce(args) -> int:
     """Parse every paper run and check its ``--out`` before running any, each as its own command."""
-    seed = str(_integer(args.seed, "seed", bits=64))
-    runs = [_PARSER.parse_args([*(a.format(dir=args.dir) for a in argv),
-                                  "--seed", seed, "--out", os.path.join(args.dir, name)]) for name, argv in _PAPER_RUNS]
+    runs = [_PARSER.parse_args([*(a.format(dir=args.dir) for a in argv), "--seed", str(args.seed),
+                                "--out", os.path.join(args.dir, name)]) for name, argv in _PAPER_RUNS]
     for run in runs:
         _check_out(run.out)
     for run in runs:

@@ -59,8 +59,6 @@ def read_distribution(path) -> LoadedDistribution:
         version, label, provenance = payload["format_version"], payload["label"], payload.get("provenance", {})
         if type(version) is not int or version != DIST_FORMAT_VERSION:  # 1.5, true and "1" are not 1
             raise ValueError(f"unsupported format_version {version!r}")
-        if not isinstance(label, str):
-            raise ValueError(f"label must be a string, got {label!r}")
         if not isinstance(provenance, dict):
             raise ValueError(f"provenance must be an object, got {provenance!r}")
         for name, values in (("grid", payload["grid"]), ("p", payload["p"])):

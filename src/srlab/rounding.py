@@ -107,6 +107,8 @@ class ProbabilityTable:
     label: str = "table"
 
     def __post_init__(self):
+        if not isinstance(self.label, str):
+            raise ValueError(f"label must be a string, got {self.label!r}")
         grid = np.array(self.grid, dtype=np.float64)  # copies: the caller's arrays stay writable
         p = np.array(self.p, dtype=np.float64)
         if grid.ndim != 1 or p.ndim != 1 or grid.size != p.size or grid.size < 2:

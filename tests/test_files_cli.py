@@ -160,7 +160,7 @@ class TestRoundCommand:
     def test_table_mode(self, tmp_path, capsys, small_table):
         path = tmp_path / "t.json"
         write_distribution(path, small_table)
-        assert run_cli("round", "0.4", "--mode", "table", "--table", str(path), "--count", "3") == 0
+        assert run_cli("round", "0.4", "--mode", "demo", "--table", str(path), "--count", "3") == 0
         values = {float(line) for line in capsys.readouterr().out.split()}
         assert values <= {0.0, 1.0}
 
@@ -172,16 +172,20 @@ class TestRoundCommand:
         assert exc.value.code == 2
         assert str(nan) in capsys.readouterr().err
 
-    def test_table_mode_takes_the_first_file_whatever_the_labels(self, tmp_path, capsys):
-        down, up = tmp_path / "down.json", tmp_path / "up.json"
+    def test_mode_names_a_table_by_its_label(self, tmp_path, capsys):
+        down, up, table = tmp_path / "down.json", tmp_path / "up.json", tmp_path / "table.json"
         write_distribution(down, ProbabilityTable(grid=[0.0, 1.0], p=[1.0, 1.0], label="d1"))
-        write_distribution(up, ProbabilityTable(grid=[0.0, 1.0], p=[0.0, 0.0], label="D1"))
-        assert run_cli("round", "0.4", "--mode", "table", "--table", str(down), "--table", str(up),
-                       "--count", "4") == 0
+        write_distribution(up, ProbabilityTable(grid=[0.0, 1.0], p=[0.0, 0.0], label="d2"))
+        write_distribution(table, ProbabilityTable(grid=[0.0, 1.0], p=[0.0, 0.0]))  # the default label, "table"
+        assert run_cli("round", "0.4", "--mode", "d1", "--table", str(up), "--table", str(down), "--count", "4") == 0
         assert capsys.readouterr().out.split() == ["0"] * 4
-        with pytest.raises(SystemExit) as exc:
-            run_cli("round", "0.4", "--mode", "d1", "--table", str(down), "--table", str(up))
+        with pytest.raises(SystemExit) as exc:  # "table" is no mode of its own
+            run_cli("round", "0.4", "--mode", "table", "--table", str(down), "--table", str(up))
         assert exc.value.code == 2
+        assert "unknown mode 'table'" in capsys.readouterr().err
+        assert run_cli("round", "0.4", "--mode", "table", "--table", str(down), "--table", str(table),
+                       "--count", "4") == 0
+        assert capsys.readouterr().out.split() == ["1"] * 4
 
 
 class TestOptimizeCommand:
@@ -484,7 +488,7 @@ class TestOneProcess:
         assert err.startswith("srlab: ") and str(target) in err and len(err.splitlines()) == 1
         assert [p.name for p in tmp_path.iterdir()] == ([] if kind == "missing" else ["repro"])
 
-    @pytest.mark.parametrize("order", [1, -1])  # reversed, contour, which ignores the seed, runs first
+    @pytest.mark.parametrize("order", [1, -1])  # reversed, contour, which draws nothing, runs first
     def test_reproduce_bad_seed_exits_2_before_any_work(self, order, tmp_path, capsys, monkeypatch):
         _no_work(monkeypatch)
         monkeypatch.setattr(srlab.cli, "_PAPER_RUNS", srlab.cli._PAPER_RUNS[::order])
@@ -599,6 +603,9 @@ class TestOneProcess:
         ["experiment", "varbound", "--xmax", "9223372036854775000", "--step", "1"],
         ["experiment", "varbound", "--xmax", "1e20", "--step", "1"],
         ["experiment", "varbound", "--xmax", "1e308", "--step", "1e-308"],
+        # a bad seed is refused by every command, also one that draws nothing
+        ["experiment", "contour", "--res", "2", "--seed", "-1"],
+        ["experiment", "contour", "--res", "2", "--seed", "18446744073709551616"],
     ],
 )
 def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):
@@ -616,6 +623,22 @@ def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):
     assert usage.startswith("usage: srlab")
     assert message.startswith("srlab: error: ")
     assert config is None or str(config) in message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["round", "0.4", "--mode", "sr,cr"], "--mode names one mode, got 'sr,cr'"),
+    (["round", "0.4", "--mode", ","], "--mode needs at least one value"),
+    (["experiment", "sum", "--modes", "sr,SR"], "bad --modes value 'sr,SR': a value is repeated"),
+    (["experiment", "sum", "--modes", ","], "--modes needs at least one value"),
+    (["experiment", "sum", "--modes", "sr,d1"], "bad --modes value 'sr,d1': unknown mode 'd1'; available: "),
+])
+def test_modes_share_the_comma_list_parser(argv, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, *([] if argv[0] == "round" else ["--out", str(out)]))
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith(f"srlab: error: {message}")
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -253,6 +254,12 @@ class TestTableProbability:
             ProbabilityTable(grid=[0.0, 0.5, 0.5, 1.0], p=[1.0, 0.5, 0.5, 0.0])
         with pytest.raises(ValueError, match="equal length"):
             ProbabilityTable(grid=[0.0, 1.0], p=[1.0, 0.5, 0.0])
+
+    @pytest.mark.parametrize("label", [5, None, b"x"])
+    def test_label_must_be_a_string(self, label):
+        # write_distribution would write such a label, and read_distribution refuse it
+        with pytest.raises(ValueError, match=f"^label must be a string, got {re.escape(repr(label))}$"):
+            ProbabilityTable(grid=[0.0, 1.0], p=[1.0, 0.0], label=label)
 
     @pytest.mark.parametrize("grid, p", [
         ([0.0, np.nan, 1.0], [1.0, 0.5, 0.0]),
