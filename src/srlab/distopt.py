@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .rounding import ProbabilityTable, _unit_interval
+from .rounding import ProbabilityTable, _ret, _unit_interval
 from .streams import _INV_2_53, _U_GOLDEN, RandomStream, _integer, _mix_shift, _real, _steps, substream_phases
 
 __all__ = [
@@ -133,15 +133,13 @@ def _objective_config(target) -> MopConfig:
 def variance_of_p(p, delta: float = 1.0):
     """Rounding variance delta^2 (p - p^2); maximal at p = 1/2."""
     arr = _unit_interval(p, "p")
-    v = (delta * delta) * (arr - arr * arr)
-    return float(v) if v.ndim == 0 else v
+    return _ret((delta * delta) * (arr - arr * arr))
 
 
 def bias_of_p(p, f, delta: float = 1.0):
     """Rounding bias delta ((1 - p) - f); zero exactly when p = 1 - f."""
     arr = _unit_interval(p, "p")
-    b = delta * ((1.0 - arr) - _unit_interval(f, "f"))
-    return float(b) if b.ndim == 0 else b
+    return _ret(delta * ((1.0 - arr) - _unit_interval(f, "f")))
 
 
 def objective(p, f, cfg: MopConfig):
@@ -154,8 +152,7 @@ def objective(p, f, cfg: MopConfig):
     arr = _unit_interval(np.clip(np.asarray(p, dtype=np.float64), 0.0, 1.0), "p")
     fr = _unit_interval(f, "f")
     shape = np.broadcast_shapes(arr.shape, fr.shape)
-    total = _objective_into(arr, fr, cfg, *(np.empty(shape) for _ in range(3)))
-    return float(total) if total.ndim == 0 else total
+    return _ret(_objective_into(arr, fr, cfg, *(np.empty(shape) for _ in range(3))))
 
 
 def _objective_into(p, f, cfg: MopConfig, out, v, b):

@@ -98,8 +98,9 @@ class ProbabilityTable:
 
     ``grid`` holds fractions in [0, 1] with endpoints 0 and 1; ``p[j]`` is
     the probability of rounding down at fraction ``grid[j]``.  Between nodes
-    the probability is interpolated linearly.  Tables are frozen, with
-    read-only float64 copies of the arrays, so no caller can change one.
+    the probability is interpolated linearly.  Tables are frozen, and
+    ``grid`` and ``p`` are read-only views of private float64 copies of the
+    arrays, so no caller can change one.
     """
 
     grid: np.ndarray
@@ -116,9 +117,13 @@ class ProbabilityTable:
         if grid[0] != 0.0 or grid[-1] != 1.0 or not np.all(np.diff(grid) > 0):  # NaN fails too
             raise ValueError("grid must increase strictly from 0 to 1")
         _unit_interval(p, "probabilities")
-        grid.flags.writeable = p.flags.writeable = False
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "p", p)
+        # np.interp copies read-only arrays on every call, so rounding reads
+        # these writable copies, and callers get read-only views of them
+        object.__setattr__(self, "_nodes", (grid, p))
+        for name, arr in (("grid", grid), ("p", p)):
+            view = arr.view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     def __eq__(self, other):
         if not isinstance(other, ProbabilityTable):
@@ -136,8 +141,9 @@ SR = ProbabilityTable(grid=[0.0, 1.0], p=[1.0, 0.0], label="sr")
 RoundingMode = Union[DeterministicMode, ProbabilityTable]
 
 
-def _prepare(x, spec: RoundingSpec):
-    """(values, scalar flag); the values must be finite, also once scaled."""
+def _to_grid(x, spec: RoundingSpec) -> np.ndarray:
+    """theta*x as float64, with a one-ulp snap so grid values scale to exact
+    integers; x must be finite, also once scaled."""
     arr = np.asarray(x, dtype=np.float64)
     # IEEE rounding is monotonic, so the largest |x| decides whether any
     # theta*x overflows; Python floats give inf there without a warning.
@@ -146,19 +152,15 @@ def _prepare(x, spec: RoundingSpec):
         raise ValueError("values to round must be finite")
     if math.isinf(largest * spec.theta):
         raise ValueError(f"values scaled by the grid scale {spec.base}**{spec.n} overflow a double")
-    return arr, np.isscalar(x) or arr.ndim == 0
-
-
-def _scaled(arr: np.ndarray, spec: RoundingSpec) -> np.ndarray:
-    """theta*x with a one-ulp snap so grid values scale to exact integers."""
     xt = arr * spec.theta
     nearest = np.rint(xt)
     snap = np.abs(xt - nearest) <= np.spacing(np.abs(xt))
     return np.where(snap, nearest, xt)
 
 
-def _ret(values: np.ndarray, scalar: bool):
-    return float(values) if scalar else values
+def _ret(values):
+    """The one scalar rule of the public kernels: a float for a 0-d result, else the array."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
 def grid_fraction(x, spec: RoundingSpec):
@@ -167,9 +169,8 @@ def grid_fraction(x, spec: RoundingSpec):
     Defined via the floor convention, so negative values use the grid point
     below them.
     """
-    arr, scalar = _prepare(x, spec)
-    xt = _scaled(arr, spec)
-    return _ret(xt - np.floor(xt), scalar)
+    xt = _to_grid(x, spec)
+    return _ret(xt - np.floor(xt))
 
 
 def rounding_thresholds(x, mode: RoundingMode, spec: RoundingSpec):
@@ -185,13 +186,12 @@ def rounding_thresholds(x, mode: RoundingMode, spec: RoundingSpec):
     compared with (``streams._draw_thresholds``); only :func:`round_values`
     builds the draw u.
     """
-    arr, _ = _prepare(x, spec)
-    xt = _scaled(arr, spec)
+    xt = _to_grid(x, spec)
     lower = np.floor(xt)
     frac = xt - lower
     D = DeterministicMode
     if isinstance(mode, ProbabilityTable):
-        p_down = np.interp(frac, mode.grid, mode.p).clip(0.0, 1.0)  # ndarray.clip skips np.clip's dispatch layer
+        p_down = np.interp(frac, *mode._nodes).clip(0.0, 1.0)  # ndarray.clip skips np.clip's dispatch layer
     elif not isinstance(mode, D):
         raise TypeError(f"expected a rounding mode, got {mode!r}")
     elif mode in (D.FLOOR, D.CEILING):
@@ -220,4 +220,4 @@ def round_values(x, mode: RoundingMode, spec: RoundingSpec, rng: RandomStream | 
         raise ValueError("stochastic modes need a RandomStream")
     lower, t = rounding_thresholds(x, mode, spec)
     u = rng.uniform(lower.shape) if stochastic else 0.0
-    return _ret((lower + (u >= t)) / spec.theta, lower.ndim == 0)
+    return _ret((lower + (u >= t)) / spec.theta)

@@ -7,11 +7,12 @@ infinite so downstream aggregation is never poisoned.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .rounding import RoundingSpec, grid_fraction
+from .rounding import RoundingSpec, _ret, grid_fraction
 from .streams import _integer, _real
 
 __all__ = [
@@ -73,9 +74,7 @@ def sr_variance_theoretical(x, spec: RoundingSpec):
     grid and at most 1/(2 theta)^2.
     """
     f = grid_fraction(x, spec)
-    f = np.asarray(f, dtype=np.float64)
-    v = (f - f * f) / (spec.theta * spec.theta)
-    return float(v) if v.ndim == 0 else v
+    return _ret((f - f * f) / (spec.theta * spec.theta))
 
 
 def variance_bound(spec: RoundingSpec) -> float:
@@ -84,19 +83,29 @@ def variance_bound(spec: RoundingSpec) -> float:
 
 
 def summarize(rounded_outcomes, exact: float, n_it_mean: float | None = None) -> StatsSummary:
-    """Summary statistics of rounded outcomes against the exact value."""
+    """Summary statistics of rounded outcomes against the exact value.
+
+    Outcomes and ``exact`` must be finite, and so must every statistic: outcomes
+    whose mean, variance or error overflows are refused, and no RuntimeWarning escapes.
+    """
     arr = np.asarray(rounded_outcomes, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("need at least one outcome")
-    mu = float(np.mean(arr))
-    if exact == 0.0:
-        rel = None
-    else:
-        rel = float(np.mean(np.abs(arr - exact))) / abs(exact)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("outcomes must be finite")
+    if not math.isfinite(exact):
+        raise ValueError(f"exact must be a finite real number, got {exact!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = float(np.mean(arr))
+        variance = float(np.var(arr))
+        rel = None if exact == 0.0 else float(np.mean(np.abs(arr - exact))) / abs(exact)
+    abs_bias = abs(mu - exact)
+    if not all(map(math.isfinite, (mu, variance, abs_bias, rel or 0.0))):
+        raise ValueError("the statistics of the outcomes overflow a double")
     return StatsSummary(
         mu=mu,
-        abs_bias=abs(mu - exact),
-        variance=float(np.var(arr)),
+        abs_bias=abs_bias,
+        variance=variance,
         mean_abs_rel_err=rel,
         n_samples=int(arr.size),
         n_it_mean=n_it_mean,

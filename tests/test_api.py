@@ -1,7 +1,15 @@
 import importlib
 import types
+import warnings
+
+import numpy as np
+import pytest
 
 import srlab
+from srlab import (
+    SR, Preset, RandomStream, RoundingSpec, bias_of_p, grid_fraction, objective, preset_config, round_values,
+    sr_variance_theoretical, variance_of_p,
+)
 
 PUBLIC_NAMES = [
     "CaseId", "ContourGrid", "DIST_FORMAT_VERSION", "DOT_SIZES", "DeterministicMode", "ExperimentReport",
@@ -35,3 +43,35 @@ def test_no_callable_carries_wrapped():
         for attr, value in vars(module).items():
             wrapped = callable(value) and hasattr(value, "__wrapped__") and not isinstance(value, type)
             assert not wrapped, f"{module.__name__}.{attr} has __wrapped__"
+
+
+MILLI = RoundingSpec(3, 10)
+KERNELS = {
+    "grid_fraction": lambda x: grid_fraction(x, MILLI),
+    "round_values": lambda x: round_values(x, SR, MILLI, RandomStream(7)),
+    "variance_of_p": variance_of_p,
+    "bias_of_p": lambda x: bias_of_p(x, 0.5),
+    "objective": lambda x: objective(x, 0.5, preset_config(Preset.D2)),
+    "sr_variance_theoretical": lambda x: sr_variance_theoretical(x, MILLI),
+}
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_one_scalar_rule(name):
+    # a scalar in gives a float out, and a list or array an array, with the same bits
+    kernel = KERNELS[name]
+    for scalars, arrays in [((0.3, np.float64(0.3), np.array(0.3)), ([0.3], np.array([0.3]))), ((0,), ([0],))]:
+        for x in arrays:
+            out = kernel(x)
+            assert type(out) is np.ndarray and out.shape == (1,)
+        for x in scalars:
+            value = kernel(x)
+            assert type(value) is float
+            assert np.array([value]).view(np.uint64) == out.view(np.uint64)
+
+
+@pytest.mark.parametrize("category", [DeprecationWarning, FutureWarning])
+def test_deprecations_raised_from_srlab_are_errors(category):
+    # so a numpy API that srlab calls and numpy deprecates fails the tests, not a later numpy
+    with pytest.raises(category):
+        warnings.warn_explicit("deprecated", category, "rounding.py", 1, module="srlab.rounding")

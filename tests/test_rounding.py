@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -244,6 +245,20 @@ class TestTableProbability:
                 t.p = p
         grid[1] = p[1] = 0.25  # the caller's arrays stay writable and apart
         assert table.grid[1] == table.p[1] == 0.5
+
+    def test_rounding_does_not_copy_the_table(self):
+        # np.interp copies read-only arrays on every call, so a call would cost the table's size
+        grid = np.linspace(0.0, 1.0, 200_001)
+        table = ProbabilityTable(grid, 1.0 - grid)
+        x = RandomStream(5).uniform(10) * 8.0
+        rounding_thresholds(x, table, INT)
+        tracemalloc.start()
+        try:
+            rounding_thresholds(x, table, INT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_table_validation(self):
         with pytest.raises(ValueError):

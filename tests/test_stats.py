@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -86,6 +89,24 @@ class TestSummarize:
     def test_empty(self):
         with pytest.raises(ValueError):
             summarize([], 1.0)
+
+    def test_negative_exact(self):
+        s = summarize([-4.0, -6.0], -4.0)
+        assert (s.mu, s.abs_bias, s.variance, s.mean_abs_rel_err) == (-5.0, 1.0, 1.0, 0.25)
+
+    @pytest.mark.parametrize("outcomes, exact, message", [
+        ([math.inf, 1.0], 1.0, "^outcomes must be finite$"),
+        ([math.nan, 1.0], 1.0, "^outcomes must be finite$"),
+        ([1.0, 2.0], math.nan, "^exact must be a finite real number, got nan$"),
+        ([1e308, 1e308], 1.0, "^the statistics of the outcomes overflow a double$"),
+        ([1.7e308, -1.7e308], 0.0, "^the statistics of the outcomes overflow a double$"),
+        ([1.0, 2.0], 1e-320, "^the statistics of the outcomes overflow a double$"),
+    ], ids=["inf", "nan", "nan-exact", "mean-overflows", "variance-overflows", "error-overflows"])
+    def test_non_finite_refused_without_warnings(self, outcomes, exact, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                summarize(outcomes, exact)
 
 
 class TestWorstCase:
