@@ -92,10 +92,10 @@ def _cmd_optimize(args) -> int:
         target = Preset(args.preset)
         mop = _objective_config(target)
     else:
-        with open(args.config) as fh:
-            text = fh.read()
-        try:
-            mop = target = _objective_config(MopConfig(**json.loads(text)))
+        with open(args.config, "rb") as fh:
+            data = fh.read()
+        try:  # decoding inside the try, so that an undecodable file is named
+            mop = target = _objective_config(MopConfig(**json.loads(data.decode("utf-8"))))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{args.config}: invalid objective config: {exc}") from exc
     pso = PsoConfig(iterations=args.iterations, seed=args.seed)

@@ -11,9 +11,9 @@ probability of rounding down, so every mode runs through the same engine: a
 deterministic rule's probabilities are 0 or 1, so its study runs one
 repetition, whose draws cannot change the result.  Every study decides a
 rounding between integers: it compares the 53-bit draw, taken by counter,
-with the threshold converted to an integer, which is exact, and never
+with the value's integer threshold from ``rounding_thresholds``, and never
 builds the double draw.  Studies that round the same values in every
-repetition (``_repeat``) convert each value's threshold once per study, so
+repetition (``_repeat``) work out each value's threshold once per study, so
 a repetition costs one comparison per draw; the Newton study rounds new
 values at every step.
 """
@@ -29,7 +29,7 @@ import numpy as np
 
 from .rounding import SR, DeterministicMode, RoundingMode, RoundingSpec, rounding_thresholds
 from .stats import StatsSummary, sr_variance_theoretical, summarize, variance_bound
-from .streams import RandomStream, _draw_thresholds, _integer, _mix_shift, _real, _steps, substream_phases
+from .streams import RandomStream, _integer, _mix_shift, _real, _steps, substream_phases
 
 __all__ = [
     "CaseId",
@@ -109,18 +109,18 @@ def _rep_phases(seed: int, n_reps: int) -> np.ndarray:
     return substream_phases(RandomStream(seed).phase, _REP_STREAM_BASE + np.arange(n_reps))
 
 
-def _repeat(seed: int, n_reps: int, n_draws: int, t, outcome) -> np.ndarray:
+def _repeat(seed: int, n_reps: int, n_draws: int, T, outcome) -> np.ndarray:
     """One outcome per repetition, computed in blocks of repetitions.
 
-    Element j of repetition r hits when ``draws_at(phase_r, j)``, draw j of
-    substream 16 + r, is >= ``t[r, j]`` (``t`` broadcast to (n_reps,
-    n_draws)).  ``outcome(rows, hit, scratch)`` maps a slice of repetitions,
-    their bool hits and float64 scratch of hit's shape, the block's spent
-    draws, to one value per repetition.
+    Element j of repetition r hits when its 53-bit draw j of substream
+    16 + r is >= ``T[r, j]`` (``T`` broadcast to (n_reps, n_draws)).
+    ``outcome(rows, hit, scratch)`` maps a slice of repetitions, their bool
+    hits and float64 scratch of hit's shape, the block's spent draws, to
+    one value per repetition.
     """
     phases = _rep_phases(seed, n_reps)[:, None]
     steps = _steps(np.arange(n_draws))
-    thresholds = np.broadcast_to(_draw_thresholds(t), (n_reps, n_draws))
+    thresholds = np.broadcast_to(T, (n_reps, n_draws))
     block = max(1, _BLOCK_DRAWS // n_draws)
     z, tmp = np.empty((2, min(block, n_reps), n_draws), dtype=np.uint64)  # the states, then the draws
     hits = np.empty(z.shape, dtype=bool)
@@ -140,11 +140,11 @@ def _rounding_study(values, exact, combine, mode, n_reps, seed) -> ExperimentRep
     rounds to ``lower[j] + hit[j]``.  ``combine(lower)`` returns the
     ``_repeat`` outcome that maps (rows, hit, scratch) to one outcome per
     row.  A deterministic mode runs one repetition: its thresholds are 0 or
-    1, so its draws cannot change the result.
+    2**53, so its draws cannot change the result.
     """
     n_reps = _runs(mode, n_reps)
-    lower, t = rounding_thresholds(values, mode, RoundingSpec())
-    outcomes = _repeat(seed, n_reps, values.size, t, combine(lower))
+    lower, T = rounding_thresholds(values, mode, RoundingSpec())
+    outcomes = _repeat(seed, n_reps, values.size, T, combine(lower))
     return ExperimentReport(
         summary=summarize(outcomes, exact),
         n_reps=outcomes.size,
@@ -201,8 +201,8 @@ def _newton_many(a: float, mode: RoundingMode, spec: RoundingSpec, phases: np.nd
     Repetition r takes draw 0 of its phase for the radicand, then 2k - 1 and
     2k at step k, so results are bit-identical to a serial loop.  The active
     repetitions are kept compact and draw for ``_NEWTON_STEPS`` steps per
-    call.  A deterministic mode draws too, but its thresholds are 0 or 1,
-    so the draws cannot change its result.
+    call.  A deterministic mode draws too, but its thresholds are 0 or
+    2**53, so the draws cannot change its result.
     """
 
     def draws(ph, counters):  # the 53-bit draws at ``counters`` of the runs with phases ``ph``
@@ -210,8 +210,8 @@ def _newton_many(a: float, mode: RoundingMode, spec: RoundingSpec, phases: np.nd
         return _mix_shift(z, np.empty_like(z))
 
     def rounded(x, b):  # x rounds up where its draw b passes its threshold
-        lower, t = rounding_thresholds(x, mode, spec)
-        return (lower + (b >= _draw_thresholds(t))) / spec.theta
+        lower, T = rounding_thresholds(x, mode, spec)
+        return (lower + (b >= T)) / spec.theta
 
     n = phases.size
     fa = rounded(np.full(n, float(a)), draws(phases, [0])[:, 0])
@@ -326,7 +326,7 @@ def validate_variance_bound(
     ratio = x_max / step  # inf when the quotient overflows
     n_pts = _integer(round(ratio) + 1 if ratio < math.inf else ratio, "grid size x_max / step + 1", 1)
     xs = np.arange(n_pts) * step
-    lower, t = rounding_thresholds(xs, SR, spec)
+    lower, T = rounding_thresholds(xs, SR, spec)
 
     def var_rows(rows, hit, x):
         # the steps of np.var(x, axis=1), in place in the block's scratch,
@@ -341,7 +341,7 @@ def validate_variance_bound(
         v /= draws
         return v
 
-    v_emp = _repeat(seed, n_pts, draws, t[:, None], var_rows)
+    v_emp = _repeat(seed, n_pts, draws, T[:, None], var_rows)
     return VarianceBoundGrid(
         x=xs,
         v_empirical=v_emp,

@@ -52,10 +52,10 @@ def write_distribution(path, table: ProbabilityTable, delta: float = 1.0, proven
 
 def read_distribution(path) -> LoadedDistribution:
     """Load a distribution file; a ValueError naming ``path`` means its contents are invalid."""
-    with open(path) as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        payload = json.loads(text)
+        payload = json.loads(data.decode("utf-8"))  # JSON text is UTF-8 (RFC 8259)
         version, label, provenance = payload["format_version"], payload["label"], payload.get("provenance", {})
         if type(version) is not int or version != DIST_FORMAT_VERSION:  # 1.5, true and "1" are not 1
             raise ValueError(f"unsupported format_version {version!r}")

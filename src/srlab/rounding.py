@@ -99,8 +99,8 @@ class ProbabilityTable:
     ``grid`` holds fractions in [0, 1] with endpoints 0 and 1; ``p[j]`` is
     the probability of rounding down at fraction ``grid[j]``.  Between nodes
     the probability is interpolated linearly.  Tables are frozen, and
-    ``grid`` and ``p`` are read-only views of private float64 copies of the
-    arrays, so no caller can change one.
+    ``grid`` and ``p`` are read-only float64 copies of the arrays, which
+    cannot be made writable, so no caller can change one.
     """
 
     grid: np.ndarray
@@ -118,12 +118,11 @@ class ProbabilityTable:
             raise ValueError("grid must increase strictly from 0 to 1")
         _unit_interval(p, "probabilities")
         # np.interp copies read-only arrays on every call, so rounding reads
-        # these writable copies, and callers get read-only views of them
+        # these writable copies, and callers get arrays over immutable bytes,
+        # which no one can make writable again
         object.__setattr__(self, "_nodes", (grid, p))
         for name, arr in (("grid", grid), ("p", p)):
-            view = arr.view()
-            view.flags.writeable = False
-            object.__setattr__(self, name, view)
+            object.__setattr__(self, name, np.frombuffer(arr.tobytes()))
 
     def __eq__(self, other):
         if not isinstance(other, ProbabilityTable):
@@ -174,17 +173,15 @@ def grid_fraction(x, spec: RoundingSpec):
 
 
 def rounding_thresholds(x, mode: RoundingMode, spec: RoundingSpec):
-    """Per-value half of rounding with any mode: ``(lower, t)`` on the scaled grid.
+    """Per-value half of rounding with any mode: ``(lower, T)`` on the scaled grid.
 
-    ``lower`` is the scaled grid floor of x and ``t`` its probability of
-    rounding down; grid points get ``t = 2.0``, above every draw.  A draw u
-    in [0, 1) rounds x to ``(lower + (u >= t)) / theta``, so repeated
-    roundings of the same values work out ``(lower, t)`` only once.  A
-    deterministic mode's ``t`` is 0 where its rule rounds up and 1 where it
-    rounds down, so every draw gives the rule's result.  The studies
-    convert ``t`` to the integer thresholds that their 53-bit draws are
-    compared with (``streams._draw_thresholds``); only :func:`round_values`
-    builds the draw u.
+    ``lower`` is the scaled grid floor of x and ``T`` the uint64 threshold
+    ceil(p_down * 2**53), from its probability p_down of rounding down;
+    grid points get ``T = 2**54``, above every draw.  A 53-bit draw b rounds
+    x to ``(lower + (b >= T)) / theta``, so repeated roundings of the same
+    values work out ``(lower, T)`` only once.  A deterministic mode's ``T``
+    is 0 where its rule rounds up and 2**53 where it rounds down, so every
+    draw gives the rule's result.
     """
     xt = _to_grid(x, spec)
     lower = np.floor(xt)
@@ -202,14 +199,15 @@ def rounding_thresholds(x, mode: RoundingMode, spec: RoundingSpec):
         mid, odd = lower + 0.5, lower % 2.0 != 0.0
         tie_up = {D.HALF_UP: True, D.HALF_DOWN: False, D.HALF_EVEN: odd, D.HALF_ODD: ~odd}[mode]
         p_down = 1.0 - ((xt > mid) | ((xt == mid) & tie_up))
-    return lower, np.where(frac > 0.0, p_down, 2.0)
+    # p_down * 2**53 is exact, so b >= T exactly when b * 2**-53 >= p_down
+    return lower, np.where(frac > 0.0, np.ceil(p_down * 2.0**53), 2.0**54).astype(np.uint64)
 
 
 def round_values(x, mode: RoundingMode, spec: RoundingSpec, rng: RandomStream | None = None):
     """Round to the grid with any mode, by the formula of :func:`rounding_thresholds`.
 
     Deterministic modes ignore ``rng`` and draw nothing: their thresholds
-    are 0 or 1, so the draw u = 0 gives the rule's result.  Ties (scaled
+    are 0 or 2**53, so the draw b = 0 gives the rule's result.  Ties (scaled
     value exactly halfway) follow the mode's rule, and parity for the
     half-even/half-odd rules is judged on the scaled integer grid.
     Stochastic modes take one draw from ``rng`` per element, and only once
@@ -218,6 +216,6 @@ def round_values(x, mode: RoundingMode, spec: RoundingSpec, rng: RandomStream | 
     stochastic = isinstance(mode, ProbabilityTable)
     if stochastic and rng is None:
         raise ValueError("stochastic modes need a RandomStream")
-    lower, t = rounding_thresholds(x, mode, spec)
-    u = rng.uniform(lower.shape) if stochastic else 0.0
-    return _ret((lower + (u >= t)) / spec.theta)
+    lower, T = rounding_thresholds(x, mode, spec)
+    b = rng.uniform(lower.shape) * 2.0**53 if stochastic else 0  # exactly the 53-bit draw of u
+    return _ret((lower + (b >= T)) / spec.theta)

@@ -151,7 +151,8 @@ def contour_grid(x1_max: float = 5.0, resolution: int = 200) -> ContourGrid:
     for finite branches, is refused.
     """
     x1_max, n = _real(x1_max, "x1_max"), _integer(resolution, "resolution", 1)
-    x1 = (np.arange(n) + 0.5) * x1_max / n
+    with np.errstate(over="ignore"):  # an x1 that overflows to inf is refused by _branches, like any integer x1
+        x1 = (np.arange(n) + 0.5) * x1_max / n
     x2 = (np.arange(n) + 0.5) / n
     # e_down and e_up come out (n, n) and fresh; p depends on x1 alone
     e_down, e_up, p = _branches(x1[:, None], x2[None, :])

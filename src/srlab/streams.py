@@ -17,7 +17,7 @@ written, and ``_mix_shift`` turns the states ``phase + _steps(j)`` into the
 53-bit integer draws in place.  ``draws_at`` scales them through their
 int64 view (a draw is below 2^63, so the faster signed conversion gives the
 same double); the swarm scales them itself, and the studies compare them
-with integer thresholds, exactly as ``u >= t``.
+with the integer thresholds of ``rounding.rounding_thresholds``.
 """
 
 from __future__ import annotations
@@ -57,16 +57,6 @@ def _mix_shift(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
 def _steps(counters) -> np.ndarray:
     """``(counter + 1) * GOLDEN`` as uint64: draw ``counter``'s state is its phase plus this."""
     return np.multiply(np.add(np.asarray(counters, dtype=np.uint64), _U_1), _U_GOLDEN)
-
-
-def _draw_thresholds(t) -> np.ndarray:
-    """uint64 thresholds T with ``b >= T`` exactly when ``b * 2**-53 >= t``.
-
-    For t in [0, 2], t * 2**53 is exact, so T = ceil(t * 2**53) is the least
-    53-bit draw b that passes.  The grid-point sentinel t = 2.0 becomes
-    2**54, above every draw, as does NaN, which no draw passes either.
-    """
-    return np.fmin(np.ceil(np.multiply(t, 2.0 ** 53)), 2.0 ** 54).astype(np.uint64)
 
 
 def draws_at(phase, counters) -> np.ndarray:

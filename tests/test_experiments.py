@@ -180,7 +180,7 @@ class TestRepetitionEngine:
         monkeypatch.setattr(experiments, "_BLOCK_DRAWS", block_rows * n_draws)
         u = draws_at(experiments._rep_phases(7, n_reps)[:, None], np.arange(n_draws))
         t_col = np.random.default_rng(1).random(n_draws)
-        t_col[1] = 2.0  # the grid-point sentinel: never hit
+        t_col[1] = 2.0  # T = 2**54, the grid-point threshold: never hit
         t_row = np.random.default_rng(2).random((n_reps, 1))
         for t in (t_col, t_row):
             hits, sizes = np.zeros(u.shape, dtype=bool), []
@@ -191,7 +191,8 @@ class TestRepetitionEngine:
                 sizes.append(hit.shape[0])
                 return hit.sum(axis=1)
 
-            out = experiments._repeat(7, n_reps, n_draws, t, record)
+            # the engine takes the thresholds T = ceil(t * 2**53), and must hit where the doubles u >= t
+            out = experiments._repeat(7, n_reps, n_draws, np.ceil(t * 2.0**53).astype(np.uint64), record)
             expected = u >= np.broadcast_to(t, u.shape)
             assert np.array_equal(hits, expected)
             assert out.tolist() == expected.sum(axis=1).tolist()
@@ -312,6 +313,9 @@ class TestRepetitionEngine:
             for bad in (-1.0, math.nan, math.inf, True, "1", None, 10**400):  # 10**400 has no double
                 with pytest.raises(ValueError, match=f"^{name} must be a finite"):
                     call(bad)
+        # an x1_max whose cells overflow to x1 = inf is refused, and numpy's overflow warning stays inside
+        with pytest.raises(ValueError, match="^x1 must lie strictly between integers$"):
+            contour_grid(1e308, 3)
         for bad in (0.0, -0.0):
             with pytest.raises(ValueError, match="^radicand"):
                 run_sqrt_experiment(bad, SR)

@@ -301,14 +301,15 @@ class TestExperimentCommands:
 
     def test_malformed_table_is_usage_error_naming_the_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text("{oops")
-        with pytest.raises(SystemExit) as exc:
-            run_cli("experiment", "sum", "--case", "III", "--modes", "sr",
-                    "--table", str(bad), "--out", str(tmp_path / "sum.csv"))
-        assert exc.value.code == 2
-        usage, message = capsys.readouterr().err.splitlines()
-        assert message.startswith("srlab: error: ") and str(bad) in message
-        assert not (tmp_path / "sum.csv").exists()
+        for contents in (b"{oops", b"\xff{"):  # not JSON, and not UTF-8, which JSON text is
+            bad.write_bytes(contents)
+            with pytest.raises(SystemExit) as exc:
+                run_cli("experiment", "sum", "--case", "III", "--modes", "sr",
+                        "--table", str(bad), "--out", str(tmp_path / "sum.csv"))
+            assert exc.value.code == 2
+            usage, message = capsys.readouterr().err.splitlines()
+            assert message.startswith("srlab: error: ") and str(bad) in message
+            assert not (tmp_path / "sum.csv").exists()
         # well-formed JSON with invalid contents: a NaN delta
         nan_delta = _write_json(tmp_path / "nan.json", {"format_version": 1, "label": "x", "delta": float("nan"),
                                                         "grid": [0.0, 1.0], "p": [1.0, 0.0]})
@@ -589,6 +590,7 @@ class TestOneProcess:
         ["experiment", "dot", "--sizes", "50,1", "--reps", "3"],
         # products whose error branches overflow, and a base that RoundingSpec alone refuses
         ["experiment", "contour", "--x1-max", "1e-310", "--res", "2"],
+        ["experiment", "contour", "--x1-max", "1e308", "--res", "3"],
         ["round", "0.4", "--base", "3"],
         ["experiment", "sqrt", "--values", "2", "--modes", "cr", "--base", "3"],
         # counts that numpy cannot size (np.arange(2**63 - 1) is empty), and a weight with no double
@@ -596,6 +598,7 @@ class TestOneProcess:
         ["experiment", "dot", "--sizes", "9223372036854775807", "--modes", "cr", "--reps", "1"],
         ["optimize", "--preset", "d1", "--grid-size", "9223372036854775807"],
         ["optimize", "--config", '{"theta1": 1' + "0" * 400 + ', "theta2": 0.5}'],
+        ["optimize", "--config", "\xff{"],  # a config file that is not UTF-8
         # the square-root study's stopping rule (1e-5, at most 100 steps) has no flags
         ["experiment", "sqrt", "--values", "2", "--modes", "cr", "--tol", "1e-5"],
         ["experiment", "sqrt", "--values", "2", "--modes", "cr", "--max-iter", "100"],
@@ -611,10 +614,10 @@ class TestOneProcess:
 def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):
     out = tmp_path / "out"
     config = None
-    if "--config" in argv:  # the argument after it is the config file's text
+    if "--config" in argv:  # the argument after it is the config file's text, one byte a character
         i = argv.index("--config") + 1
         config = tmp_path / "mop.json"
-        config.write_text(argv[i])
+        config.write_bytes(argv[i].encode("latin-1"))
         argv = [*argv[:i], str(config), *argv[i + 1:]]
     with pytest.raises(SystemExit) as exc:
         run_cli(*argv, *([] if argv[0] == "round" else ["--out", str(out)]))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import tracemalloc
@@ -16,7 +17,8 @@ from srlab.rounding import (
     round_values,
     rounding_thresholds,
 )
-from srlab.streams import RandomStream, _draw_thresholds
+from srlab.files import read_distribution, write_distribution
+from srlab.streams import RandomStream
 
 D = DeterministicMode
 INT = RoundingSpec()
@@ -134,20 +136,22 @@ class TestDeterministic:
                     assert (out == 0.0).any() and not np.signbit(out[out == 0.0]).any(), (spec, mode)
 
     def test_thresholds_are_zero_one_or_two(self):
+        # T / 2**53: 0 where a rule rounds up, 1 where it rounds down, 2 on grid points
         x = _edge_values()[::64]
         for spec in EDGE_SPECS:
             for mode in D:
-                assert np.isin(rounding_thresholds(x, mode, spec)[1], [0.0, 1.0, 2.0]).all(), (spec, mode)
+                T = rounding_thresholds(x, mode, spec)[1]
+                assert T.dtype == np.uint64 and np.isin(T, [0, 2**53, 2**54]).all(), (spec, mode)
 
     @pytest.mark.parametrize("u", [0.0, 0.5, 1.0 - 2.0**-53])
     def test_draws_cannot_change_a_rule(self, u):
-        # the studies' compare: the 53-bit draw b = u * 2**53 against the integer thresholds
+        # the studies' compare: the 53-bit draw b = u * 2**53 against the thresholds
         x = _edge_values()[::16]
         b = np.full(x.shape, u * 2.0**53).astype(np.uint64)
         for spec in EDGE_SPECS:
             for mode in D:
-                lower, t = rounding_thresholds(x, mode, spec)
-                got = (lower + (b >= _draw_thresholds(t))) / spec.theta
+                lower, T = rounding_thresholds(x, mode, spec)
+                got = (lower + (b >= T)) / spec.theta
                 assert np.array_equal(got.view(np.int64), round_values(x, mode, spec).view(np.int64)), (spec, mode)
 
     def test_wrong_mode_type(self):
@@ -183,9 +187,9 @@ class TestFloorToGrid:
 
 
 def _sr_down_up(x, spec):
-    """(p_down, p_up) of SR: a draw u in [0, 1) rounds down when u < t, which
-    has probability min(t, 1); the grid-point threshold is 2.0."""
-    return np.minimum(rounding_thresholds(x, SR, spec)[1], 1.0), grid_fraction(x, spec)
+    """(p_down, p_up) of SR: a 53-bit draw b rounds down when b < T, which
+    has probability min(T, 2**53) / 2**53; the grid-point threshold is 2**54."""
+    return np.minimum(rounding_thresholds(x, SR, spec)[1], 2**53) * 2.0**-53, grid_fraction(x, spec)
 
 
 class TestSrProbabilities:
@@ -202,8 +206,9 @@ class TestSrProbabilities:
     def test_thresholds_match_closed_form_bit_for_bit(self):
         x = _edge_values()
         for spec in EDGE_SPECS:
-            t = rounding_thresholds(x, SR, spec)[1]
-            assert np.array_equal(t.view(np.int64), sr_thresholds(x, spec).view(np.int64))
+            # the closed form's probability t becomes T = ceil(t * 2**53), its sentinel 2.0 becomes 2**54
+            expected = np.ceil(sr_thresholds(x, spec) * 2.0**53).astype(np.uint64)
+            assert np.array_equal(rounding_thresholds(x, SR, spec)[1], expected)
 
     def test_pair_sums_to_one_exactly(self):
         rng = RandomStream(99)
@@ -219,17 +224,17 @@ class TestTableProbability:
         self.table = ProbabilityTable(grid=[0.0, 0.5, 1.0], p=[1.0, 0.5, 0.0], label="t")
 
     def test_node_lookup(self):
-        # f = 0 and f = 1 are grid points: their threshold 2.0 lies above every
+        # f = 0 and f = 1 are grid points: their threshold 2**54 lies above every
         # draw, whatever the table says there
         for f, p in zip(self.table.grid, self.table.p):
-            assert rounding_thresholds(f, self.table, INT)[1] == (p if 0.0 < f < 1.0 else 2.0)
+            assert rounding_thresholds(f, self.table, INT)[1] == (math.ceil(p * 2**53) if 0.0 < f < 1.0 else 2**54)
 
     def test_linear_midpoint(self):
         two = ProbabilityTable(grid=[0.0, 1.0], p=[1.0, 0.0])
-        assert rounding_thresholds(0.5, two, INT)[1] == 0.5
+        assert rounding_thresholds(0.5, two, INT)[1] == 2**52
 
     def test_hand_interpolation(self):
-        assert rounding_thresholds(0.25, self.table, INT)[1] == 0.75
+        assert rounding_thresholds(0.25, self.table, INT)[1] == math.ceil(0.75 * 2**53)
 
     def test_sr_is_the_two_node_table(self):
         assert SR == ProbabilityTable([0, 1], [1, 0], "sr")
@@ -246,6 +251,17 @@ class TestTableProbability:
         grid[1] = p[1] = 0.25  # the caller's arrays stay writable and apart
         assert table.grid[1] == table.p[1] == 0.5
 
+    def test_tables_cannot_be_made_writable(self, tmp_path):
+        # a writable SR would round every off-grid value up for the rest of the process
+        path = tmp_path / "t.json"
+        write_distribution(path, ProbabilityTable([0.0, 0.5, 1.0], [1.0, 0.5, 0.0], "t"))
+        for table in (SR, read_distribution(path).table):
+            for arr in (table.grid, table.p):
+                with pytest.raises(ValueError, match="WRITEABLE"):
+                    arr.flags.writeable = True
+                assert not arr.flags.writeable
+        assert SR.p.tolist() == [1.0, 0.0]
+
     def test_rounding_does_not_copy_the_table(self):
         # np.interp copies read-only arrays on every call, so a call would cost the table's size
         grid = np.linspace(0.0, 1.0, 200_001)
@@ -259,6 +275,21 @@ class TestTableProbability:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
+
+    def test_integer_thresholds_are_exact(self):
+        # u = b * 2**-53 for a 53-bit integer draw b, so b >= T must agree with
+        # u >= p at T and on both sides of it, for every kind of probability p
+        ulp = 2.0 ** -53
+        special = [0.0, ulp, 0.5, 1.0 - ulp, 1.0]
+        k = np.array([1, 2, 3, 2**20 + 1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 2, 2**53 - 1])
+        beside = np.concatenate([np.nextafter(k * ulp, -1.0), np.nextafter(k * ulp, 2.0)])
+        p = np.concatenate([special, beside, np.random.default_rng(7).random(2000)])
+        # a constant table rounds down with probability p at every fraction, 0.5 included
+        T = np.array([rounding_thresholds(0.5, ProbabilityTable([0, 1], [q, q]), INT)[1] for q in p])
+        assert T.dtype == np.uint64
+        for d in (-1, 0, 1):
+            b = np.clip(T.astype(np.int64) + d, 0, 2**53 - 1).astype(np.uint64)
+            assert np.array_equal(b >= T, b.astype(np.float64) * ulp >= p)
 
     def test_table_validation(self):
         with pytest.raises(ValueError):
@@ -345,24 +376,35 @@ class TestRoundStochastic:
         ceilish = ProbabilityTable(grid=[0.0, 1.0], p=[0.0, 0.0], label="zero")
         rng = RandomStream(5)
         assert round_values(3.0, ceilish, INT, rng) == 3.0
-        # p = 0.5 at f = 0 as well: 2.25 has threshold 0.5, a grid point one above every draw
+        # p = 0.5 at f = 0 as well: 2.25 has threshold 2**52, a grid point one above every draw
         half = ProbabilityTable(grid=[0.0, 1.0], p=[0.5, 0.5], label="half")
         g = np.arange(-5.0, 6.0)
-        assert np.array_equal(rounding_thresholds(g, half, INT)[1], np.full(g.shape, 2.0))
-        assert rounding_thresholds(2.25, half, INT)[1] == 0.5
+        assert np.array_equal(rounding_thresholds(g, half, INT)[1], np.full(g.shape, 2**54))
+        assert rounding_thresholds(2.25, half, INT)[1] == 2**52
         for _ in range(20):
             assert np.array_equal(round_values(g, half, INT, rng), g)
 
     def test_thresholds(self):
-        lower, t = rounding_thresholds(np.array([0.25, 2.0, -1.75]), SR, INT)
+        lower, T = rounding_thresholds(np.array([0.25, 2.0, -1.75]), SR, INT)
         assert np.array_equal(lower, [0.0, 2.0, -2.0])
-        assert np.array_equal(t, [0.75, 2.0, 0.75])
+        assert T.dtype == np.uint64 and T.tolist() == [math.ceil(0.75 * 2**53), 2**54, math.ceil(0.75 * 2**53)]
         table = ProbabilityTable(grid=[0.0, 0.5, 1.0], p=[1.0, 0.4, 0.0])
-        lower, t = rounding_thresholds(np.array([0.25, 3.0]), table, INT)
+        lower, T = rounding_thresholds(np.array([0.25, 3.0]), table, INT)
         assert np.array_equal(lower, [0.0, 3.0])
-        assert np.array_equal(t, [0.7, 2.0])
+        assert T.tolist() == [math.ceil(0.7 * 2**53), 2**54]
         with pytest.raises(TypeError):
             rounding_thresholds(0.5, "floor", INT)
+
+    def test_rounded_bits_are_pinned(self):
+        # every mode on three grids, each rounding with draws from a fresh RandomStream(11); the
+        # values are 100 000 uniforms in [-20, 20) and the grid points k/8 for k = -40 .. 40
+        x = np.concatenate([RandomStream(7).uniform(100_000) * 40 - 20, np.arange(-40, 41) / 8])
+        modes = [SR, ProbabilityTable(np.linspace(0, 1, 5), [1, .9, .5, .3, 0], "t5"), *D]
+        digest = hashlib.sha256()
+        for spec in (INT, MILLI, RoundingSpec(4, 2)):
+            for mode in modes:
+                digest.update(round_values(x, mode, spec, RandomStream(11)).tobytes())
+        assert digest.hexdigest() == "a0bd5776e13629551fd5fc04c8dc2bc520dcf7dd0fca3aba4c96ca57bf5f9942"
 
 
 class TestSharedProperties:

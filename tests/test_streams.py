@@ -7,7 +7,7 @@ from oracles import reference_draws, splitmix64_draw, splitmix64_mix, splitmix64
 from srlab import experiments
 from srlab.distopt import Preset, PsoConfig, optimize_table
 from srlab.rounding import ProbabilityTable, RoundingSpec
-from srlab.streams import RandomStream, _draw_thresholds, _mix64, _mix_shift, _steps, draws_at, substream_phases
+from srlab.streams import RandomStream, _mix64, _mix_shift, _steps, draws_at, substream_phases
 
 
 def test_reproducible_for_seed():
@@ -179,40 +179,23 @@ def test_uniforms_at_the_extreme_draws(monkeypatch):
     golden = 0x9E3779B97F4A7C15
     phases = np.array([(z - 3 * golden) % 2**64 for z in states], dtype=np.uint64)
     assert draws_at(phases, 2).tolist() == expected  # the state of draw 2 is phase + 3 * GOLDEN
-    # the studies' integer compare at the same draws, which hit t = 1 - 2**-53 only at the top
+    # the studies' integer compare at the same draws, which hit T = 2**53 - 1 only at the top
     monkeypatch.setattr(experiments, "_rep_phases", lambda seed, n_reps: phases[:n_reps])
-    t = np.array([0.0, 2.0**-53, 1.0 - 2.0**-53, 1.0])
+    T = np.array([0, 1, 2**53 - 1, 2**53], dtype=np.uint64)
     hits = np.empty(4, dtype=bool)
 
     def record(rows, hit, scratch):
         hits[rows] = hit[:, 2]
         return 0.0
 
-    experiments._repeat(0, 4, 3, t[:, None], record)
+    experiments._repeat(0, 4, 3, T[:, None], record)
     assert hits.tolist() == [True, False, True, False]
-    # and the Newton engine's: at the least draw, a table that never rounds down (t = 0) still rounds
+    # and the Newton engine's: at the least draw, a table that never rounds down (T = 0) still rounds
     # the radicand 0.5 up to 1, not down to 0, a breakdown; the root of 1 converges at step 1
     least = np.array([(states[0] - golden) % 2**64], dtype=np.uint64)  # its draw 0, the radicand's, is the least
     never_down = ProbabilityTable([0.0, 1.0], [0.0, 0.0])
     value, n_it, converged, breakdown = experiments._newton_many(0.5, never_down, RoundingSpec(), least)
     assert (value.tolist(), n_it.tolist(), converged.tolist(), breakdown.tolist()) == ([1.0], [1], [True], [False])
-
-
-def test_integer_thresholds_are_exact():
-    # u = b * 2**-53 for a 53-bit integer draw b, so b >= T must agree with
-    # u >= t at T and on both sides of it, for every kind of threshold
-    ulp = 2.0 ** -53
-    special = [0.0, ulp, 0.5, 1.0 - ulp, 1.0, 2.0]
-    k = np.array([1, 2, 3, 2**20 + 1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 2, 2**53 - 1])
-    beside = np.concatenate([np.nextafter(k * ulp, -1.0), np.nextafter(k * ulp, 2.0)])
-    t = np.concatenate([special, beside, np.random.default_rng(7).random(2000)])
-    T = _draw_thresholds(t)
-    assert T.dtype == np.uint64
-    assert T[special.index(2.0)] == 2**54
-    for d in (-1, 0, 1):
-        b = np.clip(T.astype(np.int64) + d, 0, 2**53 - 1).astype(np.uint64)
-        assert np.array_equal(b >= T, b.astype(np.float64) * ulp >= t)
-    assert _draw_thresholds(np.array([np.nan])).tolist() == [2**54]  # no draw passes NaN
 
 
 def test_no_overflow_warnings():
@@ -221,6 +204,6 @@ def test_no_overflow_warnings():
         for counter in (7, 2**64 - 1):
             assert draws_at(2**64 - 1, counter) == splitmix64_draw(2**64 - 1, counter)
         draws_at(NEAR_WRAP, 5)
-        experiments._repeat(0, 5, 3, 0.5, lambda rows, hit, scratch: hit.sum(axis=1))
+        experiments._repeat(0, 5, 3, 2**52, lambda rows, hit, scratch: hit.sum(axis=1))
         RandomStream(2**64 - 1).substream(2**64 - 1).uniform(10)
         optimize_table(Preset.D2, grid_size=11, pso=PsoConfig(iterations=5))
