@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .rounding import ProbabilityTable, _ret, _unit_interval
-from .streams import _INV_2_53, _U_GOLDEN, RandomStream, _integer, _mix_shift, _real, _steps, substream_phases
+from .streams import _INV_2_53, _U_GOLDEN, RandomStream, _carve, _integer, _mix_shift, _real, _steps, substream_phases
 
 __all__ = [
     "MopConfig",
@@ -31,7 +31,10 @@ __all__ = [
 
 PENALTY_DEFAULT = 1e10
 _ONE_BITS = np.float64(1.0).view(np.uint64)
-_BLOCK_NODES = 256  # per swarm call: 100 KB swarm arrays of 50 particles, inside a 2 MB L2
+# Nodes per swarm call: nine carved 200 KB arrays of 50 particles (1.84 MB) fit a core's
+# 2 MB L2, and 1001 nodes take two calls.  512 ran the four swarm presets 6 % faster than
+# 256 (0.92 MB) and 18 % faster than 128, and 1024 (3.7 MB) was 22 % slower.
+_BLOCK_NODES = 512
 
 
 @dataclass(frozen=True)
@@ -186,8 +189,9 @@ def _objective_into(p, f, cfg: MopConfig, out, v, b):
 def _pso_batch(f: np.ndarray, mop: MopConfig, phases: np.ndarray, pso: PsoConfig):
     """Synchronous PSO on [0, 1] of the objective of ``mop``, one problem per row.
 
-    ``f`` is the (m, swarm) float64 array of fractions, row j holding the
-    fraction of problem j in every column.  Row j draws from the stream
+    ``f`` holds the fractions, row j that of problem j, as an (m, 1) column
+    or an (m, swarm) array; the call copies it into every column, as numpy
+    loops over a broadcast column row by row.  Row j draws from the stream
     phase ``phases[j]`` only, so a batch run is bit-identical to solving
     each row on its own.  Block k of a row is its draws k s .. k s + s - 1:
     block 0 is the stratified start, and iteration i takes blocks 2i + 1
@@ -217,12 +221,15 @@ def _pso_batch(f: np.ndarray, mop: MopConfig, phases: np.ndarray, pso: PsoConfig
     """
     m = phases.size
     s = pso.swarm_size
-    buffers = tuple(np.empty((3, m, s)))
+    # every array of the call, f's copy too, starts on a 64-byte boundary: at 16 or 48 mod 64,
+    # where 32-byte loads straddle cache lines, a 256-node block's mix took 40 us, against 34 at 0
+    *buffers, x, v, pbest, fp, f_rows, states = _carve(*[((m, s), np.float64)] * 8, ((m, s), np.uint64))
+    np.copyto(f_rows, f)
     diff, r, _ = buffers  # diff also receives fx, which is dead once the bests have taken it
     mask, tmp = (buf.view(np.uint64) for buf in buffers[1:])
     # block k's states are block 0's plus k s GOLDEN, one element added to each: a
     # broadcast column of phases would make numpy loop row by row
-    states = np.add(np.asarray(phases, dtype=np.uint64)[:, None], _steps(np.arange(s)))
+    np.add(np.asarray(phases, dtype=np.uint64)[:, None], _steps(np.arange(s)), out=states)
     offset = np.empty(1, dtype=np.uint64)  # an array: a uint64 scalar product warns on overflow
 
     def block(k):  # block k's 53-bit integer draws, in tmp's memory as int64; r's memory mixes
@@ -231,10 +238,11 @@ def _pso_batch(f: np.ndarray, mop: MopConfig, phases: np.ndarray, pso: PsoConfig
 
     # Stratified start: one particle per 1/s bin keeps narrow feasible bands
     # (penalty presets) populated from iteration zero.
-    x = (np.arange(s) + np.multiply(block(0), _INV_2_53, out=r)) / s
-    v = np.zeros_like(x)
-    pbest = x.copy()
-    fp = _objective_into(x, f, mop, np.empty_like(x), *buffers[1:])
+    np.add(np.arange(s), np.multiply(block(0), _INV_2_53, out=r), out=x)
+    x /= s
+    v.fill(0.0)
+    np.copyto(pbest, x)
+    _objective_into(x, f_rows, mop, fp, *buffers[1:])
     rows = np.arange(m)
     gi = np.argmin(fp, axis=1)
     g = pbest[rows, gi]
@@ -254,7 +262,7 @@ def _pso_batch(f: np.ndarray, mop: MopConfig, phases: np.ndarray, pso: PsoConfig
         v_bits ^= np.left_shift(np.greater(x_bits, _ONE_BITS, out=tmp), 63, out=tmp)
         np.abs(x, out=x)
         np.minimum(x, np.subtract(2.0, x, out=diff), out=x)
-        fx = _objective_into(x, f, mop, *buffers)
+        fx = _objective_into(x, f_rows, mop, *buffers)
         np.negative(np.less(fx, fp, out=mask), out=mask)
         pbest_bits ^= np.bitwise_and(np.bitwise_xor(pbest_bits, x_bits, out=tmp), mask, out=tmp)
         np.minimum(fp, fx, out=fp)
@@ -293,7 +301,7 @@ def optimize_table(
     else:
         phases = substream_phases(RandomStream(pso.seed).phase, np.arange(grid_size))
         p_star = np.empty(grid_size)
-        for j in range(0, grid_size, _BLOCK_NODES):  # contiguous fractions: numpy loops over a column row by row
-            f = np.repeat(fgrid[j:j + _BLOCK_NODES, None], pso.swarm_size, axis=1)
-            p_star[j:j + _BLOCK_NODES] = _pso_batch(f, cfg, phases[j:j + _BLOCK_NODES], pso)[0]
+        for j in range(0, grid_size, _BLOCK_NODES):
+            nodes = slice(j, j + _BLOCK_NODES)
+            p_star[nodes] = _pso_batch(fgrid[nodes, None], cfg, phases[nodes], pso)[0]
     return ProbabilityTable(grid=fgrid, p=p_star, label=label)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .rounding import SR, DeterministicMode, RoundingMode, RoundingSpec, rounding_thresholds
 from .stats import StatsSummary, sr_variance_theoretical, summarize, variance_bound
-from .streams import RandomStream, _integer, _mix_shift, _real, _steps, substream_phases
+from .streams import RandomStream, _carve, _integer, _mix_shift, _real, _steps, substream_phases
 
 __all__ = [
     "CaseId",
@@ -48,8 +48,9 @@ __all__ = [
 _REP_STREAM_BASE = 16
 # Whole repetitions of at most this many draws in all (or one, if larger)
 # make a block.  A block costs some 20 numpy calls whatever its size; 2**16
-# (six 10 000-draw rows, 1.1 MB of buffers, inside a core's 2 MB L2) ran sum
-# and varbound 15-22 % faster than 2**14, and 2**17 (2.2 MB) was slower.
+# (six 10 000-draw rows, 1.18 MB carved, inside a core's 2 MB L2) ran sum
+# and varbound 15-22 % faster than 2**14 and 4 % faster than 2**15, and
+# 2**17 (2.37 MB) was 16 % slower.
 _BLOCK_DRAWS = 1 << 16
 # Newton steps whose draws take one call; 4-16 ran the sqrt study alike, 1
 # (a call per step) 15 % and 32 (draws past convergence) 8 % slower.
@@ -119,11 +120,16 @@ def _repeat(seed: int, n_reps: int, n_draws: int, T, outcome) -> np.ndarray:
     one value per repetition.
     """
     phases = _rep_phases(seed, n_reps)[:, None]
-    steps = _steps(np.arange(n_draws))
-    thresholds = np.broadcast_to(T, (n_reps, n_draws))
     block = max(1, _BLOCK_DRAWS // n_draws)
-    z, tmp = np.empty((2, min(block, n_reps), n_draws), dtype=np.uint64)  # the states, then the draws
-    hits = np.empty(z.shape, dtype=bool)
+    shape, T = (min(block, n_reps), n_draws), np.asarray(T)
+    # the states (then the draws), scratch, hits, steps and a per-draw T, each on a 64-byte boundary
+    z, tmp, hits, steps, row = _carve((shape, np.uint64), (shape, np.uint64), (shape, bool), ((n_draws,), np.uint64),
+                                      (T.shape if T.ndim == 1 else (0,), T.dtype))
+    np.copyto(steps, _steps(np.arange(n_draws)))
+    if T.ndim == 1:
+        np.copyto(row, T)
+        T = row
+    thresholds = np.broadcast_to(T, (n_reps, n_draws))
     out = np.empty(n_reps)
     for start in range(0, n_reps, block):
         rows = slice(start, start + block)

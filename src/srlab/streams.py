@@ -22,6 +22,7 @@ with the integer thresholds of ``rounding.rounding_thresholds``.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -52,6 +53,15 @@ def _mix64(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
 def _mix_shift(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """The 53-bit integer draws ``mix64(z) >> 11`` of the uint64 states ``z``, in place; ``tmp`` is scratch."""
     return np.right_shift(_mix64(z, tmp), _U_11, out=z)
+
+
+def _carve(*specs) -> list[np.ndarray]:
+    """Empty C-contiguous arrays of the ``(shape, dtype)`` specs, each starting on a 64-byte boundary,
+    from one allocation: numpy only aligns to 16 bytes, and the engines' passes run faster on cache lines."""
+    sizes = [(math.prod(shape) * np.dtype(dtype).itemsize + 63) & -64 for shape, dtype in specs]
+    buf = np.empty(sum(sizes) + 63, dtype=np.uint8)
+    offsets = itertools.accumulate(sizes, initial=-buf.ctypes.data % 64)
+    return [np.ndarray(shape, dtype, buf, at) for (shape, dtype), at in zip(specs, offsets)]
 
 
 def _steps(counters) -> np.ndarray:

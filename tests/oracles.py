@@ -346,3 +346,13 @@ def rounded_inner_product(x, y, mode: RoundingMode, spec: RoundingSpec = Roundin
     if spec.n == 0:
         return float(np.sum(prod))
     return float(np.sum(round_values(prod, mode, spec, rng)))
+
+
+def copy_at(a, offset: int) -> np.ndarray:
+    """A C-contiguous copy of ``a`` whose data starts at ``offset`` mod 64, a view into a uint8 buffer."""
+    a = np.asarray(a)
+    buf = np.empty(a.nbytes + 128, dtype=np.uint8)
+    out = np.ndarray(a.shape, a.dtype, buf, -buf.ctypes.data % 64 + offset)
+    out[...] = a
+    assert out.ctypes.data % 64 == offset
+    return out

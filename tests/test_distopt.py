@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import equal_weight_root, reference_objective, reference_pso_batch
+from oracles import copy_at, equal_weight_root, reference_objective, reference_pso_batch
 from srlab import distopt
 from srlab.distopt import (
     MopConfig,
@@ -365,11 +365,13 @@ class TestReferenceSwarm:
                 optimize_table(mop, grid_size=101, pso=pso)
         else:
             assert np.array_equal(bits(optimize_table(mop, grid_size=101, pso=pso).p), bits(g))
-        # all 101 nodes in one swarm call: positions and fitness alike
+        # all 101 nodes in one swarm call: positions and fitness alike, and the same bits
+        # whether f is freshly allocated or starts at 16 mod 64
         f = np.repeat(np.linspace(0.0, 1.0, 101)[:, None], pso.swarm_size, axis=1)
         phases = substream_phases(RandomStream(pso.seed).phase, np.arange(101))
-        got = _pso_batch(f, mop, phases, pso)
-        assert np.array_equal(bits(got[0]), bits(g)) and np.array_equal(bits(got[1]), bits(fg))
+        for f_in in (f, copy_at(f, 16)):
+            got = _pso_batch(f_in, mop, phases, pso)
+            assert np.array_equal(bits(got[0]), bits(g)) and np.array_equal(bits(got[1]), bits(fg))
 
     def test_objective_matches_reference(self):
         p = np.concatenate([np.linspace(-0.5, 1.5, 2001), [0.0, 1.0, 0.5]])

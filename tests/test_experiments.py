@@ -5,6 +5,7 @@ import pytest
 
 from oracles import (
     BreakdownError,
+    copy_at,
     elementwise_sum_moments,
     newton_sqrt_rounded,
     rounded_inner_product,
@@ -182,7 +183,8 @@ class TestRepetitionEngine:
         t_col = np.random.default_rng(1).random(n_draws)
         t_col[1] = 2.0  # T = 2**54, the grid-point threshold: never hit
         t_row = np.random.default_rng(2).random((n_reps, 1))
-        for t in (t_col, t_row):
+        # a per-draw T freshly allocated and at 8 mod 64, then a per-repetition one
+        for t, offset in ((t_col, None), (t_col, 8), (t_row, None)):
             hits, sizes = np.zeros(u.shape, dtype=bool), []
 
             def record(rows, hit, scratch):
@@ -192,7 +194,8 @@ class TestRepetitionEngine:
                 return hit.sum(axis=1)
 
             # the engine takes the thresholds T = ceil(t * 2**53), and must hit where the doubles u >= t
-            out = experiments._repeat(7, n_reps, n_draws, np.ceil(t * 2.0**53).astype(np.uint64), record)
+            T = np.ceil(t * 2.0**53).astype(np.uint64)
+            out = experiments._repeat(7, n_reps, n_draws, T if offset is None else copy_at(T, offset), record)
             expected = u >= np.broadcast_to(t, u.shape)
             assert np.array_equal(hits, expected)
             assert out.tolist() == expected.sum(axis=1).tolist()

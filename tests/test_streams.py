@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from oracles import reference_draws, splitmix64_draw, splitmix64_mix, splitmix64_unmix
-from srlab import experiments
+from srlab import distopt, experiments
 from srlab.distopt import Preset, PsoConfig, optimize_table
-from srlab.rounding import ProbabilityTable, RoundingSpec
-from srlab.streams import RandomStream, _mix64, _mix_shift, _steps, draws_at, substream_phases
+from srlab.experiments import CaseId, run_summation_experiment
+from srlab.rounding import SR, ProbabilityTable, RoundingSpec
+from srlab.streams import RandomStream, _carve, _mix64, _mix_shift, _steps, draws_at, substream_phases
 
 
 def test_reproducible_for_seed():
@@ -207,3 +208,30 @@ def test_no_overflow_warnings():
         experiments._repeat(0, 5, 3, 2**52, lambda rows, hit, scratch: hit.sum(axis=1))
         RandomStream(2**64 - 1).substream(2**64 - 1).uniform(10)
         optimize_table(Preset.D2, grid_size=11, pso=PsoConfig(iterations=5))
+
+
+def test_carve_aligns_odd_sizes():
+    specs = [((3,), bool), ((1,), np.uint64), ((5, 7), np.float64), ((0,), np.float64)]
+    arrays = _carve(*specs)
+    for a, (shape, dtype) in zip(arrays, specs):
+        assert a.ctypes.data % 64 == 0
+        assert a.shape == shape and a.dtype == dtype
+        assert a.flags.c_contiguous and a.flags.writeable
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
+
+
+def test_engines_mix_in_aligned_buffers(monkeypatch):
+    # every block of the studies' engine and of the swarm mixes and shifts on 64-byte boundaries
+    seen = []
+
+    def recording(z, tmp):
+        seen.append((z.ctypes.data % 64, tmp.ctypes.data % 64))
+        return _mix_shift(z, tmp)
+
+    monkeypatch.setattr(experiments, "_mix_shift", recording)
+    monkeypatch.setattr(distopt, "_mix_shift", recording)
+    run_summation_experiment(CaseId.I, SR, n_reps=7)
+    studied = len(seen)
+    optimize_table(Preset.D1, grid_size=101)
+    assert 0 < studied < len(seen)
+    assert set(seen) == {(0, 0)}
