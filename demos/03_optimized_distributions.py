@@ -13,11 +13,10 @@ capped variant keeps |bias| <= 0.05 everywhere).
 
 import numpy as np
 
-from srlab import Preset, PsoConfig, optimize_table
+from srlab import Preset, optimize_table
 from srlab.distopt import bias_of_p, variance_of_p
 
-pso = PsoConfig(seed=0)
-tables = {preset: optimize_table(preset, grid_size=201, pso=pso) for preset in Preset}
+tables = {preset: optimize_table(preset, grid_size=201, seed=0) for preset in Preset}
 
 sample = [0.0, 0.2, 0.4, 0.5, 0.6, 0.8, 1.0]
 header = "  ".join(f"p({f:.1f})" for f in sample)

@@ -4,7 +4,6 @@ and round-off error experiments on uniform grids."""
 from .distopt import (
     MopConfig,
     Preset,
-    PsoConfig,
     bias_of_p,
     objective,
     optimize_table,

@@ -16,10 +16,12 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .distopt import (
     MopConfig,
     Preset,
-    PsoConfig,
+    _SWARM,
     _objective_config,
     bias_of_p,
     optimize_table,
@@ -40,6 +42,7 @@ from .rounding import SR, DeterministicMode, RoundingSpec, round_values
 from .stats import contour_grid
 from .streams import RandomStream, _integer
 
+_ROUND_BLOCK = 1 << 16  # values per round_values call of ``round --count``, which bounds its memory
 _BUILTIN_MODES = {m.label: m for m in (*DeterministicMode, SR)} | {"cr": DeterministicMode.HALF_EVEN}
 
 
@@ -98,9 +101,8 @@ def _cmd_optimize(args) -> int:
             mop = target = _objective_config(MopConfig(**json.loads(data.decode("utf-8"))))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{args.config}: invalid objective config: {exc}") from exc
-    pso = PsoConfig(iterations=args.iterations, seed=args.seed)
-    table = optimize_table(target, grid_size=args.grid_size, pso=pso, label=args.label)
-    provenance = {"mop": dataclasses.asdict(mop), "pso": dataclasses.asdict(pso), "seed": pso.seed}
+    table = optimize_table(target, grid_size=args.grid_size, seed=args.seed, label=args.label)
+    provenance = {"mop": dataclasses.asdict(mop), "pso": {**_SWARM, "seed": args.seed}, "seed": args.seed}
     write_distribution(args.out, table, delta=mop.delta, provenance=provenance)
     bias = bias_of_p(table.p, table.grid, mop.delta)
     var = variance_of_p(table.p, mop.delta)
@@ -117,8 +119,9 @@ def _cmd_round(args) -> int:
     count = _runs(mode, args.count, "--count")
     spec = RoundingSpec(args.n, args.base)
     rng = RandomStream(args.seed)
-    for _ in range(count):
-        print(f"{round_values(args.x, mode, spec, rng):.17g}")
+    for start in range(0, count, _ROUND_BLOCK):  # one stream: the draws of ``count`` scalar calls, in order
+        block = round_values(np.full(min(_ROUND_BLOCK, count - start), args.x), mode, spec, rng)
+        print("\n".join(f"{v:.17g}" for v in block.tolist()))
     return 0
 
 
@@ -206,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--preset", choices=[p.value for p in Preset], help="a named objective config")
     source.add_argument("--config", help="JSON file with objective-config fields")
     p_opt.add_argument("--grid-size", type=int, default=1001)
-    p_opt.add_argument("--iterations", type=int, default=200)
     p_opt.add_argument("--label", default=None, help="override the stored label")
     p_opt.add_argument("--out", required=True, help="output JSON path")
 

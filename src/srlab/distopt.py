@@ -10,7 +10,7 @@ be computed offline and persisted; rounding never re-runs the optimizer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -20,7 +20,6 @@ from .streams import _INV_2_53, _U_GOLDEN, RandomStream, _carve, _integer, _mix_
 
 __all__ = [
     "MopConfig",
-    "PsoConfig",
     "Preset",
     "variance_of_p",
     "bias_of_p",
@@ -35,6 +34,11 @@ _ONE_BITS = np.float64(1.0).view(np.uint64)
 # 2 MB L2, and 1001 nodes take two calls.  512 ran the four swarm presets 6 % faster than
 # 256 (0.92 MB) and 18 % faster than 128, and 1024 (3.7 MB) was 22 % slower.
 _BLOCK_NODES = 512
+# The swarm's settings, recorded under these names with each table: 50 particles on [0, 1],
+# 200 iterations, inertia 0.729, cognitive and social weights 1.49445 (the constriction
+# values of Clerc and Kennedy) and a velocity clamp of 0.5.
+_SWARM = {"swarm_size": 50, "iterations": 200, "inertia": 0.729, "cognitive": 1.49445, "social": 1.49445,
+          "velocity_clamp": 0.5}
 
 
 @dataclass(frozen=True)
@@ -71,28 +75,6 @@ class MopConfig:
         # V <= delta^2/4 and |B| <= delta; Python floats in the objective's order, rounding being monotone
         if not np.isfinite(t1 * (d * d / 4.0) * (d * d / 4.0) + t2 * d * d + k1 + k2):
             raise ValueError("the objective overflows: theta1 (delta^2/4)^2 + theta2 delta^2 + k1 + k2 must be finite")
-
-
-@dataclass(frozen=True)
-class PsoConfig:
-    """Swarm settings; only ``iterations`` (an integer >= 1) and ``seed`` (in [0, 2^64)) can be set.
-
-    The rest are fixed, and recorded with each table: 50 particles on [0, 1],
-    inertia 0.729, cognitive and social weights 1.49445 (the constriction
-    values of Clerc and Kennedy) and a velocity clamp of 0.5.
-    """
-
-    swarm_size: int = field(default=50, init=False)
-    iterations: int = 200
-    inertia: float = field(default=0.729, init=False)
-    cognitive: float = field(default=1.49445, init=False)
-    social: float = field(default=1.49445, init=False)
-    velocity_clamp: float = field(default=0.5, init=False)
-    seed: int = 0
-
-    def __post_init__(self):
-        _integer(self.iterations, "iterations", 1)
-        _integer(self.seed, "seed", bits=64)
 
 
 class Preset(Enum):
@@ -186,8 +168,8 @@ def _objective_into(p, f, cfg: MopConfig, out, v, b):
     return out
 
 
-def _pso_batch(f: np.ndarray, mop: MopConfig, phases: np.ndarray, pso: PsoConfig):
-    """Synchronous PSO on [0, 1] of the objective of ``mop``, one problem per row.
+def _pso_batch(f: np.ndarray, mop: MopConfig, phases: np.ndarray):
+    """Synchronous PSO on [0, 1] of the objective of ``mop``, one problem per row, with the settings ``_SWARM``.
 
     ``f`` holds the fractions, row j that of problem j, as an (m, 1) column
     or an (m, swarm) array; the call copies it into every column, as numpy
@@ -220,7 +202,7 @@ def _pso_batch(f: np.ndarray, mop: MopConfig, phases: np.ndarray, pso: PsoConfig
       a positive weight times a square, so equal values have equal bits.
     """
     m = phases.size
-    s = pso.swarm_size
+    s, iterations, inertia, cognitive, social, clamp = _SWARM.values()
     # every array of the call, f's copy too, starts on a 64-byte boundary: at 16 or 48 mod 64,
     # where 32-byte loads straddle cache lines, a 256-node block's mix took 40 us, against 34 at 0
     *buffers, x, v, pbest, fp, f_rows, states = _carve(*[((m, s), np.float64)] * 8, ((m, s), np.uint64))
@@ -248,14 +230,14 @@ def _pso_batch(f: np.ndarray, mop: MopConfig, phases: np.ndarray, pso: PsoConfig
     g = pbest[rows, gi]
     fg = fp[rows, gi]
     x_bits, v_bits, pbest_bits = x.view(np.uint64), v.view(np.uint64), pbest.view(np.uint64)
-    scales = pso.cognitive * _INV_2_53, pso.social * _INV_2_53
-    for i in range(pso.iterations):
-        v *= pso.inertia
+    scales = cognitive * _INV_2_53, social * _INV_2_53
+    for i in range(iterations):
+        v *= inertia
         for k, scale, best in zip((2 * i + 1, 2 * i + 2), scales, (pbest, g[:, None])):
             np.multiply(block(k), scale, out=r)
             r *= np.subtract(best, x, out=diff)
             v += r
-        np.clip(v, -pso.velocity_clamp, pso.velocity_clamp, out=v)
+        np.clip(v, -clamp, clamp, out=v)
         x += v
         # Reflective walls: bouncing keeps sampling dense next to 0 and 1,
         # where clamped swarms stall on boundary plateaus.
@@ -277,31 +259,32 @@ def _pso_batch(f: np.ndarray, mop: MopConfig, phases: np.ndarray, pso: PsoConfig
 def optimize_table(
     preset_or_cfg,
     grid_size: int = 1001,
-    pso: PsoConfig | None = None,
+    seed: int = 0,
     label: str | None = None,
 ) -> ProbabilityTable:
     """Optimize the rounding probability at each fraction grid node.
 
     The objective depends on the input only through its grid fraction, so
     each node f_j = j/(grid_size - 1) is an independent scalar problem; node
-    j draws from substream j of the swarm seed, which makes the result
-    independent of how the nodes are batched (``_BLOCK_NODES``).  The
-    variance-only presets have the two exact optima p = 0 and p = 1; their
-    names pin which endpoint the table stores, and no swarm runs for them.
+    j draws from substream j of ``seed``, an integer in [0, 2^64), which
+    makes the result independent of how the nodes are batched
+    (``_BLOCK_NODES``).  The variance-only presets have the two exact
+    optima p = 0 and p = 1; their names pin which endpoint the table
+    stores, and no swarm runs for them.
     """
     grid_size = _integer(grid_size, "grid_size", 2)
+    seed = _integer(seed, "seed", bits=64)  # checked here: the var-min presets build no stream
     preset = preset_or_cfg if isinstance(preset_or_cfg, Preset) else None
     cfg = _objective_config(preset_or_cfg)
-    pso = pso or PsoConfig()
     fgrid = np.linspace(0.0, 1.0, grid_size)
     if label is None:
         label = preset.value if preset is not None else "custom"
     if preset in (Preset.VAR_MIN_FLOOR, Preset.VAR_MIN_CEIL):
         p_star = np.full(grid_size, 1.0 if preset is Preset.VAR_MIN_FLOOR else 0.0)
     else:
-        phases = substream_phases(RandomStream(pso.seed).phase, np.arange(grid_size))
+        phases = substream_phases(RandomStream(seed).phase, np.arange(grid_size))
         p_star = np.empty(grid_size)
         for j in range(0, grid_size, _BLOCK_NODES):
             nodes = slice(j, j + _BLOCK_NODES)
-            p_star[nodes] = _pso_batch(fgrid[nodes, None], cfg, phases[nodes], pso)[0]
+            p_star[nodes] = _pso_batch(fgrid[nodes, None], cfg, phases[nodes])[0]
     return ProbabilityTable(grid=fgrid, p=p_star, label=label)

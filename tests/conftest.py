@@ -1,13 +1,12 @@
 import pytest
 
-from srlab.distopt import Preset, PsoConfig, optimize_table
+from srlab.distopt import Preset, optimize_table
 
 
 @pytest.fixture(scope="session")
 def tables_1001():
     """Full-resolution optimized tables for all presets (built once)."""
-    pso = PsoConfig()
-    return {preset: optimize_table(preset, grid_size=1001, pso=pso) for preset in Preset}
+    return {preset: optimize_table(preset, grid_size=1001) for preset in Preset}
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from srlab.distopt import _SWARM
 from srlab.rounding import DeterministicMode, RoundingMode, RoundingSpec, grid_fraction, round_values
 from srlab.streams import RandomStream
 
@@ -229,12 +230,13 @@ def reference_objective(p, f, cfg):
     return total
 
 
-def reference_pso_batch(fitness, phases, cfg):
+def reference_pso_batch(fitness, phases, iterations):
     """The particle swarm written with ``np.where`` selects and a fresh
-    array per operation; ``fitness(x)`` maps (m, swarm) positions to
-    values, and row j draws ``reference_draws(phases[j], counters)``."""
+    array per operation, with the constants of ``_SWARM`` and ``iterations``
+    iterations; ``fitness(x)`` maps (m, swarm) positions to values, and row
+    j draws ``reference_draws(phases[j], counters)``."""
     m = phases.size
-    s = cfg.swarm_size
+    s, w, c1, c2, clamp = (_SWARM[k] for k in ("swarm_size", "inertia", "cognitive", "social", "velocity_clamp"))
     phases = np.asarray(phases, dtype=np.uint64).reshape(m, 1)
     counter = 0
 
@@ -252,11 +254,11 @@ def reference_pso_batch(fitness, phases, cfg):
     gi = np.argmin(fp, axis=1)
     g = pbest[rows, gi]
     fg = fp[rows, gi]
-    for _ in range(cfg.iterations):
+    for _ in range(iterations):
         rp = draw_block()
         rg = draw_block()
-        v = cfg.inertia * v + cfg.cognitive * rp * (pbest - x) + cfg.social * rg * (g[:, None] - x)
-        v = np.clip(v, -cfg.velocity_clamp, cfg.velocity_clamp)
+        v = w * v + c1 * rp * (pbest - x) + c2 * rg * (g[:, None] - x)
+        v = np.clip(v, -clamp, clamp)
         x = x + v
         low = x < 0.0
         high = x > 1.0

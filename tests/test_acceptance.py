@@ -19,6 +19,7 @@ from oracles import (
     varhat_mean_std,
 )
 import srlab.cli
+from srlab import distopt
 from srlab.cli import main as cli_main
 from srlab.distopt import Preset, bias_of_p, objective, preset_config
 from srlab.experiments import (
@@ -298,17 +299,17 @@ def test_c10_worst_case_grid():
     report("c10", "worst-case product error grid (200x200)", failures)
 
 
-def _c11_invocations(tmp_path):
+def _c11_invocations(tmp_path, monkeypatch):
     """c11's canonical CLI runs at seed 1: (output name, argv without --out).
 
-    Writes the d1 table that the sum run loads to ``tmp_path / "d1.json"``.
+    Sets the swarm's iterations to 60 for the rest of the test, and writes
+    the d1 table that the sum run loads to ``tmp_path / "d1.json"``.
     """
+    monkeypatch.setitem(distopt._SWARM, "iterations", 60)
     d1_path = tmp_path / "d1.json"
-    cli_main(["optimize", "--preset", "d1", "--grid-size", "41", "--iterations", "60",
-              "--seed", "1", "--out", str(d1_path)])
+    cli_main(["optimize", "--preset", "d1", "--grid-size", "41", "--seed", "1", "--out", str(d1_path)])
     return [
-        ("optimize.json", ["optimize", "--preset", "d2", "--grid-size", "41",
-                           "--iterations", "60", "--seed", "1"]),
+        ("optimize.json", ["optimize", "--preset", "d2", "--grid-size", "41", "--seed", "1"]),
         ("sum.csv", ["experiment", "sum", "--case", "I,III", "--modes", "sr,cr,d1",
                      "--table", str(d1_path), "--reps", "100", "--seed", "1"]),
         ("sqrt.csv", ["experiment", "sqrt", "--values", "6.55501", "--modes", "sr,cr",
@@ -321,9 +322,9 @@ def _c11_invocations(tmp_path):
     ]
 
 
-def test_c11_cli_reproducibility(tmp_path, capsys):
+def test_c11_cli_reproducibility(tmp_path, capsys, monkeypatch):
     failures = []
-    invocations = _c11_invocations(tmp_path)
+    invocations = _c11_invocations(tmp_path, monkeypatch)
     for name, args in invocations:
         first = tmp_path / ("a_" + name)
         second = tmp_path / ("b_" + name)
@@ -355,8 +356,8 @@ C11_DIGESTS = {
 }
 
 
-def test_c11_output_fingerprints(tmp_path, capsys):
-    invocations = _c11_invocations(tmp_path)
+def test_c11_output_fingerprints(tmp_path, capsys, monkeypatch):
+    invocations = _c11_invocations(tmp_path, monkeypatch)
     for name, args in invocations:
         assert cli_main(args + ["--out", str(tmp_path / name)]) == 0
     got = {
@@ -371,8 +372,8 @@ def test_reproduce_matches_the_separate_commands(tmp_path, capsys, monkeypatch):
     separate, together = tmp_path / "separate", tmp_path / "together"
     separate.mkdir()
     together.mkdir()
-    runs = [("d1.json", ["optimize", "--preset", "d1", "--grid-size", "41", "--iterations", "60"])]
-    for name, argv in _c11_invocations(separate):
+    runs = [("d1.json", ["optimize", "--preset", "d1", "--grid-size", "41"])]
+    for name, argv in _c11_invocations(separate, monkeypatch):
         assert argv[-2:] == ["--seed", "1"]  # reproduce adds the seed
         runs.append((name, [a.replace(str(separate), "{dir}") for a in argv[:-2]]))
         assert cli_main(argv + ["--out", str(separate / name)]) == 0
@@ -389,8 +390,8 @@ def test_reproduce_matches_the_separate_commands(tmp_path, capsys, monkeypatch):
 PAPER_SUM_DIGEST = "e904ecf51dc60c3bcbce5c4f8398adfcf30709871182b3162654e103144893ec"
 
 
-def test_paper_count_sum_fingerprint(tmp_path, capsys):
-    _c11_invocations(tmp_path)
+def test_paper_count_sum_fingerprint(tmp_path, capsys, monkeypatch):
+    _c11_invocations(tmp_path, monkeypatch)
     out = tmp_path / "sum.csv"
     assert cli_main(["experiment", "sum", "--case", "III", "--modes", "sr,cr,d1",
                      "--table", str(tmp_path / "d1.json"), "--reps", "10000",

@@ -13,7 +13,7 @@ from srlab import (
 
 PUBLIC_NAMES = [
     "CaseId", "ContourGrid", "DIST_FORMAT_VERSION", "DOT_SIZES", "DeterministicMode", "ExperimentReport",
-    "LoadedDistribution", "MopConfig", "Preset", "ProbabilityTable", "PsoConfig", "RandomStream",
+    "LoadedDistribution", "MopConfig", "Preset", "ProbabilityTable", "RandomStream",
     "RoundingMode", "RoundingSpec", "SQRT_TEST_VALUES", "SR", "StatsSummary", "VarianceBoundGrid",
     "WorstCaseBranches", "bias_of_p", "contour_grid", "draws_at", "gen_case_inputs", "gen_sine_vectors",
     "grid_fraction", "objective", "optimize_table", "preset_config", "read_distribution", "round_values",

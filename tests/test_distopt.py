@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import math
 import warnings
@@ -12,7 +11,7 @@ from srlab import distopt
 from srlab.distopt import (
     MopConfig,
     Preset,
-    PsoConfig,
+    _SWARM,
     _pso_batch,
     bias_of_p,
     objective,
@@ -147,24 +146,6 @@ class TestConfigs:
     def test_python_and_numpy_numbers_accepted(self):
         MopConfig(theta1=0, theta2=1, b_max=np.int64(1), k2=np.float32(2.5), delta=np.float64(0.5))
 
-    def test_pso_validation(self):
-        for iterations in (0, 1.5, True, np.float64(2.0), "3", None):
-            with pytest.raises(ValueError, match="iterations must be an integer"):
-                PsoConfig(iterations=iterations)
-        for seed in (-1, 1.5, True, 2**64, np.int64(-1), "0", None):  # var-min presets never build a stream
-            with pytest.raises(ValueError, match="seed must be an integer"):
-                PsoConfig(seed=seed)
-        assert PsoConfig(iterations=np.int64(3), seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
-        for name in ("swarm_size", "inertia", "cognitive", "social", "velocity_clamp"):  # fixed, not settable
-            with pytest.raises(TypeError):
-                PsoConfig(**{name: 1})
-
-    def test_pso_fields_recorded(self):
-        # the pso provenance block of every table file
-        assert list(dataclasses.asdict(PsoConfig(iterations=60, seed=1)).items()) == [
-            ("swarm_size", 50), ("iterations", 60), ("inertia", 0.729), ("cognitive", 1.49445),
-            ("social", 1.49445), ("velocity_clamp", 0.5), ("seed", 1)]
-
 
 class TestObjectivePieces:
     def test_variance_endpoints(self):
@@ -236,10 +217,9 @@ class TestOptimizeTable:
         assert floor_t.label == "var-min-floor"
 
     def test_matches_brute_force_scan(self):
-        pso = PsoConfig()
         for preset in Preset:
             cfg = preset_config(preset)
-            table = optimize_table(preset, grid_size=21, pso=pso)
+            table = optimize_table(preset, grid_size=21)
             for j, scan in enumerate(scan_objective_min(cfg, table.grid)):
                 got = objective(table.p[j], table.grid[j], cfg)
                 assert got <= scan + 1e-8
@@ -277,10 +257,9 @@ class TestOptimizeTable:
 
     def test_nodes_match_scalar_solver(self, d1_table):
         cfg = preset_config(Preset.D1)
-        pso = PsoConfig()
-        for j in (0, 250, 777):  # node j alone, on substream j
-            phase = np.asarray([RandomStream(pso.seed).substream(j).phase], dtype=np.uint64)
-            p, _ = _pso_batch(np.full((1, pso.swarm_size), d1_table.grid[j]), cfg, phase, pso)
+        for j in (0, 250, 777):  # node j alone, on substream j of seed 0
+            phase = np.asarray([RandomStream(0).substream(j).phase], dtype=np.uint64)
+            p, _ = _pso_batch(np.full((1, _SWARM["swarm_size"]), d1_table.grid[j]), cfg, phase)
             assert p[0] == d1_table.p[j]
 
     def test_paper_count_tables_pinned(self, tables_1001):
@@ -296,14 +275,23 @@ class TestOptimizeTable:
         assert {preset: hashlib.sha256(table.p.tobytes()).hexdigest()
                 for preset, table in tables_1001.items()} == expected
 
-    def test_variance_only_config_refused(self):
+    def test_variance_only_config_refused(self, monkeypatch):
         # no bias weight and no bias limit: the objective ignores f, and p = 0 and p = 1 tie
         for fields in ({"theta2": 0.0}, {"theta2": -0.0}, {"theta2": 0.0, "v_max": 0.2, "k1": 1.0}):
             with pytest.raises(ValueError, match="var-min-floor or var-min-ceil"):
                 optimize_table(MopConfig(theta1=1.0, **fields), grid_size=11)
-        table = optimize_table(MopConfig(theta1=1.0, theta2=0.0, b_max=0.3, k2=1.0), grid_size=11,
-                               pso=PsoConfig(iterations=5))
+        monkeypatch.setitem(distopt._SWARM, "iterations", 5)
+        table = optimize_table(MopConfig(theta1=1.0, theta2=0.0, b_max=0.3, k2=1.0), grid_size=11)
         assert table.label == "custom"
+
+    def test_bad_seeds_rejected(self):
+        # checked before any work, also by the var-min presets, which build no stream
+        for preset in Preset:
+            for seed in (-1, 1.5, True, 2**64, np.int64(-1), "0", None):
+                with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*64\), got "):
+                    optimize_table(preset, grid_size=3, seed=seed)
+        table = optimize_table(Preset.VAR_MIN_FLOOR, grid_size=3, seed=np.uint64(2**64 - 1))
+        assert table.p.tolist() == [1.0, 1.0, 1.0]
 
     def test_custom_config_label(self):
         cfg = MopConfig(theta1=0.25, theta2=0.75)
@@ -317,11 +305,11 @@ def bits(a):
     return np.asarray(a, dtype=np.float64).view(np.uint64)
 
 
-def reference_table(cfg, grid_size, pso):
+def reference_table(cfg, grid_size, seed):
     """(p, fitness) per node from the np.where swarm and objective of oracles.py."""
     fgrid = np.linspace(0.0, 1.0, grid_size)
-    phases = substream_phases(RandomStream(pso.seed).phase, np.arange(grid_size))
-    return reference_pso_batch(lambda p: reference_objective(p, fgrid[:, None], cfg), phases, pso)
+    phases = substream_phases(RandomStream(seed).phase, np.arange(grid_size))
+    return reference_pso_batch(lambda p: reference_objective(p, fgrid[:, None], cfg), phases, _SWARM["iterations"])
 
 
 class TestReferenceSwarm:
@@ -330,47 +318,46 @@ class TestReferenceSwarm:
     @pytest.mark.parametrize("seed", [0, 7, 345805177])
     @pytest.mark.parametrize("preset", SWARM_PRESETS, ids=lambda p: p.value)
     def test_presets_at_41_nodes(self, preset, seed):
-        pso = PsoConfig(seed=seed)
-        g, _ = reference_table(preset_config(preset), 41, pso)
-        assert np.array_equal(bits(optimize_table(preset, grid_size=41, pso=pso).p), bits(g))
+        g, _ = reference_table(preset_config(preset), 41, seed)
+        assert np.array_equal(bits(optimize_table(preset, grid_size=41, seed=seed).p), bits(g))
 
     def test_presets_at_1001_nodes(self, tables_1001):
         for preset in SWARM_PRESETS:
-            g, _ = reference_table(preset_config(preset), 1001, PsoConfig())
+            g, _ = reference_table(preset_config(preset), 1001, 0)
             assert np.array_equal(bits(tables_1001[preset].p), bits(g)), preset
-            pso = PsoConfig(seed=345805177)
-            g, _ = reference_table(preset_config(preset), 1001, pso)
-            assert np.array_equal(bits(optimize_table(preset, grid_size=1001, pso=pso).p), bits(g)), preset
+            g, _ = reference_table(preset_config(preset), 1001, 345805177)
+            assert np.array_equal(bits(optimize_table(preset, grid_size=1001, seed=345805177).p), bits(g)), preset
 
     @pytest.mark.parametrize(
-        "mop, pso",
+        "mop, pso",  # pso: the swarm's (seed, iterations)
         [
-            (MopConfig(theta1=0.5, theta2=0.5, delta=0.25), PsoConfig(seed=3)),
-            (MopConfig(theta1=0.3, theta2=0.7, v_max=0.2, k1=1e6, b_max=0.1, k2=1e8, delta=2.0),
-             PsoConfig(seed=4)),
-            (MopConfig(theta1=0.0, theta2=1.0, b_max=0.02, k2=5.0), PsoConfig(seed=5)),
-            (MopConfig(theta1=0.9, theta2=0.1, v_max=0.24, k1=1.0), PsoConfig(seed=6, iterations=80)),
+            (MopConfig(theta1=0.5, theta2=0.5, delta=0.25), (3, 200)),
+            (MopConfig(theta1=0.3, theta2=0.7, v_max=0.2, k1=1e6, b_max=0.1, k2=1e8, delta=2.0), (4, 200)),
+            (MopConfig(theta1=0.0, theta2=1.0, b_max=0.02, k2=5.0), (5, 200)),
+            (MopConfig(theta1=0.9, theta2=0.1, v_max=0.24, k1=1.0), (6, 80)),
             # objective values near the largest double
-            (MopConfig(theta1=0.5, theta2=0.5, delta=2.75e77), PsoConfig(seed=7, iterations=40)),
+            (MopConfig(theta1=0.5, theta2=0.5, delta=2.75e77), (7, 40)),
             # a -0.0 weight: its term is -0.0, and ties at fp's value abound where the penalty fires;
             # optimize_table refuses it (the objective ignores f), so only the swarm call runs
-            (MopConfig(theta1=1.0, theta2=-0.0, v_max=0.2, k1=1.0), PsoConfig(seed=8, iterations=40)),
-            (MopConfig(theta1=-0.0, theta2=1.0), PsoConfig(seed=9, iterations=40)),
+            (MopConfig(theta1=1.0, theta2=-0.0, v_max=0.2, k1=1.0), (8, 40)),
+            (MopConfig(theta1=-0.0, theta2=1.0), (9, 40)),
         ],
     )
-    def test_custom_configs(self, mop, pso):
-        g, fg = reference_table(mop, 101, pso)
+    def test_custom_configs(self, mop, pso, monkeypatch):
+        seed, iterations = pso
+        monkeypatch.setitem(distopt._SWARM, "iterations", iterations)
+        g, fg = reference_table(mop, 101, seed)
         if mop.theta2 == 0.0 and mop.b_max is None:
             with pytest.raises(ValueError, match="var-min"):
-                optimize_table(mop, grid_size=101, pso=pso)
+                optimize_table(mop, grid_size=101, seed=seed)
         else:
-            assert np.array_equal(bits(optimize_table(mop, grid_size=101, pso=pso).p), bits(g))
+            assert np.array_equal(bits(optimize_table(mop, grid_size=101, seed=seed).p), bits(g))
         # all 101 nodes in one swarm call: positions and fitness alike, and the same bits
         # whether f is freshly allocated or starts at 16 mod 64
-        f = np.repeat(np.linspace(0.0, 1.0, 101)[:, None], pso.swarm_size, axis=1)
-        phases = substream_phases(RandomStream(pso.seed).phase, np.arange(101))
+        f = np.repeat(np.linspace(0.0, 1.0, 101)[:, None], _SWARM["swarm_size"], axis=1)
+        phases = substream_phases(RandomStream(seed).phase, np.arange(101))
         for f_in in (f, copy_at(f, 16)):
-            got = _pso_batch(f_in, mop, phases, pso)
+            got = _pso_batch(f_in, mop, phases)
             assert np.array_equal(bits(got[0]), bits(g)) and np.array_equal(bits(got[1]), bits(fg))
 
     def test_objective_matches_reference(self):
@@ -385,12 +372,11 @@ class TestReferenceSwarm:
     def test_fixed_constants_meet_the_swarm_conditions(self):
         # _pso_batch folds c * 2**-53 into one pass, exact only if that product is, and
         # reflects once, enough only if the clamp is at most 1
-        pso = PsoConfig()
-        for c in (pso.cognitive, pso.social):
+        for c in (_SWARM["cognitive"], _SWARM["social"]):
             assert Fraction(c * _INV_2_53) == Fraction(c) / 2**53
-        assert 0.0 < pso.velocity_clamp <= 1.0
+        assert 0.0 < _SWARM["velocity_clamp"] <= 1.0
 
-    def test_random_configs_match_reference(self):
+    def test_random_configs_match_reference(self, monkeypatch):
         # 300 seeded configurations of the in-place swarm and objective, against the
         # np.where swarm and the one-temporary-per-operation objective of oracles.py
         rng = np.random.default_rng(20240607)
@@ -403,22 +389,23 @@ class TestReferenceSwarm:
             if rng.random() < 0.4:
                 limits |= {"b_max": float(rng.uniform(0.01, 0.3)), "k2": float(rng.choice([0.5, 1e10]))}
             mop = MopConfig(theta1=theta1, theta2=1.0 - theta1, delta=float(rng.choice([1.0, 0.25, 2.0])), **limits)
-            pso = PsoConfig(iterations=int(rng.integers(1, 25)))
+            iterations = int(rng.integers(1, 25))
+            monkeypatch.setitem(distopt._SWARM, "iterations", iterations)
             f = np.concatenate([[0.0, 1.0], rng.random(int(rng.integers(0, 6)))])[:, None]
             phases = rng.integers(0, 2**64, f.size, dtype=np.uint64)
-            g, fg = reference_pso_batch(lambda p: reference_objective(p, f, mop), phases, pso)
-            f_rows = np.repeat(f, pso.swarm_size, axis=1)
-            got = _pso_batch(f_rows, mop, phases, pso)
-            assert np.array_equal(bits(got[0]), bits(g)) and np.array_equal(bits(got[1]), bits(fg)), (mop, pso)
+            g, fg = reference_pso_batch(lambda p: reference_objective(p, f, mop), phases, iterations)
+            f_rows = np.repeat(f, _SWARM["swarm_size"], axis=1)
+            got = _pso_batch(f_rows, mop, phases)
+            assert np.array_equal(bits(got[0]), bits(g)) and np.array_equal(bits(got[1]), bits(fg)), (mop, iterations)
             seen |= {("delta", mop.delta), ("theta1 = 0 with v_max", theta1 == 0.0 and mop.v_max is not None)}
         assert {("delta", 0.25), ("delta", 2.0), ("theta1 = 0 with v_max", True)} <= seen
 
     def test_table_does_not_depend_on_node_block(self, monkeypatch):
         # one node per block, then blocks of 7, 256 and more nodes than the grid
-        pso = PsoConfig(seed=9, iterations=3)
+        monkeypatch.setitem(distopt._SWARM, "iterations", 3)
 
         def run():
-            return [optimize_table(preset, grid_size=n, pso=pso).p.tobytes()
+            return [optimize_table(preset, grid_size=n, seed=9).p.tobytes()
                     for n in (255, 256, 257, 513) for preset in (Preset.BIAS_MIN, Preset.D2)]
 
         results = [run()]

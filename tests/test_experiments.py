@@ -12,9 +12,9 @@ from oracles import (
     rounded_sum,
     varhat_mean_std,
 )
-from srlab import experiments
+from srlab import distopt, experiments
 from srlab.cli import _BUILTIN_MODES
-from srlab.distopt import Preset, PsoConfig, optimize_table
+from srlab.distopt import Preset, optimize_table
 from srlab.experiments import (
     SQRT_TEST_VALUES,
     CaseId,
@@ -270,7 +270,8 @@ class TestRepetitionEngine:
             results.append(run())
         assert all(result == results[0] for result in results[1:])
 
-    def test_bad_counts_rejected(self):
+    def test_bad_counts_rejected(self, monkeypatch):
+        monkeypatch.setitem(distopt._SWARM, "iterations", 1)
         # every count: its name in the message, its least value, and the calls that take it
         counts = [
             ("n_reps", 1, [lambda v: run_summation_experiment(CaseId.III, SR, n_reps=v),
@@ -281,7 +282,7 @@ class TestRepetitionEngine:
             ("draws", 1, [lambda v: validate_variance_bound(step=0.5, draws=v)]),
             ("fractional-digit count n", 0, [RoundingSpec, lambda v: validate_variance_bound(n_bits=v, step=0.5, draws=5)]),
             ("vector size n", 2, [gen_sine_vectors, lambda v: run_inner_product_experiment(v, SR, n_reps=3)]),
-            ("grid_size", 2, [lambda v: optimize_table(Preset.D1, grid_size=v, pso=PsoConfig(iterations=1))]),
+            ("grid_size", 2, [lambda v: optimize_table(Preset.D1, grid_size=v)]),
             ("resolution", 1, [lambda v: contour_grid(resolution=v)]),
         ]
         for name, low, calls in counts:

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import inspect
 import json
 
@@ -11,7 +12,6 @@ from srlab import (
     DOT_SIZES,
     SQRT_TEST_VALUES,
     CaseId,
-    PsoConfig,
     RoundingSpec,
     optimize_table,
     run_inner_product_experiment,
@@ -19,6 +19,7 @@ from srlab import (
     run_summation_experiment,
     validate_variance_bound,
 )
+from srlab import distopt
 from srlab.cli import build_parser, main
 from srlab.files import (
     format_number,
@@ -26,7 +27,8 @@ from srlab.files import (
     write_csv,
     write_distribution,
 )
-from srlab.rounding import ProbabilityTable
+from srlab.rounding import SR, ProbabilityTable, round_values
+from srlab.streams import RandomStream
 from srlab.stats import contour_grid
 
 
@@ -136,9 +138,31 @@ def _no_work(monkeypatch):
 
 class TestRoundCommand:
     def test_deterministic_prints_once(self, capsys):
-        assert run_cli("round", "1.6", "--mode", "half-even", "--count", "5") == 0
-        out = capsys.readouterr().out.strip().splitlines()
-        assert out == ["2"]
+        for count in ("5", str(2**16 + 1)):
+            assert run_cli("round", "1.6", "--mode", "half-even", "--count", count) == 0
+            out = capsys.readouterr().out.strip().splitlines()
+            assert out == ["2"]
+
+    @pytest.mark.parametrize("count", [1, 64, 65, 129])
+    def test_count_prints_what_scalar_calls_print(self, count, tmp_path, capsys, small_table, monkeypatch):
+        # --count k rounds blocks of up to _ROUND_BLOCK values, each taking the next draws of one
+        # stream; blocks of 64, not 2**16, keep the k scalar calls of the reference cheap
+        monkeypatch.setattr(srlab.cli, "_ROUND_BLOCK", 64)
+        path = tmp_path / "t.json"
+        write_distribution(path, small_table)
+        for label, mode in (("sr", SR), ("demo", small_table)):
+            assert run_cli("round", "0.30146", "--mode", label, "--table", str(path), "--n", "3", "--base", "10",
+                           "--seed", "3", "--count", str(count)) == 0
+            rng = RandomStream(3)
+            expected = [f"{round_values(0.30146, mode, RoundingSpec(3, 10), rng):.17g}\n" for _ in range(count)]
+            assert capsys.readouterr().out == "".join(expected)
+
+    def test_count_across_full_blocks(self, capsys):
+        # two blocks, of 2**16 and 34 464 values: the sha256 of what 100 000 scalar calls printed
+        assert srlab.cli._ROUND_BLOCK == 2**16
+        assert run_cli("round", "0.4", "--mode", "sr", "--seed", "7", "--count", "100000") == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "6ba71b1529f664a0697ca18af0d8e8f5a52ef5701dab8506f59f878399c419bb"
 
     @pytest.mark.parametrize("x, mode", [("-0.3", "ceil"), ("-0.3", "half-up"), ("-0.3", "half-down"),
                                          ("-0.3", "half-even"), ("-0.3", "half-odd"), ("-0", "floor")])
@@ -189,17 +213,30 @@ class TestRoundCommand:
 
 
 class TestOptimizeCommand:
-    def test_preset_writes_distribution(self, tmp_path, capsys):
+    def test_preset_writes_distribution(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(distopt._SWARM, "iterations", 60)
         out = tmp_path / "bias.json"
-        code = run_cli(
-            "optimize", "--preset", "bias-min", "--grid-size", "41",
-            "--iterations", "60", "--out", str(out),
-        )
+        code = run_cli("optimize", "--preset", "bias-min", "--grid-size", "41", "--out", str(out))
         assert code == 0
         loaded = read_distribution(out)
         assert np.max(np.abs(loaded.table.p - (1.0 - loaded.table.grid))) < 1e-3
         assert loaded.provenance["pso"]["iterations"] == 60
         assert "bias" in capsys.readouterr().out
+
+    def test_provenance_records_the_swarm(self, tmp_path):
+        # the objective, then the swarm's fixed settings and the seed, then the seed again
+        out = tmp_path / "d1.json"
+        assert run_cli("optimize", "--preset", "d1", "--grid-size", "5", "--seed", str(2**64 - 1),
+                       "--out", str(out)) == 0
+        provenance = read_distribution(out).provenance
+        assert list(provenance) == ["mop", "pso", "seed"]
+        assert list(provenance["mop"].items()) == [
+            ("theta1", 0.5), ("theta2", 0.5), ("v_max", None), ("b_max", None), ("k1", 0.0), ("k2", 0.0),
+            ("delta", 1.0)]
+        assert list(provenance["pso"].items()) == [
+            ("swarm_size", 50), ("iterations", 200), ("inertia", 0.729), ("cognitive", 1.49445),
+            ("social", 1.49445), ("velocity_clamp", 0.5), ("seed", 2**64 - 1)]
+        assert provenance["seed"] == 2**64 - 1
 
     def test_capped_preset_respects_cap(self, tmp_path):
         out = tmp_path / "d2.json"
@@ -211,17 +248,16 @@ class TestOptimizeCommand:
 
     def test_var_min_floor_all_ones(self, tmp_path):
         out = tmp_path / "floor.json"
-        run_cli("optimize", "--preset", "var-min-floor", "--grid-size", "21",
-                "--iterations", "40", "--out", str(out))
+        run_cli("optimize", "--preset", "var-min-floor", "--grid-size", "21", "--out", str(out))
         loaded = read_distribution(out)
         assert np.all(loaded.table.p == 1.0)
 
-    def test_config_file(self, tmp_path):
+    def test_config_file(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(distopt._SWARM, "iterations", 40)
         cfg = tmp_path / "mop.json"
         cfg.write_text(json.dumps({"theta1": 0.5, "theta2": 0.5}))
         out = tmp_path / "custom.json"
-        assert run_cli("optimize", "--config", str(cfg), "--grid-size", "15",
-                       "--iterations", "40", "--out", str(out)) == 0
+        assert run_cli("optimize", "--config", str(cfg), "--grid-size", "15", "--out", str(out)) == 0
         assert read_distribution(out).table.label == "custom"
 
     def test_missing_config_file(self, tmp_path, capsys):
@@ -254,17 +290,16 @@ class TestOptimizeCommand:
 
 
 class TestExperimentCommands:
-    def _tables(self, tmp_path):
+    def _tables(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(distopt._SWARM, "iterations", 60)
         d1 = tmp_path / "d1.json"
         d2 = tmp_path / "d2.json"
-        run_cli("optimize", "--preset", "d1", "--grid-size", "41", "--iterations", "60",
-                "--out", str(d1))
-        run_cli("optimize", "--preset", "d2", "--grid-size", "41", "--iterations", "60",
-                "--out", str(d2))
+        run_cli("optimize", "--preset", "d1", "--grid-size", "41", "--out", str(d1))
+        run_cli("optimize", "--preset", "d2", "--grid-size", "41", "--out", str(d2))
         return d1, d2
 
-    def test_sum_csv(self, tmp_path):
-        d1, d2 = self._tables(tmp_path)
+    def test_sum_csv(self, tmp_path, monkeypatch):
+        d1, d2 = self._tables(tmp_path, monkeypatch)
         out = tmp_path / "sum.csv"
         code = run_cli(
             "experiment", "sum", "--case", "III", "--modes", "sr,cr,d1,d2",
@@ -367,7 +402,7 @@ class TestExperimentCommands:
         "argv",
         [
             ["experiment", "contour", "--res", "3"],
-            ["optimize", "--preset", "d1", "--grid-size", "5", "--iterations", "2"],
+            ["optimize", "--preset", "d1", "--grid-size", "5"],
         ],
     )
     def test_unwritable_out_exits_1(self, argv, tmp_path, capsys, monkeypatch):
@@ -433,8 +468,8 @@ class TestExperimentCommands:
         assert lines[0] == "x1,x2,e_down,e_up,p"
         assert len(lines) == 401
 
-    def test_byte_identical_reruns(self, tmp_path):
-        d1, _ = self._tables(tmp_path)
+    def test_byte_identical_reruns(self, tmp_path, monkeypatch):
+        d1, _ = self._tables(tmp_path, monkeypatch)
         for args, name in [
             (("experiment", "sum", "--case", "IV", "--modes", "sr,cr", "--reps", "50",
               "--seed", "3"), "sum.csv"),
@@ -574,7 +609,7 @@ class TestOneProcess:
         ["optimize", "--config", '{"theta1": true, "theta2": false}'],
         ["optimize", "--config", '{"theta1": 0.5, "theta2": 0.5, "b_max": 0.05, "k2": true}'],
         # a seed outside [0, 2**64) names no stream of its own
-        ["optimize", "--preset", "d1", "--grid-size", "5", "--iterations", "3", "--seed", "18446744073709551616"],
+        ["optimize", "--preset", "d1", "--grid-size", "5", "--seed", "18446744073709551616"],
         ["optimize", "--preset", "d1", "--seed", "-1"],
         ["optimize", "--preset", "var-min-floor", "--seed", "-1"],
         ["round", "0.4", "--mode", "sr", "--seed", "-1"],
@@ -609,6 +644,8 @@ class TestOneProcess:
         # a bad seed is refused by every command, also one that draws nothing
         ["experiment", "contour", "--res", "2", "--seed", "-1"],
         ["experiment", "contour", "--res", "2", "--seed", "18446744073709551616"],
+        # the swarm's settings are fixed and have no flags
+        ["optimize", "--preset", "d1", "--iterations", "5"],
     ],
 )
 def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):
@@ -653,9 +690,8 @@ def test_cli_defaults_are_the_library_defaults():
     def parse(*argv):
         return srlab.cli.build_parser().parse_args([*argv, *([] if argv[0] == "round" else ["--out", "x.csv"])])
 
-    opt, pso = parse("optimize", "--preset", "d1"), PsoConfig()
-    assert (opt.iterations, opt.seed) == (pso.iterations, pso.seed)
-    assert opt.grid_size == defaults(optimize_table)["grid_size"]
+    opt = parse("optimize", "--preset", "d1")
+    assert (opt.grid_size, opt.seed) == (defaults(optimize_table)["grid_size"], defaults(optimize_table)["seed"])
     sqrt = parse("experiment", "sqrt")
     assert RoundingSpec(sqrt.n, sqrt.base) == defaults(run_sqrt_experiment)["spec"]
     assert tuple(float(a) for a in sqrt.values.split(",")) == SQRT_TEST_VALUES

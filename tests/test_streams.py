@@ -5,7 +5,7 @@ import pytest
 
 from oracles import reference_draws, splitmix64_draw, splitmix64_mix, splitmix64_unmix
 from srlab import distopt, experiments
-from srlab.distopt import Preset, PsoConfig, optimize_table
+from srlab.distopt import Preset, optimize_table
 from srlab.experiments import CaseId, run_summation_experiment
 from srlab.rounding import SR, ProbabilityTable, RoundingSpec
 from srlab.streams import RandomStream, _carve, _mix64, _mix_shift, _steps, draws_at, substream_phases
@@ -199,7 +199,8 @@ def test_uniforms_at_the_extreme_draws(monkeypatch):
     assert (value.tolist(), n_it.tolist(), converged.tolist(), breakdown.tolist()) == ([1.0], [1], [True], [False])
 
 
-def test_no_overflow_warnings():
+def test_no_overflow_warnings(monkeypatch):
+    monkeypatch.setitem(distopt._SWARM, "iterations", 5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for counter in (7, 2**64 - 1):
@@ -207,7 +208,7 @@ def test_no_overflow_warnings():
         draws_at(NEAR_WRAP, 5)
         experiments._repeat(0, 5, 3, 2**52, lambda rows, hit, scratch: hit.sum(axis=1))
         RandomStream(2**64 - 1).substream(2**64 - 1).uniform(10)
-        optimize_table(Preset.D2, grid_size=11, pso=PsoConfig(iterations=5))
+        optimize_table(Preset.D2, grid_size=11)
 
 
 def test_carve_aligns_odd_sizes():
