@@ -12,21 +12,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import errno
-import json
 import os
 import sys
 
 import numpy as np
 
-from .distopt import (
-    MopConfig,
-    Preset,
-    _SWARM,
-    _objective_config,
-    bias_of_p,
-    optimize_table,
-    variance_of_p,
-)
+from .distopt import Preset, _SWARM, bias_of_p, optimize_table, preset_config, variance_of_p
 from .experiments import (
     DOT_SIZES,
     SQRT_TEST_VALUES,
@@ -89,23 +80,13 @@ def _subjects(text, parse, flag):
 
 
 def _cmd_optimize(args) -> int:
-    if args.label is not None:
-        _check_label(args.label, "--label")
-    if args.preset is not None:
-        target = Preset(args.preset)
-        mop = _objective_config(target)
-    else:
-        with open(args.config, "rb") as fh:
-            data = fh.read()
-        try:  # decoding inside the try, so that an undecodable file is named
-            mop = target = _objective_config(MopConfig(**json.loads(data.decode("utf-8"))))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{args.config}: invalid objective config: {exc}") from exc
-    table = optimize_table(target, grid_size=args.grid_size, seed=args.seed, label=args.label)
+    preset = Preset(args.preset)
+    mop = preset_config(preset)
+    table = optimize_table(preset, grid_size=args.grid_size, seed=args.seed)
     provenance = {"mop": dataclasses.asdict(mop), "pso": {**_SWARM, "seed": args.seed}, "seed": args.seed}
-    write_distribution(args.out, table, delta=mop.delta, provenance=provenance)
-    bias = bias_of_p(table.p, table.grid, mop.delta)
-    var = variance_of_p(table.p, mop.delta)
+    write_distribution(args.out, table, provenance=provenance)
+    bias = bias_of_p(table.p, table.grid)  # every preset has delta = 1
+    var = variance_of_p(table.p)
     print(f"wrote {args.out}: {table.label}, {table.grid.size} nodes")
     print(f"bias     min {bias.min():.6g}  max {bias.max():.6g}")
     print(f"variance min {var.min():.6g}  max {var.max():.6g}")
@@ -205,11 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_opt = sub.add_parser("optimize", parents=[seeded], help="optimize a rounding probability table")
-    source = p_opt.add_mutually_exclusive_group(required=True)
-    source.add_argument("--preset", choices=[p.value for p in Preset], help="a named objective config")
-    source.add_argument("--config", help="JSON file with objective-config fields")
+    p_opt.add_argument("--preset", required=True, choices=[p.value for p in Preset], help="a named objective config")
     p_opt.add_argument("--grid-size", type=int, default=1001)
-    p_opt.add_argument("--label", default=None, help="override the stored label")
     p_opt.add_argument("--out", required=True, help="output JSON path")
 
     p_round = sub.add_parser("round", parents=[seeded], help="round one value and print the result(s)")

@@ -116,15 +116,19 @@ def _objective_config(target) -> MopConfig:
 
 
 def variance_of_p(p, delta: float = 1.0):
-    """Rounding variance delta^2 (p - p^2); maximal at p = 1/2."""
+    """Rounding variance delta^2 (p - p^2); maximal at p = 1/2.  A delta whose square overflows is refused."""
+    d = _real(delta, "delta")
+    if d * d == np.inf:
+        raise ValueError(f"delta^2 overflows a double, got delta {delta!r}")
     arr = _unit_interval(p, "p")
-    return _ret((delta * delta) * (arr - arr * arr))
+    return _ret((d * d) * (arr - arr * arr))
 
 
 def bias_of_p(p, f, delta: float = 1.0):
     """Rounding bias delta ((1 - p) - f); zero exactly when p = 1 - f."""
+    d = _real(delta, "delta")
     arr = _unit_interval(p, "p")
-    return _ret(delta * ((1.0 - arr) - _unit_interval(f, "f")))
+    return _ret(d * ((1.0 - arr) - _unit_interval(f, "f")))
 
 
 def objective(p, f, cfg: MopConfig):
@@ -260,7 +264,6 @@ def optimize_table(
     preset_or_cfg,
     grid_size: int = 1001,
     seed: int = 0,
-    label: str | None = None,
 ) -> ProbabilityTable:
     """Optimize the rounding probability at each fraction grid node.
 
@@ -270,15 +273,14 @@ def optimize_table(
     makes the result independent of how the nodes are batched
     (``_BLOCK_NODES``).  The variance-only presets have the two exact
     optima p = 0 and p = 1; their names pin which endpoint the table
-    stores, and no swarm runs for them.
+    stores, and no swarm runs for them.  A preset's table is labelled with
+    the preset's name, a ``MopConfig``'s with ``"custom"``.
     """
     grid_size = _integer(grid_size, "grid_size", 2)
     seed = _integer(seed, "seed", bits=64)  # checked here: the var-min presets build no stream
     preset = preset_or_cfg if isinstance(preset_or_cfg, Preset) else None
     cfg = _objective_config(preset_or_cfg)
     fgrid = np.linspace(0.0, 1.0, grid_size)
-    if label is None:
-        label = preset.value if preset is not None else "custom"
     if preset in (Preset.VAR_MIN_FLOOR, Preset.VAR_MIN_CEIL):
         p_star = np.full(grid_size, 1.0 if preset is Preset.VAR_MIN_FLOOR else 0.0)
     else:
@@ -287,4 +289,4 @@ def optimize_table(
         for j in range(0, grid_size, _BLOCK_NODES):
             nodes = slice(j, j + _BLOCK_NODES)
             p_star[nodes] = _pso_batch(fgrid[nodes, None], cfg, phases[nodes])[0]
-    return ProbabilityTable(grid=fgrid, p=p_star, label=label)
+    return ProbabilityTable(grid=fgrid, p=p_star, label="custom" if preset is None else preset.value)

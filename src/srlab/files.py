@@ -37,17 +37,18 @@ class LoadedDistribution:
 
 
 def write_distribution(path, table: ProbabilityTable, delta: float = 1.0, provenance: dict | None = None) -> None:
+    """Write a file that ``read_distribution`` accepts; the text comes first, so a refused call leaves ``path`` alone."""
     payload = {
         "format_version": DIST_FORMAT_VERSION,
         "label": table.label,
-        "delta": float(delta),
+        "delta": _real(delta, "delta"),
         "grid": [float(v) for v in table.grid],
         "p": [float(v) for v in table.p],
         "provenance": provenance or {},
     }
+    text = json.dumps(payload, indent=2, allow_nan=False)
     with open(path, "w", newline="") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_distribution(path) -> LoadedDistribution:

@@ -138,9 +138,10 @@ class TestConfigs:
         {"theta1": 0.5, "theta2": 0.5, "b_max": True, "k2": 1e10},
         {"theta1": 0.5, "theta2": 0.5, "v_max": 0.2, "k1": np.bool_(1)},
         {"theta1": "0.5", "theta2": 0.5},
+        {"theta1": 0.5, "theta2": 0.5, "b_max": 0.05, "k2": True},
     ])
     def test_non_numbers_rejected(self, fields):
-        with pytest.raises(ValueError, match=r"^(theta1|delta|b_max|k1) must be a finite (non-negative|positive) real number, got "):
+        with pytest.raises(ValueError, match=r"^(theta1|delta|b_max|k1|k2) must be a finite (non-negative|positive) real number, got "):
             MopConfig(**fields)
 
     def test_python_and_numpy_numbers_accepted(self):
@@ -160,6 +161,23 @@ class TestObjectivePieces:
 
     def test_variance_scales_with_step(self):
         assert np.isclose(variance_of_p(0.5, delta=0.1), 0.25 * 0.01, rtol=1e-15)
+
+    @pytest.mark.parametrize("delta", [-2.0, 0.0, -0.0, math.nan, math.inf, True, np.True_, "2", None,
+                                       pytest.param(10**400, id="10**400")])
+    def test_bad_delta_rejected(self, delta):
+        # the rule of every real input: an int or float, not a bool, finite and positive
+        for call in (lambda: variance_of_p(0.25, delta), lambda: bias_of_p(0.25, 0.5, delta)):
+            with pytest.raises(ValueError, match=r"^delta must be a finite positive real number, got "):
+                call()
+
+    def test_delta_whose_square_overflows_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^delta\^2 overflows a double, got delta 1e\+200$"):
+                variance_of_p(0.25, 1e200)
+            assert variance_of_p(0.5, 2.0**511) == 2.0**1020
+            assert bias_of_p(0.25, 0.5, 1e200) == 0.25e200
+        assert variance_of_p(0.5, np.float64(0.5)) == 0.0625 and bias_of_p(0.5, 0.25, 2) == 0.5  # numpy and int
 
     def test_bias_zero_at_matching_p(self):
         f = RandomStream(1).uniform(50)
@@ -277,7 +295,8 @@ class TestOptimizeTable:
 
     def test_variance_only_config_refused(self, monkeypatch):
         # no bias weight and no bias limit: the objective ignores f, and p = 0 and p = 1 tie
-        for fields in ({"theta2": 0.0}, {"theta2": -0.0}, {"theta2": 0.0, "v_max": 0.2, "k1": 1.0}):
+        for fields in ({"theta2": 0.0}, {"theta2": -0.0}, {"theta2": 0.0, "v_max": 0.2, "k1": 1.0},
+                       {"theta2": -0.0, "v_max": 0.2, "k1": 1.0}):
             with pytest.raises(ValueError, match="var-min-floor or var-min-ceil"):
                 optimize_table(MopConfig(theta1=1.0, **fields), grid_size=11)
         monkeypatch.setitem(distopt._SWARM, "iterations", 5)
@@ -299,6 +318,8 @@ class TestOptimizeTable:
         assert table.label == "custom"
         with pytest.raises(TypeError):
             optimize_table("d1", grid_size=11)
+        with pytest.raises(TypeError):  # a table's label is its preset's name, or "custom"
+            optimize_table(cfg, grid_size=11, label="x")
 
 
 def bits(a):

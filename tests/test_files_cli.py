@@ -61,6 +61,20 @@ class TestDistributionFiles:
         assert np.array_equal(loaded.table.grid, table.grid)
         assert np.array_equal(loaded.table.p, table.p)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"delta": -1.0}, {"delta": 0.0}, {"delta": float("nan")}, {"delta": float("inf")}, {"delta": True},
+        {"delta": "2"}, {"provenance": {"seed": float("nan")}}, {"provenance": {"seed": np.int64(3)}},
+    ])
+    def test_refused_write_leaves_the_file_alone(self, kwargs, tmp_path, small_table):
+        # a delta the reader refuses, or provenance with no standard JSON text, fails before any byte is written
+        path, absent = tmp_path / "t.json", tmp_path / "absent.json"
+        write_distribution(path, small_table)
+        before = path.read_bytes()
+        for target in (path, absent):
+            with pytest.raises((TypeError, ValueError)):
+                write_distribution(target, small_table, **kwargs)
+        assert path.read_bytes() == before and not absent.exists()
+
     def test_invalid_files_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"format_version": 1, "label": "x"}')
@@ -252,32 +266,18 @@ class TestOptimizeCommand:
         loaded = read_distribution(out)
         assert np.all(loaded.table.p == 1.0)
 
-    def test_config_file(self, tmp_path, monkeypatch):
-        monkeypatch.setitem(distopt._SWARM, "iterations", 40)
-        cfg = tmp_path / "mop.json"
-        cfg.write_text(json.dumps({"theta1": 0.5, "theta2": 0.5}))
-        out = tmp_path / "custom.json"
-        assert run_cli("optimize", "--config", str(cfg), "--grid-size", "15", "--out", str(out)) == 0
-        assert read_distribution(out).table.label == "custom"
-
-    def test_missing_config_file(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run_cli("optimize", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path / "x.json"))
-        assert exc.value.code == 1
-        assert capsys.readouterr().err.startswith("srlab: ")
-        assert not (tmp_path / "x.json").exists()
-
     def test_needs_exactly_one_source(self, tmp_path, capsys):
-        # argparse checks the source; the subcommand's usage may wrap, so only the last line is read
-        cfg = tmp_path / "mop.json"
-        cfg.write_text(json.dumps({"theta1": 0.5, "theta2": 0.5}))
-        both = ("--preset", "d1", "--config", str(cfg))
-        for source, message in (((), "one of the arguments --preset --config is required"),
-                                (both, "argument --config: not allowed with argument --preset")):
+        # a preset is the one source, and --config is no option; the subcommand's usage may wrap,
+        # so only the last line is read
+        out = str(tmp_path / "x.json")
+        for argv, message in (
+                (("optimize", "--out", out), "srlab optimize: error: the following arguments are required: --preset"),
+                (("optimize", "--preset", "d1", "--config", "c.json", "--out", out),
+                 "srlab: error: unrecognized arguments: --config c.json")):
             with pytest.raises(SystemExit) as exc:
-                run_cli("optimize", *source, "--out", str(tmp_path / "x.json"))
+                run_cli(*argv)
             assert exc.value.code == 2
-            assert capsys.readouterr().err.splitlines()[-1] == f"srlab optimize: error: {message}"
+            assert capsys.readouterr().err.splitlines()[-1] == message
         assert not (tmp_path / "x.json").exists()
 
     def test_unknown_preset(self, tmp_path, capsys):
@@ -574,24 +574,24 @@ class TestOneProcess:
         ["experiment", "contour", "--x1-max", "inf"],
         # 2e14 grid points (1.6 PB) exceed any address space, so nothing is allocated
         ["experiment", "varbound", "--step", "1e-14"],
-        ["optimize", "--config", '{"theta1": NaN, "theta2": 0.5}'],
-        ["optimize", "--config", '{"theta1": 0.5, "theta2": 0.5, "delta": NaN}'],
-        ["optimize", "--config", '{"theta1": 0.5, "theta2": 0.5, "b_max": NaN, "k2": 1e10}'],
-        ["optimize", "--config", '{"theta1": 0.5, "theta2": 0.5, "b_max": 0.05, "k2": Infinity}'],
-        # finite fields whose objective overflows, and a penalty that rewards
-        ["optimize", "--config", '{"theta1": 0.5, "theta2": 0.5, "delta": 1e200}'],
-        ["optimize", "--config", '{"theta1": 0.5, "theta2": 0.5, "v_max": 0.2, "k1": -1.0}'],
+        # NaN where a real belongs, and values that are no numbers
+        ["round", "nan", "--mode", "sr"],
+        ["experiment", "varbound", "--step", "nan"],
+        ["experiment", "varbound", "--xmax", "nan"],
+        ["experiment", "contour", "--x1-max", "nan"],
+        ["experiment", "sqrt", "--values", "abc"],
+        ["experiment", "dot", "--sizes", "2.5"],
         # raise statements reached only by these inputs
         ["experiment", "dot", "--sizes", "1"],
         ["experiment", "sum", "--modes", ","],
         ["round", "0.4", "--mode", "table"],
         ["experiment", "contour", "--x1-max", "2", "--res", "1"],  # the one cell's x1 is the integer 1
-        # table labels that no --modes token can name, refused before the swarm runs
-        ["optimize", "--preset", "d1", "--label", "sr"],
-        ["optimize", "--preset", "d1", "--label", "Half-Even"],
-        ["optimize", "--preset", "d1", "--label", ""],
-        ["optimize", "--preset", "d1", "--label", "d1,d2"],
-        ["optimize", "--preset", "d1", "--label", " d1"],
+        # counts and reals just outside their range, at its low end
+        ["round", "0.4", "--n", "-1"],
+        ["experiment", "varbound", "--bits", "-1"],
+        ["experiment", "contour", "--x1-max", "0"],
+        ["experiment", "sqrt", "--values", "0", "--modes", "cr"],
+        ["experiment", "dot", "--sizes", "50", "--modes", "sr", "--reps", "0"],
         # a repeated mode or subject would write the same row twice
         ["experiment", "sum", "--case", "III", "--modes", "sr,sr", "--reps", "10"],
         ["experiment", "sum", "--case", "III", "--modes", "SR, sr", "--reps", "10"],
@@ -603,11 +603,11 @@ class TestOneProcess:
         ["experiment", "varbound", "--xmax", "1e300", "--step", "1e-300"],
         ["experiment", "sqrt", "--values", "2", "--modes", "sr", "--reps", "100000000000000000000000"],
         ["round", "0.4", "--n", "100000000000000000000000"],
-        # an objective that ignores f, and booleans where numbers belong
-        ["optimize", "--config", '{"theta1": 1.0, "theta2": 0.0}'],
-        ["optimize", "--config", '{"theta1": 1.0, "theta2": -0.0, "v_max": 0.2, "k1": 1.0}'],
-        ["optimize", "--config", '{"theta1": true, "theta2": false}'],
-        ["optimize", "--config", '{"theta1": 0.5, "theta2": 0.5, "b_max": 0.05, "k2": true}'],
+        # a grid size refused where no swarm runs, an unknown case, the least count refused (2**62), a negative step
+        ["optimize", "--preset", "var-min-ceil", "--grid-size", "1"],
+        ["experiment", "sum", "--case", "V"],
+        ["experiment", "contour", "--res", "4611686018427387904"],
+        ["experiment", "varbound", "--step", "-1"],
         # a seed outside [0, 2**64) names no stream of its own
         ["optimize", "--preset", "d1", "--grid-size", "5", "--seed", "18446744073709551616"],
         ["optimize", "--preset", "d1", "--seed", "-1"],
@@ -628,12 +628,13 @@ class TestOneProcess:
         ["experiment", "contour", "--x1-max", "1e308", "--res", "3"],
         ["round", "0.4", "--base", "3"],
         ["experiment", "sqrt", "--values", "2", "--modes", "cr", "--base", "3"],
-        # counts that numpy cannot size (np.arange(2**63 - 1) is empty), and a weight with no double
+        # counts that numpy cannot size (np.arange(2**63 - 1) is empty), a grid scale with no double,
+        # and a radicand that overflows once scaled by it
         ["experiment", "sqrt", "--values", "2", "--modes", "sr", "--reps", "9223372036854775807"],
         ["experiment", "dot", "--sizes", "9223372036854775807", "--modes", "cr", "--reps", "1"],
         ["optimize", "--preset", "d1", "--grid-size", "9223372036854775807"],
-        ["optimize", "--config", '{"theta1": 1' + "0" * 400 + ', "theta2": 0.5}'],
-        ["optimize", "--config", "\xff{"],  # a config file that is not UTF-8
+        ["experiment", "sqrt", "--values", "2", "--modes", "cr", "--base", "10", "--n", "400"],
+        ["experiment", "sqrt", "--values", "1e308", "--modes", "cr"],
         # the square-root study's stopping rule (1e-5, at most 100 steps) has no flags
         ["experiment", "sqrt", "--values", "2", "--modes", "cr", "--tol", "1e-5"],
         ["experiment", "sqrt", "--values", "2", "--modes", "cr", "--max-iter", "100"],
@@ -646,23 +647,19 @@ class TestOneProcess:
         ["experiment", "contour", "--res", "2", "--seed", "18446744073709551616"],
         # the swarm's settings are fixed and have no flags
         ["optimize", "--preset", "d1", "--iterations", "5"],
+        # a preset is the one source of an objective: --config and --label are gone
+        ["optimize", "--preset", "d1", "--config", "c.json"],
+        ["optimize", "--preset", "d1", "--label", "x"],
     ],
 )
 def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):
     out = tmp_path / "out"
-    config = None
-    if "--config" in argv:  # the argument after it is the config file's text, one byte a character
-        i = argv.index("--config") + 1
-        config = tmp_path / "mop.json"
-        config.write_bytes(argv[i].encode("latin-1"))
-        argv = [*argv[:i], str(config), *argv[i + 1:]]
     with pytest.raises(SystemExit) as exc:
         run_cli(*argv, *([] if argv[0] == "round" else ["--out", str(out)]))
     assert exc.value.code == 2
     usage, message = capsys.readouterr().err.splitlines()
     assert usage.startswith("usage: srlab")
     assert message.startswith("srlab: error: ")
-    assert config is None or str(config) in message
     assert not out.exists()
 
 
