@@ -10,14 +10,13 @@ never wall-clock), and equal invocations produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import errno
 import os
 import sys
 
 import numpy as np
 
-from .distopt import Preset, _SWARM, bias_of_p, optimize_table, preset_config, variance_of_p
+from .distopt import Preset, _SWARM, _mop_record, bias_of_p, optimize_table, preset_config, variance_of_p
 from .experiments import (
     DOT_SIZES,
     SQRT_TEST_VALUES,
@@ -81,11 +80,11 @@ def _subjects(text, parse, flag):
 
 def _cmd_optimize(args) -> int:
     preset = Preset(args.preset)
-    mop = preset_config(preset)
+    mop = _mop_record(preset_config(preset))
     table = optimize_table(preset, grid_size=args.grid_size, seed=args.seed)
-    provenance = {"mop": dataclasses.asdict(mop), "pso": {**_SWARM, "seed": args.seed}, "seed": args.seed}
+    provenance = {"mop": mop, "pso": {**_SWARM, "seed": args.seed}, "seed": args.seed}
     write_distribution(args.out, table, provenance=provenance)
-    bias = bias_of_p(table.p, table.grid)  # every preset has delta = 1
+    bias = bias_of_p(table.p, table.grid)  # every table is optimized at delta = 1
     var = variance_of_p(table.p)
     print(f"wrote {args.out}: {table.label}, {table.grid.size} nodes")
     print(f"bias     min {bias.min():.6g}  max {bias.max():.6g}")

@@ -1,11 +1,12 @@
 """Optimization of stochastic-rounding probability distributions.
 
 For a grid fraction f, rounding down with probability p has variance
-``V(p) = delta^2 (p - p^2)`` and bias ``B(p) = delta ((1 - p) - f)``.  A
-weighted objective ``theta1 V^2 + theta2 B^2`` plus indicator penalties for
-variance/bias limits is minimized per grid node by particle swarm search,
-producing a :class:`~srlab.rounding.ProbabilityTable`.  Tables are meant to
-be computed offline and persisted; rounding never re-runs the optimizer.
+``V(p) = delta^2 (p - p^2)`` and bias ``B(p) = delta ((1 - p) - f)``.  The
+weighted objective ``theta1 V^2 + theta2 B^2`` at delta = 1, plus
+``PENALTY`` where |B| reaches an optional cap, is minimized per grid node
+by particle swarm search, producing a
+:class:`~srlab.rounding.ProbabilityTable`.  Tables are meant to be
+computed offline and persisted; rounding never re-runs the optimizer.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ __all__ = [
     "optimize_table",
 ]
 
-PENALTY_DEFAULT = 1e10
+PENALTY = 1e10  # added to the objective wherever |B| >= b_max
 _ONE_BITS = np.float64(1.0).view(np.uint64)
 # Nodes per swarm call: nine carved 200 KB arrays of 50 particles (1.84 MB) fit a core's
 # 2 MB L2, and 1001 nodes take two calls.  512 ran the four swarm presets 6 % faster than
@@ -43,38 +44,31 @@ _SWARM = {"swarm_size": 50, "iterations": 200, "inertia": 0.729, "cognitive": 1.
 
 @dataclass(frozen=True)
 class MopConfig:
-    """Weights, limits and penalties of the scalarized objective.
+    """Weights and bias cap of the scalarized objective.
 
     ``theta1``/``theta2`` weigh squared variance and squared bias and must
-    sum to one.  A limit (``v_max``/``b_max``) comes with a positive penalty
-    (``k1``/``k2``) added whenever the limit is reached or exceeded; absent
-    limits must have zero penalty.  Every field set must be a real number
-    (an int or float, not a bool): ``delta`` finite and positive, the others
-    finite and non-negative.  So must the objective's bound
-    ``theta1 (delta^2/4)^2 + theta2 delta^2 + k1 + k2`` be finite.
+    sum to one; a set ``b_max`` adds ``PENALTY`` wherever |B| reaches it.
+    Every field set must be a finite non-negative real number (an int or
+    float, not a bool).  As V <= 1/4 and |B| <= 1 at delta = 1, the
+    objective is at most theta1/16 + theta2 + PENALTY, so always finite.
     """
 
     theta1: float
     theta2: float
-    v_max: float | None = None
     b_max: float | None = None
-    k1: float = 0.0
-    k2: float = 0.0
-    delta: float = 1.0
 
     def __post_init__(self):
-        names = ("theta1", "theta2", "k1", "k2", *(n for n in ("v_max", "b_max") if getattr(self, n) is not None))
-        t1, t2, k1, k2, *_ = [_real(getattr(self, name), name, zero=True) for name in names]
-        d = _real(self.delta, "delta")
+        for name in ("theta1", "theta2", *(("b_max",) if self.b_max is not None else ())):
+            _real(getattr(self, name), name, zero=True)
         if abs(self.theta1 + self.theta2 - 1.0) > 1e-12:
             raise ValueError("weights must sum to one")
-        if (self.v_max is None) != (k1 == 0.0):
-            raise ValueError("k1 must be positive exactly when v_max is set")
-        if (self.b_max is None) != (k2 == 0.0):
-            raise ValueError("k2 must be positive exactly when b_max is set")
-        # V <= delta^2/4 and |B| <= delta; Python floats in the objective's order, rounding being monotone
-        if not np.isfinite(t1 * (d * d / 4.0) * (d * d / 4.0) + t2 * d * d + k1 + k2):
-            raise ValueError("the objective overflows: theta1 (delta^2/4)^2 + theta2 delta^2 + k1 + k2 must be finite")
+
+
+def _mop_record(cfg: MopConfig) -> dict:
+    """The objective as a table file's provenance records it, under the seven keys that
+    files have always carried: no variance cap, ``k2`` the penalty of a set cap, delta 1."""
+    return {"theta1": cfg.theta1, "theta2": cfg.theta2, "v_max": None, "b_max": cfg.b_max, "k1": 0.0,
+            "k2": 0.0 if cfg.b_max is None else PENALTY, "delta": 1.0}
 
 
 class Preset(Enum):
@@ -99,7 +93,7 @@ def preset_config(preset: Preset) -> MopConfig:
     if preset is Preset.D1:
         return MopConfig(theta1=0.5, theta2=0.5)
     if preset is Preset.D2:
-        return MopConfig(theta1=0.5, theta2=0.5, b_max=0.05, k2=PENALTY_DEFAULT)
+        return MopConfig(theta1=0.5, theta2=0.5, b_max=0.05)
     raise ValueError(f"unknown preset {preset!r}")
 
 
@@ -132,11 +126,11 @@ def bias_of_p(p, f, delta: float = 1.0):
 
 
 def objective(p, f, cfg: MopConfig):
-    """Scalarized objective theta1 V^2 + theta2 B^2 plus indicator penalties.
+    """Scalarized objective theta1 V^2 + theta2 B^2 at delta = 1, plus ``PENALTY`` where |B| >= b_max.
 
     Out-of-bounds p is clamped to [0, 1] before evaluation; a NaN p, which
-    no clamp moves, is refused.  A penalty fires when its constraint value
-    reaches the limit (closed interval).
+    no clamp moves, is refused.  The penalty fires when |B| reaches the cap
+    (closed interval).
     """
     arr = _unit_interval(np.clip(np.asarray(p, dtype=np.float64), 0.0, 1.0), "p")
     fr = _unit_interval(f, "f")
@@ -149,26 +143,21 @@ def _objective_into(p, f, cfg: MopConfig, out, v, b):
 
     ``out``, ``v`` and ``b`` are float64 arrays of the broadcast shape of p
     and f; ``v`` and ``b`` are scratch.  V and B are computed as in
-    ``variance_of_p`` and ``bias_of_p``, without their range checks, and
-    the operations and their order are those of ``theta1 * V * V +
-    theta2 * B * B``, then each penalty, less scaling by delta = 1 and, for
-    theta1 = 0, the term +0 (V >= +0 on [0, 1]), since +0 + y is y for y >= +0.
+    ``variance_of_p`` and ``bias_of_p`` at delta = 1, without their range
+    checks, and the operations and their order are those of ``theta1 * V *
+    V + theta2 * B * B``, then the penalty, less, for theta1 = 0, the term
+    +0 (V >= +0 on [0, 1]), since +0 + y is y for y >= +0.
     """
     np.subtract(p, np.multiply(p, p, out=v), out=v)
     np.subtract(np.subtract(1.0, p, out=b), f, out=b)
-    if cfg.delta != 1.0:  # x * 1.0 is x
-        v *= cfg.delta * cfg.delta
-        b *= cfg.delta
-    hits = [] if cfg.v_max is None else [(cfg.k1, v >= cfg.v_max)]
-    if cfg.b_max is not None:
-        hits.append((cfg.k2, np.abs(b, out=out) >= cfg.b_max))
+    hit = None if cfg.b_max is None else np.abs(b, out=out) >= cfg.b_max
     if cfg.theta1 == 0.0:
         np.multiply(np.multiply(cfg.theta2, b, out=out), b, out=out)
     else:
         np.multiply(np.multiply(cfg.theta1, v, out=out), v, out=out)
         out += np.multiply(np.multiply(cfg.theta2, b, out=v), b, out=v)
-    for k, hit in hits:
-        out += np.multiply(k, hit, out=v)
+    if hit is not None:
+        out += np.multiply(PENALTY, hit, out=v)
     return out
 
 
@@ -202,8 +191,9 @@ def _pso_batch(f: np.ndarray, mop: MopConfig, phases: np.ndarray):
       1, as the selects give; 2 - |x| is exact for |x| in [1, 2].
     - pbest takes x where fx < fp by the uint64 blend ``a ^ ((a ^ b) &
       mask)``, and fp is the running minimum with the same bits: fx is
-      finite (``MopConfig`` bounds it) and never -0.0, its first term being
-      a positive weight times a square, so equal values have equal bits.
+      finite, at most theta1/16 + theta2 + ``PENALTY`` by construction, and
+      never -0.0, its first term being a positive weight times a square, so
+      equal values have equal bits.
     """
     m = phases.size
     s, iterations, inertia, cognitive, social, clamp = _SWARM.values()

@@ -331,6 +331,10 @@ def validate_variance_bound(
     spec = RoundingSpec(n_bits, 2)
     ratio = x_max / step  # inf when the quotient overflows
     n_pts = _integer(round(ratio) + 1 if ratio < math.inf else ratio, "grid size x_max / step + 1", 1)
+    # from 2**53 on, every double scaled by theta is an integer: no x rounds, and the error of
+    # var_rows' mean of equal doubles, not a rounding variance, would be reported against the bound
+    if x_max * spec.theta >= 2.0**53:
+        raise ValueError(f"x_max * 2**n_bits must be below 2**53, got x_max {x_max!r} with n_bits {spec.n}")
     xs = np.arange(n_pts) * step
     lower, T = rounding_thresholds(xs, SR, spec)
 

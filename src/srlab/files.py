@@ -36,12 +36,13 @@ class LoadedDistribution:
     format_version: int
 
 
-def write_distribution(path, table: ProbabilityTable, delta: float = 1.0, provenance: dict | None = None) -> None:
-    """Write a file that ``read_distribution`` accepts; the text comes first, so a refused call leaves ``path`` alone."""
+def write_distribution(path, table: ProbabilityTable, *, provenance: dict | None = None) -> None:
+    """Write a file that ``read_distribution`` accepts, with delta 1, the delta of every optimized table;
+    the text comes first, so a refused call leaves ``path`` alone."""
     payload = {
         "format_version": DIST_FORMAT_VERSION,
         "label": table.label,
-        "delta": _real(delta, "delta"),
+        "delta": 1.0,
         "grid": [float(v) for v in table.grid],
         "p": [float(v) for v in table.p],
         "provenance": provenance or {},

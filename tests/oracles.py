@@ -218,15 +218,14 @@ def reference_draws(phase, counters):
 
 def reference_objective(p, f, cfg):
     """The scalarized objective as plain numpy expressions, one temporary
-    per operation: theta1 V^2 + theta2 B^2, then each penalty."""
+    per operation: theta1 V^2 + theta2 B^2 at delta = 1, then the penalty
+    1e10 where |B| >= b_max."""
     arr = np.clip(np.asarray(p, dtype=np.float64), 0.0, 1.0)
-    v = (cfg.delta * cfg.delta) * (arr - arr * arr)
-    b = cfg.delta * ((1.0 - arr) - np.asarray(f, dtype=np.float64))
+    v = arr - arr * arr
+    b = (1.0 - arr) - np.asarray(f, dtype=np.float64)
     total = cfg.theta1 * v * v + cfg.theta2 * b * b
-    if cfg.v_max is not None:
-        total = total + cfg.k1 * (v >= cfg.v_max)
     if cfg.b_max is not None:
-        total = total + cfg.k2 * (np.abs(b) >= cfg.b_max)
+        total = total + 1e10 * (np.abs(b) >= cfg.b_max)
     return total
 
 

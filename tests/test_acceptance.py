@@ -145,30 +145,28 @@ def test_c04_sum_and_product_identities():
 def _scan_minima(cfg, fgrid, points=10**6):
     """Dense-scan oracle for the scalarized objective, one minimum per node.
 
-    At each point, total = base + theta2 b^2 (+ k2 [|b| >= b_max]), where
-    base = theta1 v^2 (+ k1 [v >= v_max]) and b = delta (1 - p) - delta f.
+    At each point, total = base + theta2 b^2 (+ 1e10 [|b| >= b_max]), where
+    base = theta1 v^2, v = p - p^2 and b = (1 - p) - f.
     The points are walked in spans of 2^15, which stay in cache while every
     node is evaluated.
     """
     span = 2**15
     p = np.linspace(0.0, 1.0, points)
-    v = (cfg.delta**2) * (p - p * p)
+    v = p - p * p
     base = cfg.theta1 * v * v
-    if cfg.v_max is not None:
-        base = base + cfg.k1 * (v >= cfg.v_max)
-    q = cfg.delta * (1.0 - p)
+    q = 1.0 - p
     minima = np.full(fgrid.size, np.inf)
     for start in range(0, points, span):
         qs, bases = q[start:start + span], base[start:start + span]
         b, total = np.empty(qs.size), np.empty(qs.size)
         for j, f in enumerate(fgrid):
-            np.subtract(qs, cfg.delta * f, out=b)
+            np.subtract(qs, f, out=b)
             np.multiply(cfg.theta2, b, out=total)
             total *= b
             total += bases
             if cfg.b_max is not None:
                 np.greater_equal(np.abs(b, out=b), cfg.b_max, out=b)
-                total += np.multiply(cfg.k2, b, out=b)
+                total += np.multiply(1e10, b, out=b)
             minima[j] = min(minima[j], total.min())
     return minima
 

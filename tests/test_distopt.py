@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import warnings
@@ -25,20 +26,17 @@ SWARM_PRESETS = (Preset.BIAS_MIN, Preset.NEAREST_LIKE, Preset.D1, Preset.D2)
 
 
 def scan_objective_min(cfg, fs, points=10**6):
-    """Independent brute-force oracle: dense scan of the scalarized objective,
-    one minimum per fraction in ``fs``."""
+    """Independent brute-force oracle: dense scan of the scalarized objective
+    (penalty 1e10 where |B| >= b_max), one minimum per fraction in ``fs``."""
     p = np.linspace(0.0, 1.0, points)
-    v = (cfg.delta**2) * (p - p * p)
+    v = p - p * p
     var_term = cfg.theta1 * v * v
-    v_penalty = None if cfg.v_max is None else cfg.k1 * (v >= cfg.v_max)
     minima = []
     for f in fs:
-        b = cfg.delta * ((1.0 - p) - f)
+        b = (1.0 - p) - f
         total = var_term + cfg.theta2 * b * b
-        if v_penalty is not None:
-            total = total + v_penalty
         if cfg.b_max is not None:
-            total = total + cfg.k2 * (np.abs(b) >= cfg.b_max)
+            total = total + 1e10 * (np.abs(b) >= cfg.b_max)
         minima.append(total.min())
     return minima
 
@@ -50,9 +48,7 @@ class TestConfigs:
         assert preset_config(Preset.VAR_MIN_CEIL) == MopConfig(theta1=1.0, theta2=0.0)
         assert preset_config(Preset.NEAREST_LIKE) == MopConfig(theta1=0.98, theta2=0.02)
         assert preset_config(Preset.D1) == MopConfig(theta1=0.5, theta2=0.5)
-        d2 = preset_config(Preset.D2)
-        assert (d2.theta1, d2.theta2, d2.b_max, d2.k2) == (0.5, 0.5, 0.05, 1e10)
-        assert d2.v_max is None and d2.k1 == 0.0
+        assert preset_config(Preset.D2) == MopConfig(theta1=0.5, theta2=0.5, b_max=0.05)
         with pytest.raises(ValueError, match="unknown preset"):
             preset_config("d1")  # a preset's value, not the Preset
 
@@ -65,87 +61,61 @@ class TestConfigs:
     @pytest.mark.parametrize("fields", [
         {"theta1": math.nan, "theta2": 0.5},
         {"theta1": 0.5, "theta2": math.nan},
-        {"theta1": 0.5, "theta2": 0.5, "delta": math.nan},
-        {"theta1": 0.5, "theta2": 0.5, "delta": math.inf},
-        {"theta1": 0.5, "theta2": 0.5, "b_max": math.nan, "k2": 1e10},
-        {"theta1": 0.5, "theta2": 0.5, "v_max": math.inf, "k1": 1.0},
-        {"theta1": 0.5, "theta2": 0.5, "b_max": 0.05, "k2": math.inf},
-        {"theta1": 0.5, "theta2": 0.5, "v_max": 0.2, "k1": math.nan},
+        {"theta1": math.inf, "theta2": 0.5},
+        {"theta1": 0.5, "theta2": -math.inf},
+        {"theta1": 0.5, "theta2": 0.5, "b_max": math.nan},
+        {"theta1": 0.5, "theta2": 0.5, "b_max": math.inf},
+        {"theta1": 0.5, "theta2": 0.5, "b_max": -math.inf},
+        {"theta1": 0.5, "theta2": np.float32(math.nan)},
         {"theta1": 10**400, "theta2": 0.5},  # an int with no double, not numpy's TypeError
-        {"theta1": 0.5, "theta2": 0.5, "delta": 10**400},
+        {"theta1": 0.5, "theta2": 0.5, "b_max": 10**400},
     ])
     def test_non_finite_fields_rejected(self, fields):
         with pytest.raises(ValueError, match="finite"):
             MopConfig(**fields)
 
     def test_penalty_limit_coupling(self):
-        with pytest.raises(ValueError):
-            MopConfig(theta1=0.5, theta2=0.5, k2=1e10)  # penalty without limit
-        with pytest.raises(ValueError):
-            MopConfig(theta1=0.5, theta2=0.5, b_max=0.05)  # limit without penalty
-        with pytest.raises(ValueError, match="k1"):
-            MopConfig(theta1=0.5, theta2=0.5, k1=1.0)
-        for negative in ({"v_max": 0.2, "k1": -1.0}, {"b_max": 0.05, "k2": -1e10}):  # a reward, not a penalty
-            with pytest.raises(ValueError, match=r"^k[12] must be a finite non-negative real number, got -1"):
-                MopConfig(theta1=0.5, theta2=0.5, **negative)
-
-    def test_delta_must_be_positive(self):
-        for delta in (0.0, -0.0, -1.0):
-            with pytest.raises(ValueError, match=r"^delta must be a finite positive real number, got -?[01]"):
-                MopConfig(theta1=0.5, theta2=0.5, delta=delta)
-
-    @pytest.mark.parametrize("fields", [
-        {"theta1": 0.5, "theta2": 0.5, "delta": 1e200},  # objective [nan, inf, nan] at p = 0, 1/2, 1
-        {"theta1": 0.5, "theta2": 0.5, "delta": 1e78},  # finite at p = 0 and 1, inf between
-        {"theta1": 0.0, "theta2": 1.0, "delta": 1e160},
-        {"theta1": 0.5, "theta2": 0.5, "delta": np.float64(1e200)},
-        {"theta1": 0.5, "theta2": 0.5, "b_max": 0.05, "k2": 1e308, "v_max": 0.2, "k1": 1e308},
-    ])
-    def test_overflowing_objective_rejected(self, fields):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="overflows"):
-                MopConfig(**fields)
+        # the one penalty comes with the bias cap: no variance cap, penalty or delta can be set
+        assert [field.name for field in dataclasses.fields(MopConfig)] == ["theta1", "theta2", "b_max"]
+        for name, value in (("k2", 1e10), ("k1", 1.0), ("v_max", 0.2), ("delta", 1.0)):
+            with pytest.raises(TypeError, match=f"'{name}'"):
+                MopConfig(theta1=0.5, theta2=0.5, b_max=0.05, **{name: value})
+        # |B| = 0.0625 at f = 0.4375 reaches the cap, and adds 1e10; |B| = 0.05 at f = 0.45 adds nothing
+        capped, free = MopConfig(theta1=0.5, theta2=0.5, b_max=0.0625), MopConfig(theta1=0.5, theta2=0.5)
+        assert objective(0.5, 0.4375, capped) == objective(0.5, 0.4375, free) + 1e10
+        assert objective(0.5, 0.45, capped) == objective(0.5, 0.45, free)
 
     def test_objective_finite_and_never_negative_zero_up_to_the_bound(self):
-        # the largest accepted delta, found on the bit patterns of positive doubles (which order
-        # as the values do), gives objective values near the largest double and none beyond
-        def accepts(delta_bits, fields):
-            try:
-                return MopConfig(delta=float(np.int64(delta_bits).view(np.float64)), **fields)
-            except ValueError:
-                return None
-
+        # the swarm's uint64 blend needs finite values without -0.0; V <= 1/4 and |B| <= 1 bound it by
+        # theta1/16 + theta2 + 1e10, which a cap of 0, reached everywhere, comes near
         p = np.concatenate([np.linspace(0.0, 1.0, 2001), np.nextafter(0.5, [0.0, 1.0])])
         f = np.concatenate([np.linspace(0.0, 1.0, 21), [0.3, 0.7]])[:, None]
-        for theta1 in (0.0, -0.0, 1e-9, 0.5, 0.98, 1.0):
-            for limits in ({}, {"v_max": 0.0, "k1": 1e300}, {"b_max": 0.0, "k2": 1e300}):
-                fields = {"theta1": theta1, "theta2": 1.0 - theta1, **limits}
-                lo, hi = (int(np.float64(d).view(np.int64)) for d in (1.0, 1e300))
-                while hi - lo > 1:
-                    mid = (lo + hi) // 2
-                    lo, hi = (mid, hi) if accepts(mid, fields) else (lo, mid)
-                assert accepts(hi, fields) is None
+        weights = [(t, 1.0 - t) for t in (0.0, -0.0, 1e-9, 0.5, 0.98, 1.0)] + [(1.0, -0.0)]
+        for theta1, theta2 in weights:
+            for cap in (None, 0.0, 0.05):
+                cfg = MopConfig(theta1=theta1, theta2=theta2, b_max=cap)
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    values = objective(p, f, accepts(lo, fields))
-                assert np.all(np.isfinite(values)) and not np.any(np.signbit(values)), fields
-                assert values.max() > 1e307
+                    values = objective(p, f, cfg)
+                assert np.all(np.isfinite(values)) and not np.any(np.signbit(values)), cfg
+                assert values.max() <= theta1 / 16 + theta2 + (0.0 if cap is None else 1e10), cfg
+                assert cap != 0.0 or values.min() >= 1e10, cfg
 
     @pytest.mark.parametrize("fields", [
         {"theta1": True, "theta2": False},
-        {"theta1": 0.5, "theta2": 0.5, "delta": np.True_},
-        {"theta1": 0.5, "theta2": 0.5, "b_max": True, "k2": 1e10},
-        {"theta1": 0.5, "theta2": 0.5, "v_max": 0.2, "k1": np.bool_(1)},
+        {"theta1": 0.5, "theta2": np.True_},
+        {"theta1": 0.5, "theta2": 0.5, "b_max": True},
+        {"theta1": 0.5, "theta2": 0.5, "b_max": np.bool_(1)},
         {"theta1": "0.5", "theta2": 0.5},
-        {"theta1": 0.5, "theta2": 0.5, "b_max": 0.05, "k2": True},
+        {"theta1": 0.5, "theta2": 0.5, "b_max": "0.05"},
     ])
     def test_non_numbers_rejected(self, fields):
-        with pytest.raises(ValueError, match=r"^(theta1|delta|b_max|k1|k2) must be a finite (non-negative|positive) real number, got "):
+        with pytest.raises(ValueError, match=r"^(theta1|theta2|b_max) must be a finite non-negative real number, got "):
             MopConfig(**fields)
 
     def test_python_and_numpy_numbers_accepted(self):
-        MopConfig(theta1=0, theta2=1, b_max=np.int64(1), k2=np.float32(2.5), delta=np.float64(0.5))
+        MopConfig(theta1=0, theta2=1, b_max=np.int64(1))
+        MopConfig(theta1=np.float64(0.5), theta2=np.float32(0.5), b_max=np.float32(2.5))
 
 
 class TestObjectivePieces:
@@ -214,7 +184,7 @@ class TestObjectivePieces:
 
     def test_penalty_fires_on_closed_boundary(self):
         # dyadic values so the bias hits the cap exactly
-        cfg = MopConfig(theta1=0.5, theta2=0.5, b_max=0.0625, k2=1e10)
+        cfg = MopConfig(theta1=0.5, theta2=0.5, b_max=0.0625)
         assert objective(0.5, 0.4375, cfg) > 1e9  # bias == cap: penalized
         assert objective(0.5, 0.45, cfg) < 1.0  # strictly inside
         d2 = preset_config(Preset.D2)
@@ -295,12 +265,11 @@ class TestOptimizeTable:
 
     def test_variance_only_config_refused(self, monkeypatch):
         # no bias weight and no bias limit: the objective ignores f, and p = 0 and p = 1 tie
-        for fields in ({"theta2": 0.0}, {"theta2": -0.0}, {"theta2": 0.0, "v_max": 0.2, "k1": 1.0},
-                       {"theta2": -0.0, "v_max": 0.2, "k1": 1.0}):
+        for theta2 in (0.0, -0.0):
             with pytest.raises(ValueError, match="var-min-floor or var-min-ceil"):
-                optimize_table(MopConfig(theta1=1.0, **fields), grid_size=11)
+                optimize_table(MopConfig(theta1=1.0, theta2=theta2), grid_size=11)
         monkeypatch.setitem(distopt._SWARM, "iterations", 5)
-        table = optimize_table(MopConfig(theta1=1.0, theta2=0.0, b_max=0.3, k2=1.0), grid_size=11)
+        table = optimize_table(MopConfig(theta1=1.0, theta2=0.0, b_max=0.3), grid_size=11)
         assert table.label == "custom"
 
     def test_bad_seeds_rejected(self):
@@ -352,15 +321,15 @@ class TestReferenceSwarm:
     @pytest.mark.parametrize(
         "mop, pso",  # pso: the swarm's (seed, iterations)
         [
-            (MopConfig(theta1=0.5, theta2=0.5, delta=0.25), (3, 200)),
-            (MopConfig(theta1=0.3, theta2=0.7, v_max=0.2, k1=1e6, b_max=0.1, k2=1e8, delta=2.0), (4, 200)),
-            (MopConfig(theta1=0.0, theta2=1.0, b_max=0.02, k2=5.0), (5, 200)),
-            (MopConfig(theta1=0.9, theta2=0.1, v_max=0.24, k1=1.0), (6, 80)),
-            # objective values near the largest double
-            (MopConfig(theta1=0.5, theta2=0.5, delta=2.75e77), (7, 40)),
-            # a -0.0 weight: its term is -0.0, and ties at fp's value abound where the penalty fires;
-            # optimize_table refuses it (the objective ignores f), so only the swarm call runs
-            (MopConfig(theta1=1.0, theta2=-0.0, v_max=0.2, k1=1.0), (8, 40)),
+            (MopConfig(theta1=0.25, theta2=0.75), (3, 200)),
+            (MopConfig(theta1=0.3, theta2=0.7, b_max=0.1), (4, 200)),
+            (MopConfig(theta1=0.0, theta2=1.0, b_max=0.02), (5, 200)),
+            (MopConfig(theta1=0.9, theta2=0.1, b_max=0.24), (6, 80)),
+            # a cap of 0 is reached everywhere: every value carries the penalty, and ties abound
+            (MopConfig(theta1=0.5, theta2=0.5, b_max=0.0), (7, 40)),
+            # a -0.0 weight: its term is -0.0; optimize_table refuses it (the objective
+            # ignores f), so only the swarm call runs
+            (MopConfig(theta1=1.0, theta2=-0.0), (8, 40)),
             (MopConfig(theta1=-0.0, theta2=1.0), (9, 40)),
         ],
     )
@@ -385,7 +354,7 @@ class TestReferenceSwarm:
         p = np.concatenate([np.linspace(-0.5, 1.5, 2001), [0.0, 1.0, 0.5]])
         f = np.linspace(0.0, 1.0, 11)[:, None]
         configs = [preset_config(preset) for preset in Preset] + [
-            MopConfig(theta1=0.3, theta2=0.7, v_max=0.2, k1=1e6, b_max=0.1, k2=1e8, delta=2.0)]
+            MopConfig(theta1=0.3, theta2=0.7, b_max=0.1)]
         for cfg in configs:
             assert np.array_equal(bits(objective(p, f, cfg)), bits(reference_objective(p, f, cfg)))
             assert bits(objective(0.3, 0.6, cfg)) == bits(reference_objective(0.3, 0.6, cfg))
@@ -404,12 +373,8 @@ class TestReferenceSwarm:
         seen = set()
         for _ in range(300):
             theta1 = float(rng.choice([0.0, 0.5, 1.0, rng.random()]))
-            limits = {}
-            if rng.random() < 0.4:
-                limits |= {"v_max": float(rng.uniform(0.05, 0.25)), "k1": float(rng.choice([1.0, 1e6, 1e10]))}
-            if rng.random() < 0.4:
-                limits |= {"b_max": float(rng.uniform(0.01, 0.3)), "k2": float(rng.choice([0.5, 1e10]))}
-            mop = MopConfig(theta1=theta1, theta2=1.0 - theta1, delta=float(rng.choice([1.0, 0.25, 2.0])), **limits)
+            b_max = float(rng.uniform(0.01, 0.3)) if rng.random() < 0.4 else None
+            mop = MopConfig(theta1=theta1, theta2=1.0 - theta1, b_max=b_max)
             iterations = int(rng.integers(1, 25))
             monkeypatch.setitem(distopt._SWARM, "iterations", iterations)
             f = np.concatenate([[0.0, 1.0], rng.random(int(rng.integers(0, 6)))])[:, None]
@@ -418,8 +383,8 @@ class TestReferenceSwarm:
             f_rows = np.repeat(f, _SWARM["swarm_size"], axis=1)
             got = _pso_batch(f_rows, mop, phases)
             assert np.array_equal(bits(got[0]), bits(g)) and np.array_equal(bits(got[1]), bits(fg)), (mop, iterations)
-            seen |= {("delta", mop.delta), ("theta1 = 0 with v_max", theta1 == 0.0 and mop.v_max is not None)}
-        assert {("delta", 0.25), ("delta", 2.0), ("theta1 = 0 with v_max", True)} <= seen
+            seen.add((theta1 == 0.0, b_max is not None))
+        assert seen == {(False, False), (False, True), (True, False), (True, True)}  # theta1 = 0 with a cap too
 
     def test_table_does_not_depend_on_node_block(self, monkeypatch):
         # one node per block, then blocks of 7, 256 and more nodes than the grid

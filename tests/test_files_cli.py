@@ -45,12 +45,15 @@ def _write_json(path, payload):
 class TestDistributionFiles:
     def test_round_trip_identity(self, tmp_path, small_table):
         path = tmp_path / "t.json"
-        write_distribution(path, small_table, delta=1.0, provenance={"seed": 3})
+        write_distribution(path, small_table, provenance={"seed": 3})
         loaded = read_distribution(path)
         assert loaded.table == small_table
-        assert loaded.delta == 1.0
+        assert loaded.delta == 1.0  # every table is written at delta = 1, which no argument sets
+        assert "delta" not in inspect.signature(write_distribution).parameters
+        with pytest.raises(TypeError):  # a delta passed by position is not taken for the provenance
+            write_distribution(tmp_path / "x.json", small_table, 1.0)
         second = tmp_path / "t2.json"
-        write_distribution(second, loaded.table, delta=loaded.delta, provenance=loaded.provenance)
+        write_distribution(second, loaded.table, provenance=loaded.provenance)
         assert path.read_bytes() == second.read_bytes()
 
     def test_floats_survive_exactly(self, tmp_path):
@@ -62,11 +65,13 @@ class TestDistributionFiles:
         assert np.array_equal(loaded.table.p, table.p)
 
     @pytest.mark.parametrize("kwargs", [
-        {"delta": -1.0}, {"delta": 0.0}, {"delta": float("nan")}, {"delta": float("inf")}, {"delta": True},
-        {"delta": "2"}, {"provenance": {"seed": float("nan")}}, {"provenance": {"seed": np.int64(3)}},
+        {"provenance": {"seed": float("inf")}}, {"provenance": {"mop": {"b_max": float("-inf")}}},
+        {"provenance": {"seed": np.float32(0.5)}}, {"provenance": {"seed": np.bool_(True)}},
+        {"provenance": {"seeds": {1, 2}}}, {"provenance": {(0, 1): "key"}},
+        {"provenance": {"seed": float("nan")}}, {"provenance": {"seed": np.int64(3)}},
     ])
     def test_refused_write_leaves_the_file_alone(self, kwargs, tmp_path, small_table):
-        # a delta the reader refuses, or provenance with no standard JSON text, fails before any byte is written
+        # provenance with no standard JSON text fails before any byte is written
         path, absent = tmp_path / "t.json", tmp_path / "absent.json"
         write_distribution(path, small_table)
         before = path.read_bytes()
@@ -238,19 +243,29 @@ class TestOptimizeCommand:
         assert "bias" in capsys.readouterr().out
 
     def test_provenance_records_the_swarm(self, tmp_path):
-        # the objective, then the swarm's fixed settings and the seed, then the seed again
-        out = tmp_path / "d1.json"
-        assert run_cli("optimize", "--preset", "d1", "--grid-size", "5", "--seed", str(2**64 - 1),
-                       "--out", str(out)) == 0
-        provenance = read_distribution(out).provenance
-        assert list(provenance) == ["mop", "pso", "seed"]
-        assert list(provenance["mop"].items()) == [
-            ("theta1", 0.5), ("theta2", 0.5), ("v_max", None), ("b_max", None), ("k1", 0.0), ("k2", 0.0),
-            ("delta", 1.0)]
-        assert list(provenance["pso"].items()) == [
-            ("swarm_size", 50), ("iterations", 200), ("inertia", 0.729), ("cognitive", 1.49445),
-            ("social", 1.49445), ("velocity_clamp", 0.5), ("seed", 2**64 - 1)]
-        assert provenance["seed"] == 2**64 - 1
+        # each preset's objective under the seven keys table files carry, in their order and
+        # with their bytes, then the swarm's fixed settings and the seed, then the seed again
+        mop = '"v_max": null, "b_max": {}, "k1": 0.0, "k2": {}, "delta": 1.0}}'
+        records = {
+            "bias-min": '{"theta1": 0.0, "theta2": 1.0, ' + mop.format("null", "0.0"),
+            "var-min-floor": '{"theta1": 1.0, "theta2": 0.0, ' + mop.format("null", "0.0"),
+            "var-min-ceil": '{"theta1": 1.0, "theta2": 0.0, ' + mop.format("null", "0.0"),
+            "nearest-like": '{"theta1": 0.98, "theta2": 0.02, ' + mop.format("null", "0.0"),
+            "d1": '{"theta1": 0.5, "theta2": 0.5, ' + mop.format("null", "0.0"),
+            "d2": '{"theta1": 0.5, "theta2": 0.5, ' + mop.format("0.05", "10000000000.0"),
+        }
+        assert sorted(records) == sorted(preset.value for preset in distopt.Preset)
+        for preset, record in records.items():
+            out = tmp_path / f"{preset}.json"
+            assert run_cli("optimize", "--preset", preset, "--grid-size", "5", "--seed", str(2**64 - 1),
+                           "--out", str(out)) == 0
+            provenance = read_distribution(out).provenance
+            assert list(provenance) == ["mop", "pso", "seed"]
+            assert json.dumps(provenance["mop"]) == record
+            assert list(provenance["pso"].items()) == [
+                ("swarm_size", 50), ("iterations", 200), ("inertia", 0.729), ("cognitive", 1.49445),
+                ("social", 1.49445), ("velocity_clamp", 0.5), ("seed", 2**64 - 1)]
+            assert provenance["seed"] == 2**64 - 1
 
     def test_capped_preset_respects_cap(self, tmp_path):
         out = tmp_path / "d2.json"
@@ -460,6 +475,22 @@ class TestExperimentCommands:
         bound = float(lines[1].split(",")[3])
         assert bound == 2.0**-10
         assert all(float(l.split(",")[1]) <= bound for l in lines[1:])
+
+    def test_varbound_refuses_a_grid_finer_than_a_double(self, tmp_path, capsys):
+        # from x_max 2**n_bits = 2**53 on, no x rounds, and the variance reported would be
+        # the error of a mean of equal doubles, far above the bound
+        out = tmp_path / "v.csv"
+        for bits in ("60", "600"):
+            with pytest.raises(SystemExit) as exc:
+                run_cli("experiment", "varbound", "--bits", bits, "--step", "0.1", "--xmax", "0.3",
+                        "--draws", "1000", "--out", str(out))
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.splitlines()[-1] == (
+                f"srlab: error: x_max * 2**n_bits must be below 2**53, got x_max 0.3 with n_bits {bits}")
+            assert not out.exists()
+        with pytest.raises(ValueError, match=r"^x_max \* 2\*\*n_bits must be below 2\*\*53"):
+            validate_variance_bound(n_bits=51, x_max=4.0, step=1.0, draws=1)
+        assert validate_variance_bound(n_bits=50, x_max=4.0, step=1.0, draws=1).x.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
 
     def test_contour_csv(self, tmp_path):
         out = tmp_path / "c.csv"
