@@ -21,6 +21,7 @@ from .experiments import (
     DOT_SIZES,
     SQRT_TEST_VALUES,
     CaseId,
+    _SQRT_SPEC,
     _runs,
     run_inner_product_experiment,
     run_sqrt_experiment,
@@ -131,17 +132,15 @@ def _sum_study(args):
 
 
 def _sqrt_study(args):
-    spec = RoundingSpec(args.n, args.base)
-
-    def cells(a, token, rep):
+    def cells(a, token, rep):  # run_sqrt_experiment rounds on its default grid, _SQRT_SPEC
         s = rep.summary
         stats = (None,) * 5 if s is None else (s.mu, *_error_stats(s), s.n_it_mean)
-        return (a, token, spec.delta, *stats, rep.n_breakdowns)
+        return (a, token, _SQRT_SPEC.delta, *stats, rep.n_breakdowns)
 
     return _per_mode(
         args, ["a", "mode", "delta", "mu", "abs_bias", "variance", "rel_err", "n_it_mean", "breakdowns"],
         _subjects(args.values, float, "--values"),
-        lambda a, mode: run_sqrt_experiment(a, mode, spec, n_reps=args.reps, seed=args.seed), cells)
+        lambda a, mode: run_sqrt_experiment(a, mode, n_reps=args.reps, seed=args.seed), cells)
 
 
 def _dot_study(args):
@@ -207,8 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sqrt = exp_sub.add_parser("sqrt", parents=[seeded], help="rounded Newton square-root study")
     p_sqrt.add_argument("--values", default=",".join(repr(v) for v in SQRT_TEST_VALUES))
-    p_sqrt.add_argument("--n", type=int, default=3, help="fractional digits (default 3)")
-    p_sqrt.add_argument("--base", type=int, default=10, help="2 or 10 (default 10)")
     _add_common_experiment_args(p_sqrt)
 
     p_dot = exp_sub.add_parser("dot", parents=[seeded], help="rounded inner-product study")

@@ -145,15 +145,15 @@ def _objective_into(p, f, cfg: MopConfig, out, v, b):
     and f; ``v`` and ``b`` are scratch.  V and B are computed as in
     ``variance_of_p`` and ``bias_of_p`` at delta = 1, without their range
     checks, and the operations and their order are those of ``theta1 * V *
-    V + theta2 * B * B``, then the penalty, less, for theta1 = 0, the term
-    +0 (V >= +0 on [0, 1]), since +0 + y is y for y >= +0.
+    V + theta2 * B * B``, then the penalty, less, for theta1 = 0, V and the
+    term +0 (V >= +0 on [0, 1]), since +0 + y is y for y >= +0.
     """
-    np.subtract(p, np.multiply(p, p, out=v), out=v)
     np.subtract(np.subtract(1.0, p, out=b), f, out=b)
     hit = None if cfg.b_max is None else np.abs(b, out=out) >= cfg.b_max
     if cfg.theta1 == 0.0:
         np.multiply(np.multiply(cfg.theta2, b, out=out), b, out=out)
     else:
+        np.subtract(p, np.multiply(p, p, out=v), out=v)
         np.multiply(np.multiply(cfg.theta1, v, out=out), v, out=out)
         out += np.multiply(np.multiply(cfg.theta2, b, out=v), b, out=v)
     if hit is not None:

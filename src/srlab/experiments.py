@@ -59,6 +59,7 @@ _NEWTON_STEPS = 8
 # and stops after _NEWTON_MAX steps
 _NEWTON_TOL = 1e-5
 _NEWTON_MAX = 100
+_SQRT_SPEC = RoundingSpec(3, 10)  # the square-root study's grid: three decimal digits, as in the paper
 
 SQRT_TEST_VALUES = (0.30146, 6.55501, 51.16904, 357.00272, 8133.27762)
 DOT_SIZES = (50, 200, 400, 600, 800, 1000)
@@ -220,7 +221,7 @@ def _newton_many(a: float, mode: RoundingMode, spec: RoundingSpec, phases: np.nd
         return (lower + (b >= T)) / spec.theta
 
     n = phases.size
-    fa = rounded(np.full(n, float(a)), draws(phases, [0])[:, 0])
+    fa = rounded(a, draws(phases, [0])[:, 0])  # a's one threshold against the n draws
     breakdown = fa == 0.0
     value = np.full(n, np.nan)
     n_it = np.full(n, _NEWTON_MAX, dtype=np.int64)
@@ -249,13 +250,8 @@ def _newton_many(a: float, mode: RoundingMode, spec: RoundingSpec, phases: np.nd
     return value, n_it, converged, breakdown
 
 
-def run_sqrt_experiment(
-    a: float,
-    mode: RoundingMode,
-    spec: RoundingSpec = RoundingSpec(3, 10),
-    n_reps: int = 10_000,
-    seed: int = 0,
-) -> ExperimentReport:
+def run_sqrt_experiment(a: float, mode: RoundingMode, spec: RoundingSpec = _SQRT_SPEC, n_reps: int = 10_000,
+                        seed: int = 0) -> ExperimentReport:
     """Repeat the rounded square root of ``a`` on the grid ``spec`` and summarize against sqrt(a).
 
     Every run stops at |x_k - x_{k-1}| <= 1e-5 or after 100 steps.  Errors
@@ -335,6 +331,9 @@ def validate_variance_bound(
     # var_rows' mean of equal doubles, not a rounding variance, would be reported against the bound
     if x_max * spec.theta >= 2.0**53:
         raise ValueError(f"x_max * 2**n_bits must be below 2**53, got x_max {x_max!r} with n_bits {spec.n}")
+    x_last = (n_pts - 1) * step  # the largest point built, past x_max where x_max / step rounds up
+    if x_last * spec.theta >= 2.0**53:
+        raise ValueError(f"the last grid point x * 2**n_bits must be below 2**53, got x {x_last!r}, n_bits {spec.n}")
     xs = np.arange(n_pts) * step
     lower, T = rounding_thresholds(xs, SR, spec)
 

@@ -38,14 +38,16 @@ class LoadedDistribution:
 
 def write_distribution(path, table: ProbabilityTable, *, provenance: dict | None = None) -> None:
     """Write a file that ``read_distribution`` accepts, with delta 1, the delta of every optimized table;
-    the text comes first, so a refused call leaves ``path`` alone."""
+    ``provenance`` is a dict or None, and the text comes first, so a refused call leaves ``path`` alone."""
+    if provenance is not None and not isinstance(provenance, dict):
+        raise TypeError(f"provenance must be a dict or None, got {provenance!r}")
     payload = {
         "format_version": DIST_FORMAT_VERSION,
         "label": table.label,
         "delta": 1.0,
         "grid": [float(v) for v in table.grid],
         "p": [float(v) for v in table.p],
-        "provenance": provenance or {},
+        "provenance": {} if provenance is None else provenance,
     }
     text = json.dumps(payload, indent=2, allow_nan=False)
     with open(path, "w", newline="") as fh:

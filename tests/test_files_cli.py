@@ -69,9 +69,10 @@ class TestDistributionFiles:
         {"provenance": {"seed": np.float32(0.5)}}, {"provenance": {"seed": np.bool_(True)}},
         {"provenance": {"seeds": {1, 2}}}, {"provenance": {(0, 1): "key"}},
         {"provenance": {"seed": float("nan")}}, {"provenance": {"seed": np.int64(3)}},
+        {"provenance": [1]}, {"provenance": 0}, {"provenance": ""},
     ])
     def test_refused_write_leaves_the_file_alone(self, kwargs, tmp_path, small_table):
-        # provenance with no standard JSON text fails before any byte is written
+        # provenance that is no dict, or has no standard JSON text, fails before any byte is written
         path, absent = tmp_path / "t.json", tmp_path / "absent.json"
         write_distribution(path, small_table)
         before = path.read_bytes()
@@ -445,15 +446,17 @@ class TestExperimentCommands:
         assert exc.value.code == 2
 
     def test_sqrt_csv_with_breakdown_column(self, tmp_path):
+        # on the paper's grid (three decimals) cr rounds the radicand 0.0001 to 0, a breakdown
         out = tmp_path / "sqrt.csv"
         code = run_cli(
-            "experiment", "sqrt", "--values", "0.30146,51.16904", "--n", "0", "--base", "10",
+            "experiment", "sqrt", "--values", "0.0001,51.16904",
             "--modes", "sr,cr", "--reps", "200", "--seed", "1", "--out", str(out),
         )
         assert code == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "a,mode,delta,mu,abs_bias,variance,rel_err,n_it_mean,breakdowns"
-        cr_small = next(l for l in lines[1:] if l.split(",")[1] == "cr" and float(l.split(",")[0]) == 0.30146)
+        assert {l.split(",")[2] for l in lines[1:]} == {"0.001"}
+        cr_small = next(l for l in lines[1:] if l.split(",")[1] == "cr" and float(l.split(",")[0]) == 0.0001)
         fields = cr_small.split(",")
         assert fields[3] == "" and fields[-1] == "1"  # fully broken down
 
@@ -491,6 +494,20 @@ class TestExperimentCommands:
         with pytest.raises(ValueError, match=r"^x_max \* 2\*\*n_bits must be below 2\*\*53"):
             validate_variance_bound(n_bits=51, x_max=4.0, step=1.0, draws=1)
         assert validate_variance_bound(n_bits=50, x_max=4.0, step=1.0, draws=1).x.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+
+    def test_varbound_refuses_a_grid_that_ends_past_the_limit(self, tmp_path, capsys):
+        # x_max / step = 1.58 rounds up, so the grid ends at 2.4, past x_max 1.9, and 2.4 * 2**52 >= 2**53
+        out = tmp_path / "v.csv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("experiment", "varbound", "--bits", "52", "--xmax", "1.9", "--step", "1.2",
+                    "--draws", "1000", "--out", str(out))
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "srlab: error: the last grid point x * 2**n_bits must be below 2**53, got x 2.4, n_bits 52")
+        assert not out.exists()
+        with pytest.raises(ValueError, match=r"^the last grid point x \* 2\*\*n_bits .* got x 2\.4, n_bits 52$"):
+            validate_variance_bound(n_bits=52, x_max=1.9, step=1.2, draws=1)
+        assert validate_variance_bound(n_bits=51, x_max=1.9, step=1.2, draws=1).x.tolist() == [0.0, 1.2, 2.4]
 
     def test_contour_csv(self, tmp_path):
         out = tmp_path / "c.csv"
@@ -654,17 +671,18 @@ class TestOneProcess:
         ["round", "0.4", "--mode", "sr", "--count", "18446744073709551616"],
         ["experiment", "contour", "--res", "18446744073709551616"],
         ["experiment", "dot", "--sizes", "50,1", "--reps", "3"],
-        # products whose error branches overflow, and a base that RoundingSpec alone refuses
+        # products whose error branches overflow, a base that RoundingSpec alone refuses,
+        # and a table label without its --table file
         ["experiment", "contour", "--x1-max", "1e-310", "--res", "2"],
         ["experiment", "contour", "--x1-max", "1e308", "--res", "3"],
         ["round", "0.4", "--base", "3"],
-        ["experiment", "sqrt", "--values", "2", "--modes", "cr", "--base", "3"],
-        # counts that numpy cannot size (np.arange(2**63 - 1) is empty), a grid scale with no double,
-        # and a radicand that overflows once scaled by it
+        ["experiment", "sqrt", "--values", "2", "--modes", "d1"],
+        # counts that numpy cannot size (np.arange(2**63 - 1) is empty), a radicand of -0.0,
+        # and a radicand that overflows once scaled by the grid
         ["experiment", "sqrt", "--values", "2", "--modes", "sr", "--reps", "9223372036854775807"],
         ["experiment", "dot", "--sizes", "9223372036854775807", "--modes", "cr", "--reps", "1"],
         ["optimize", "--preset", "d1", "--grid-size", "9223372036854775807"],
-        ["experiment", "sqrt", "--values", "2", "--modes", "cr", "--base", "10", "--n", "400"],
+        ["experiment", "sqrt", "--values", "-0.0", "--modes", "cr"],
         ["experiment", "sqrt", "--values", "1e308", "--modes", "cr"],
         # the square-root study's stopping rule (1e-5, at most 100 steps) has no flags
         ["experiment", "sqrt", "--values", "2", "--modes", "cr", "--tol", "1e-5"],
@@ -681,6 +699,8 @@ class TestOneProcess:
         # a preset is the one source of an objective: --config and --label are gone
         ["optimize", "--preset", "d1", "--config", "c.json"],
         ["optimize", "--preset", "d1", "--label", "x"],
+        # the square-root study runs on the paper's grid: --n and --base are gone
+        ["experiment", "sqrt", "--n", "3"],
     ],
 )
 def test_bad_input_is_one_line_usage_error(argv, tmp_path, capsys):
@@ -721,7 +741,9 @@ def test_cli_defaults_are_the_library_defaults():
     opt = parse("optimize", "--preset", "d1")
     assert (opt.grid_size, opt.seed) == (defaults(optimize_table)["grid_size"], defaults(optimize_table)["seed"])
     sqrt = parse("experiment", "sqrt")
-    assert RoundingSpec(sqrt.n, sqrt.base) == defaults(run_sqrt_experiment)["spec"]
+    # the command has no grid flags: it rounds on, and writes the delta of, the library's default grid
+    assert not hasattr(sqrt, "n") and not hasattr(sqrt, "base")
+    assert srlab.cli._SQRT_SPEC is defaults(run_sqrt_experiment)["spec"] == RoundingSpec(3, 10)
     assert tuple(float(a) for a in sqrt.values.split(",")) == SQRT_TEST_VALUES
     assert parse("experiment", "sum").case.split(",") == [case.value for case in CaseId]
     assert tuple(int(n) for n in parse("experiment", "dot").sizes.split(",")) == DOT_SIZES
