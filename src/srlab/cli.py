@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .distopt import Preset, _SWARM, _mop_record, bias_of_p, optimize_table, preset_config, variance_of_p
+from .distopt import Preset, _provenance, bias_of_p, optimize_table, variance_of_p
 from .experiments import (
     DOT_SIZES,
     SQRT_TEST_VALUES,
@@ -81,11 +81,9 @@ def _subjects(text, parse, flag):
 
 def _cmd_optimize(args) -> int:
     preset = Preset(args.preset)
-    mop = _mop_record(preset_config(preset))
     table = optimize_table(preset, grid_size=args.grid_size, seed=args.seed)
-    provenance = {"mop": mop, "pso": {**_SWARM, "seed": args.seed}, "seed": args.seed}
-    write_distribution(args.out, table, provenance=provenance)
-    bias = bias_of_p(table.p, table.grid)  # every table is optimized at delta = 1
+    write_distribution(args.out, table, provenance=_provenance(preset, args.seed))
+    bias = bias_of_p(table.p, table.grid)
     var = variance_of_p(table.p)
     print(f"wrote {args.out}: {table.label}, {table.grid.size} nodes")
     print(f"bias     min {bias.min():.6g}  max {bias.max():.6g}")
@@ -162,8 +160,8 @@ def _varbound_study(args):
 def _contour_study(args):
     grid = contour_grid(args.x1_max, args.res)
     # a list (the benchmark's write_csv span calls len()) of preformatted lines, floats as
-    # format_number writes them; x1, x2 and p (p depends on x1 alone) repeat, so are formatted once
-    x1, x2, p = ([format_number(v) for v in c.tolist()] for c in (grid.x1, grid.x2, grid.p[:, 0]))
+    # format_number writes them; x1, x2 and p (one per x1) repeat, so are formatted once
+    x1, x2, p = ([format_number(v) for v in c.tolist()] for c in (grid.x1, grid.x2, grid.p))
     return ["x1", "x2", "e_down", "e_up", "p"], [
         f"{a},{b},{dn:.17g},{up:.17g},{pa}"
         for a, pa, dns, ups in zip(x1, p, grid.e_down, grid.e_up) for b, dn, up in zip(x2, dns.tolist(), ups.tolist())]

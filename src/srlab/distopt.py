@@ -1,12 +1,13 @@
 """Optimization of stochastic-rounding probability distributions.
 
-For a grid fraction f, rounding down with probability p has variance
-``V(p) = delta^2 (p - p^2)`` and bias ``B(p) = delta ((1 - p) - f)``.  The
-weighted objective ``theta1 V^2 + theta2 B^2`` at delta = 1, plus
-``PENALTY`` where |B| reaches an optional cap, is minimized per grid node
-by particle swarm search, producing a
-:class:`~srlab.rounding.ProbabilityTable`.  Tables are meant to be
-computed offline and persisted; rounding never re-runs the optimizer.
+On a grid of step delta, rounding down with probability p at grid fraction f
+has variance delta^2 (p - p^2) and bias delta ((1 - p) - f).  A table is a
+function of f alone, so delta drops out, and this module works at delta = 1:
+``V(p) = p - p^2`` and ``B(p) = (1 - p) - f``.  The weighted objective
+``theta1 V^2 + theta2 B^2``, plus ``PENALTY`` where |B| reaches an optional
+cap, is minimized per grid node by particle swarm search, producing a
+:class:`~srlab.rounding.ProbabilityTable`.  Tables are meant to be computed
+offline and persisted; rounding never re-runs the optimizer.
 """
 
 from __future__ import annotations
@@ -64,13 +65,6 @@ class MopConfig:
             raise ValueError("weights must sum to one")
 
 
-def _mop_record(cfg: MopConfig) -> dict:
-    """The objective as a table file's provenance records it, under the seven keys that
-    files have always carried: no variance cap, ``k2`` the penalty of a set cap, delta 1."""
-    return {"theta1": cfg.theta1, "theta2": cfg.theta2, "v_max": None, "b_max": cfg.b_max, "k1": 0.0,
-            "k2": 0.0 if cfg.b_max is None else PENALTY, "delta": 1.0}
-
-
 class Preset(Enum):
     """Named objective configurations for the shipped distributions."""
 
@@ -97,6 +91,15 @@ def preset_config(preset: Preset) -> MopConfig:
     raise ValueError(f"unknown preset {preset!r}")
 
 
+def _provenance(preset: Preset, seed: int) -> dict:
+    """A preset table's provenance: its objective under the seven keys table files have always carried
+    (no variance cap, ``k2`` the penalty of a set cap, delta 1), the swarm settings plus the seed, the seed."""
+    cfg = preset_config(preset)
+    mop = {"theta1": cfg.theta1, "theta2": cfg.theta2, "v_max": None, "b_max": cfg.b_max, "k1": 0.0,
+           "k2": 0.0 if cfg.b_max is None else PENALTY, "delta": 1.0}
+    return {"mop": mop, "pso": {**_SWARM, "seed": seed}, "seed": seed}
+
+
 def _objective_config(target) -> MopConfig:
     """The objective of an ``optimize_table`` target; a MopConfig whose objective ignores f is refused."""
     if isinstance(target, Preset):
@@ -109,20 +112,15 @@ def _objective_config(target) -> MopConfig:
     return target
 
 
-def variance_of_p(p, delta: float = 1.0):
-    """Rounding variance delta^2 (p - p^2); maximal at p = 1/2.  A delta whose square overflows is refused."""
-    d = _real(delta, "delta")
-    if d * d == np.inf:
-        raise ValueError(f"delta^2 overflows a double, got delta {delta!r}")
+def variance_of_p(p):
+    """Rounding variance p - p^2 at delta = 1; maximal at p = 1/2."""
     arr = _unit_interval(p, "p")
-    return _ret((d * d) * (arr - arr * arr))
+    return _ret(arr - arr * arr)
 
 
-def bias_of_p(p, f, delta: float = 1.0):
-    """Rounding bias delta ((1 - p) - f); zero exactly when p = 1 - f."""
-    d = _real(delta, "delta")
-    arr = _unit_interval(p, "p")
-    return _ret(d * ((1.0 - arr) - _unit_interval(f, "f")))
+def bias_of_p(p, f):
+    """Rounding bias (1 - p) - f at delta = 1; zero exactly when p = 1 - f."""
+    return _ret((1.0 - _unit_interval(p, "p")) - _unit_interval(f, "f"))
 
 
 def objective(p, f, cfg: MopConfig):
@@ -142,11 +140,12 @@ def _objective_into(p, f, cfg: MopConfig, out, v, b):
     """The objective of p in [0, 1] at fractions f, written into ``out``.
 
     ``out``, ``v`` and ``b`` are float64 arrays of the broadcast shape of p
-    and f; ``v`` and ``b`` are scratch.  V and B are computed as in
-    ``variance_of_p`` and ``bias_of_p`` at delta = 1, without their range
-    checks, and the operations and their order are those of ``theta1 * V *
-    V + theta2 * B * B``, then the penalty, less, for theta1 = 0, V and the
-    term +0 (V >= +0 on [0, 1]), since +0 + y is y for y >= +0.
+    and f; ``v`` and ``b`` are scratch.  V = p - p^2 and B = (1 - p) - f,
+    both at delta = 1, are computed as in ``variance_of_p`` and
+    ``bias_of_p``, without their range checks, and the operations and
+    their order are those of ``theta1 * V * V + theta2 * B * B``, then the
+    penalty, less, for theta1 = 0, V and the term +0 (V >= +0 on [0, 1]),
+    since +0 + y is y for y >= +0.
     """
     np.subtract(np.subtract(1.0, p, out=b), f, out=b)
     hit = None if cfg.b_max is None else np.abs(b, out=out) >= cfg.b_max

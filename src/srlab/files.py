@@ -1,9 +1,11 @@
 """Persistence: probability-distribution JSON files and CSV report files.
 
 Distribution files are versioned JSON whose floats round-trip exactly
-(``repr`` serialization), so write -> read -> write is byte-identical.
-CSV reports serialize numbers with 17 significant digits in a fixed row
-order, which makes equal-seed runs byte-identical.
+(``repr``).  Version and delta are always 1, so a read keeps all that a file
+varies, its table and provenance, and rewriting them gives a file that reads
+back equal (byte-identical, if ``write_distribution`` wrote it).  CSV reports
+serialize numbers with 17 significant digits in a fixed row order, which
+makes equal-seed runs byte-identical.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rounding import ProbabilityTable
-from .streams import _real
 
 __all__ = [
     "DIST_FORMAT_VERSION",
@@ -31,9 +32,7 @@ DIST_FORMAT_VERSION = 1
 @dataclass(frozen=True)
 class LoadedDistribution:
     table: ProbabilityTable
-    delta: float
     provenance: dict
-    format_version: int
 
 
 def write_distribution(path, table: ProbabilityTable, *, provenance: dict | None = None) -> None:
@@ -60,7 +59,8 @@ def read_distribution(path) -> LoadedDistribution:
         data = fh.read()
     try:
         payload = json.loads(data.decode("utf-8"))  # JSON text is UTF-8 (RFC 8259)
-        version, label, provenance = payload["format_version"], payload["label"], payload.get("provenance", {})
+        version, label, delta = payload["format_version"], payload["label"], payload["delta"]
+        provenance = payload.get("provenance", {})
         if type(version) is not int or version != DIST_FORMAT_VERSION:  # 1.5, true and "1" are not 1
             raise ValueError(f"unsupported format_version {version!r}")
         if not isinstance(provenance, dict):
@@ -68,11 +68,12 @@ def read_distribution(path) -> LoadedDistribution:
         for name, values in (("grid", payload["grid"]), ("p", payload["p"])):
             if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:  # bool is no number
                 raise ValueError(f"{name} must hold JSON numbers, not strings or booleans")
-        delta = _real(payload["delta"], "delta")
+        if type(delta) not in (int, float) or delta != 1:  # the one delta written; true, "1" and NaN are not 1
+            raise ValueError(f"delta must be 1, got {delta!r}")
         table = ProbabilityTable(grid=payload["grid"], p=payload["p"], label=label)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: not a valid distribution file: {exc}") from exc
-    return LoadedDistribution(table=table, delta=delta, provenance=provenance, format_version=version)
+    return LoadedDistribution(table=table, provenance=provenance)
 
 
 def format_number(value) -> str:

@@ -58,7 +58,7 @@ class WorstCaseBranches:
 
 @dataclass(frozen=True)
 class ContourGrid:
-    """Worst-case error branches evaluated on a dense cell-centre grid."""
+    """Worst-case error branches on a dense cell-centre grid: ``e_down`` and ``e_up`` per cell, ``p`` per x1."""
 
     x1: np.ndarray
     x2: np.ndarray
@@ -154,6 +154,6 @@ def contour_grid(x1_max: float = 5.0, resolution: int = 200) -> ContourGrid:
     with np.errstate(over="ignore"):  # an x1 that overflows to inf is refused by _branches, like any integer x1
         x1 = (np.arange(n) + 0.5) * x1_max / n
     x2 = (np.arange(n) + 0.5) / n
-    # e_down and e_up come out (n, n) and fresh; p depends on x1 alone
+    # e_down and e_up come out (n, n) and fresh; p depends on x1 alone and comes out (n, 1)
     e_down, e_up, p = _branches(x1[:, None], x2[None, :])
-    return ContourGrid(x1=x1, x2=x2, e_down=e_down, e_up=e_up, p=np.broadcast_to(p, (n, n)).copy())
+    return ContourGrid(x1=x1, x2=x2, e_down=e_down, e_up=e_up, p=p.ravel())

@@ -129,25 +129,14 @@ class TestObjectivePieces:
         p = RandomStream(0).uniform(100)
         assert np.allclose(variance_of_p(p), variance_of_p(1.0 - p))
 
-    def test_variance_scales_with_step(self):
-        assert np.isclose(variance_of_p(0.5, delta=0.1), 0.25 * 0.01, rtol=1e-15)
-
     @pytest.mark.parametrize("delta", [-2.0, 0.0, -0.0, math.nan, math.inf, True, np.True_, "2", None,
                                        pytest.param(10**400, id="10**400")])
     def test_bad_delta_rejected(self, delta):
-        # the rule of every real input: an int or float, not a bool, finite and positive
-        for call in (lambda: variance_of_p(0.25, delta), lambda: bias_of_p(0.25, 0.5, delta)):
-            with pytest.raises(ValueError, match=r"^delta must be a finite positive real number, got "):
+        # V and B are taken at delta = 1, which no argument sets: a delta by position or by name is refused
+        for call in (lambda: variance_of_p(0.25, delta), lambda: bias_of_p(0.25, 0.5, delta),
+                     lambda: variance_of_p(0.25, delta=delta), lambda: bias_of_p(0.25, 0.5, delta=delta)):
+            with pytest.raises(TypeError):
                 call()
-
-    def test_delta_whose_square_overflows_rejected(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=r"^delta\^2 overflows a double, got delta 1e\+200$"):
-                variance_of_p(0.25, 1e200)
-            assert variance_of_p(0.5, 2.0**511) == 2.0**1020
-            assert bias_of_p(0.25, 0.5, 1e200) == 0.25e200
-        assert variance_of_p(0.5, np.float64(0.5)) == 0.0625 and bias_of_p(0.5, 0.25, 2) == 0.5  # numpy and int
 
     def test_bias_zero_at_matching_p(self):
         f = RandomStream(1).uniform(50)

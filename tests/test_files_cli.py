@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -48,7 +49,8 @@ class TestDistributionFiles:
         write_distribution(path, small_table, provenance={"seed": 3})
         loaded = read_distribution(path)
         assert loaded.table == small_table
-        assert loaded.delta == 1.0  # every table is written at delta = 1, which no argument sets
+        # a file's version and delta are always 1, so the table and provenance are all a read returns
+        assert [field.name for field in dataclasses.fields(loaded)] == ["table", "provenance"]
         assert "delta" not in inspect.signature(write_distribution).parameters
         with pytest.raises(TypeError):  # a delta passed by position is not taken for the provenance
             write_distribution(tmp_path / "x.json", small_table, 1.0)
@@ -81,7 +83,7 @@ class TestDistributionFiles:
                 write_distribution(target, small_table, **kwargs)
         assert path.read_bytes() == before and not absent.exists()
 
-    def test_invalid_files_rejected(self, tmp_path):
+    def test_invalid_files_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"format_version": 1, "label": "x"}')
         with pytest.raises(ValueError):
@@ -100,12 +102,30 @@ class TestDistributionFiles:
                              # JSON numbers only: no strings or booleans that float() would convert
                              ("delta", "0.5"), ("delta", True), ("grid", [False, True]), ("grid", ["0", 1.0]),
                              ("delta", 10**400),  # a 401-digit integer literal, which has no double
-                             ("grid", 0.5), ("p", [True, False]), ("p", ["1", 0]), ("p", [[1.0], [0.0]])]:
+                             ("grid", 0.5), ("p", [True, False]), ("p", ["1", 0]), ("p", [[1.0], [0.0]]),
+                             # delta is the JSON number 1, the one delta written: any other is refused
+                             ("delta", 2), ("delta", 2.0), ("delta", 0.5), ("delta", "1"), ("delta", None)]:
             path = _write_json(tmp_path / f"{field}.json", good | {field: value})
             with pytest.raises(ValueError, match=f"{path}: not a valid distribution file: .*{field}"):
                 read_distribution(path)
-        integers = read_distribution(_write_json(tmp_path / "ints.json", good | {"delta": 2, "grid": [0, 1], "p": [1, 0]}))
-        assert integers.delta == 2.0 and integers.table == ProbabilityTable(grid=[0.0, 1.0], p=[1.0, 0.0], label="x")
+        # what the reader accepts, written again, reads back equal: delta 1 or 1.0, an integer grid,
+        # provenance present or absent
+        expected = ProbabilityTable(grid=[0.0, 1.0], p=[1.0, 0.0], label="x")
+        for variant in ({"delta": 1}, {"delta": 1.0, "grid": [0, 1], "p": [1, 0]}, {"provenance": {"seed": 3}}):
+            for payload in (good | variant, {k: v for k, v in (good | variant).items() if k != "provenance"}):
+                first = read_distribution(_write_json(tmp_path / "accepted.json", payload))
+                assert first.table == expected and first.provenance == payload.get("provenance", {})
+                write_distribution(tmp_path / "again.json", first.table, provenance=first.provenance)
+                assert read_distribution(tmp_path / "again.json") == first
+        # a table file with another delta is a usage error on the command line, and no report is written
+        two = _write_json(tmp_path / "two.json", good | {"delta": 2})
+        with pytest.raises(SystemExit) as exc:
+            run_cli("experiment", "sum", "--case", "III", "--modes", "x", "--table", str(two),
+                    "--out", str(tmp_path / "sum.csv"))
+        assert exc.value.code == 2
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert message == f"srlab: error: {two}: not a valid distribution file: delta must be 1, got 2"
+        assert not (tmp_path / "sum.csv").exists()
         huge = _write_json(tmp_path / "huge.json", good | {"p": [1, 10**400]})
         with pytest.raises(ValueError, match=f"{huge}: not a valid distribution file"):
             read_distribution(huge)
@@ -398,7 +418,9 @@ class TestExperimentCommands:
     @pytest.mark.parametrize("x1_max", [5.0, 3.7])
     def test_contour_cells_match_the_float_rows(self, res, x1_max):
         grid = contour_grid(x1_max, res)
-        columns = (*np.meshgrid(grid.x1, grid.x2, indexing="ij"), grid.e_down, grid.e_up, grid.p)
+        assert grid.p.shape == (res,)  # p depends on x1 alone
+        columns = (*np.meshgrid(grid.x1, grid.x2, indexing="ij"), grid.e_down, grid.e_up,
+                   np.broadcast_to(grid.p[:, None], (res, res)))
         expected = [",".join(format_number_reference(v) for v in row)
                     for row in zip(*(c.ravel().tolist() for c in columns))]
         header, rows = srlab.cli._contour_study(argparse.Namespace(res=res, x1_max=x1_max))
