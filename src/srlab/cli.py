@@ -229,10 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_out(path) -> None:
-    """Fail before any work when ``--out`` is a directory or its directory is missing."""
+    """Fail before any work when ``--out`` is a directory, empty, or its directory is missing."""
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    if not os.path.isdir(os.path.dirname(path) or "."):
+    if not path or not os.path.isdir(os.path.dirname(path) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
@@ -245,8 +245,8 @@ def _run(args) -> int:
 
 
 _PARSER = build_parser()  # the process's one parser, which every main call uses
-_PAPER_MODES = ("--modes", "sr,cr,d1,d2", "--table", "{dir}/d1.json", "--table", "{dir}/d2.json")
-_PAPER_RUNS = (  # (output file, argv) in order; reproduce puts DIR for {dir}, then adds --seed and --out
+_PAPER_MODES = ("--modes", "sr,cr,d1,d2", "--table", "d1.json", "--table", "d2.json")
+_PAPER_RUNS = (  # (output file, argv) in order; reproduce puts output files (argv's, --out) in DIR, adds --seed
     ("d1.json", ("optimize", "--preset", "d1")),
     ("d2.json", ("optimize", "--preset", "d2")),
     ("sum.csv", ("experiment", "sum", *_PAPER_MODES)),
@@ -259,8 +259,9 @@ _PAPER_RUNS = (  # (output file, argv) in order; reproduce puts DIR for {dir}, t
 
 def _cmd_reproduce(args) -> int:
     """Parse every paper run and check its ``--out`` before running any, each as its own command."""
-    runs = [_PARSER.parse_args([*(a.format(dir=args.dir) for a in argv), "--seed", str(args.seed),
-                                "--out", os.path.join(args.dir, name)]) for name, argv in _PAPER_RUNS]
+    paths = {name: os.path.join(args.dir, name) if args.dir else "" for name, _ in _PAPER_RUNS}  # "" is refused
+    runs = [_PARSER.parse_args([*(paths.get(a, a) for a in argv), "--seed", str(args.seed), "--out", paths[name]])
+            for name, argv in _PAPER_RUNS]
     for run in runs:
         _check_out(run.out)
     for run in runs:

@@ -32,9 +32,10 @@ __all__ = [
 
 PENALTY = 1e10  # added to the objective wherever |B| >= b_max
 _ONE_BITS = np.float64(1.0).view(np.uint64)
-# Nodes per swarm call: nine carved 200 KB arrays of 50 particles (1.84 MB) fit a core's
-# 2 MB L2, and 1001 nodes take two calls.  512 ran the four swarm presets 6 % faster than
-# 256 (0.92 MB) and 18 % faster than 128, and 1024 (3.7 MB) was 22 % slower.
+_SIGN_BIT = np.uint64(1 << 63)
+# Nodes per swarm call: eight carved 200 KB arrays of 50 particles (1.64 MB) fit a core's
+# 2 MB L2, and 1001 nodes take two calls.  In 14 alternating fresh processes, 512 ran the
+# four swarm presets in a median 685 ms, against 696 ms at 384 and 715 ms at 640.
 _BLOCK_NODES = 512
 # The swarm's settings, recorded under these names with each table: 50 particles on [0, 1],
 # 200 iterations, inertia 0.729, cognitive and social weights 1.49445 (the constriction
@@ -161,50 +162,50 @@ def _objective_into(p, f, cfg: MopConfig, out, v, b):
 
 
 def _pso_batch(f: np.ndarray, mop: MopConfig, phases: np.ndarray):
-    """Synchronous PSO on [0, 1] of the objective of ``mop``, one problem per row, with the settings ``_SWARM``.
+    """Synchronous PSO on [0, 1] of the objective of ``mop``, one problem per node, with the settings ``_SWARM``.
 
-    ``f`` holds the fractions, row j that of problem j, as an (m, 1) column
-    or an (m, swarm) array; the call copies it into every column, as numpy
-    loops over a broadcast column row by row.  Row j draws from the stream
-    phase ``phases[j]`` only, so a batch run is bit-identical to solving
-    each row on its own.  Block k of a row is its draws k s .. k s + s - 1:
-    block 0 is the stratified start, and iteration i takes blocks 2i + 1
-    (cognitive) and 2i + 2 (social).
+    The working arrays are (swarm, nodes), so the fractions ``f``, a
+    (nodes,) row read in place, and the global best g broadcast as
+    contiguous rows.  Node j draws from the stream phase ``phases[j]``
+    only, so a batch run is bit-identical to solving each node on its own.
+    Block k of a node is its draws k s .. k s + s - 1: block 0 is the
+    stratified start, and iteration i takes blocks 2i + 1 (cognitive) and
+    2i + 2 (social).
 
     An iteration runs in place in the swarm's arrays and the three buffers,
     with the operations in the order of ``inertia * v + cognitive * rp *
     (pbest - x) + social * rg * (g - x)``.  ``c * rp`` for the draw rp = b *
     2**-53 is one pass, b * (c * 2**-53): for the fixed c = 1.49445, c *
     2**-53 is a normal double and so exact, and both round b * c * 2**-53.
-    The selects are branch-free and give the bits of the ``np.where``
-    selects they replace, because a position is never NaN or -0.0:
-    positions start at (j + u) / s >= +0, velocities are finite because the
-    coefficients are, IEEE addition yields -0.0 only from two -0.0 operands,
-    and a reflected position is |x| or 2 - |x|.
-    - A position is outside [0, 1] exactly when its bits, read as uint64,
-      exceed those of 1.0, since negative doubles have the top bit set.
-      Such a particle's velocity changes sign by an xor of the sign bit.
-    - The fixed clamp, 0.5, is at most 1, so positions lie in [-1, 2] and
-      one reflection brings a particle back into [0, 1].  There,
-      ``min(|x|, 2 - |x|)`` is -x below 0, x inside [0, 1] and 2 - x above
-      1, as the selects give; 2 - |x| is exact for |x| in [1, 2].
+    The selects are integer masks with the bits of the ``np.where`` selects
+    they replace, because a position is never NaN or -0.0: positions start
+    at (j + u) / s >= +0, velocities are finite because the coefficients
+    are, IEEE addition yields -0.0 only from two -0.0 operands, and a
+    reflected position is |x| or 2 - |x|.
+    - The fixed clamp, 0.5, is at most 1, so positions lie in [-1, 2], where
+      the sign bit of ``ONE_BITS - x_bits`` (wrapping uint64) is set exactly
+      when x is outside [0, 1]: its bits exceed 1.0's by at most 2**52
+      above 1, and below 0 carry the sign bit over at most 1.0's.  Xored
+      in, that bit flips the velocity, and one reflection ``min(|x|, 2 -
+      |x|)``, exact there, brings x back: -x below 0, 2 - x above 1.
     - pbest takes x where fx < fp by the uint64 blend ``a ^ ((a ^ b) &
-      mask)``, and fp is the running minimum with the same bits: fx is
-      finite, at most theta1/16 + theta2 + ``PENALTY`` by construction, and
-      never -0.0, its first term being a positive weight times a square, so
-      equal values have equal bits.
+      mask)``, with the mask the int64 ``(fx - fp) >> 63``: fx and fp are
+      finite (at most theta1/16 + theta2 + ``PENALTY``) and never -0.0, the
+      first term being a positive weight times a square, so fx - fp is never
+      -0.0, and two unequal doubles never differ by zero.  fp, the running
+      minimum, keeps the same bits, as equal values have equal bits.
+    - As fp only falls, g moves only at the nodes where fp's minimum falls
+      below g's fitness, and the argmin runs over those nodes alone.
     """
     m = phases.size
     s, iterations, inertia, cognitive, social, clamp = _SWARM.values()
-    # every array of the call, f's copy too, starts on a 64-byte boundary: at 16 or 48 mod 64,
-    # where 32-byte loads straddle cache lines, a 256-node block's mix took 40 us, against 34 at 0
-    *buffers, x, v, pbest, fp, f_rows, states = _carve(*[((m, s), np.float64)] * 8, ((m, s), np.uint64))
-    np.copyto(f_rows, f)
+    # every array of the call starts on a 64-byte boundary: at 16 or 48 mod 64, where
+    # 32-byte loads straddle cache lines, a 256-node block's mix took 40 us, against 34 at 0
+    *buffers, x, v, pbest, fp, states = _carve(*[((s, m), np.float64)] * 7, ((s, m), np.uint64))
     diff, r, _ = buffers  # diff also receives fx, which is dead once the bests have taken it
     mask, tmp = (buf.view(np.uint64) for buf in buffers[1:])
-    # block k's states are block 0's plus k s GOLDEN, one element added to each: a
-    # broadcast column of phases would make numpy loop row by row
-    np.add(np.asarray(phases, dtype=np.uint64)[:, None], _steps(np.arange(s)), out=states)
+    # block k's states are block 0's plus k s GOLDEN, one element added to each
+    np.add(_steps(np.arange(s))[:, None], np.asarray(phases, dtype=np.uint64), out=states)
     offset = np.empty(1, dtype=np.uint64)  # an array: a uint64 scalar product warns on overflow
 
     def block(k):  # block k's 53-bit integer draws, in tmp's memory as int64; r's memory mixes
@@ -213,39 +214,35 @@ def _pso_batch(f: np.ndarray, mop: MopConfig, phases: np.ndarray):
 
     # Stratified start: one particle per 1/s bin keeps narrow feasible bands
     # (penalty presets) populated from iteration zero.
-    np.add(np.arange(s), np.multiply(block(0), _INV_2_53, out=r), out=x)
+    np.add(np.arange(s)[:, None], np.multiply(block(0), _INV_2_53, out=r), out=x)
     x /= s
     v.fill(0.0)
     np.copyto(pbest, x)
-    _objective_into(x, f_rows, mop, fp, *buffers[1:])
-    rows = np.arange(m)
-    gi = np.argmin(fp, axis=1)
-    g = pbest[rows, gi]
-    fg = fp[rows, gi]
+    _objective_into(x, f, mop, fp, *buffers[1:])
+    g = pbest[np.argmin(fp, axis=0), np.arange(m)]
+    fg = fp.min(axis=0)
     x_bits, v_bits, pbest_bits = x.view(np.uint64), v.view(np.uint64), pbest.view(np.uint64)
     scales = cognitive * _INV_2_53, social * _INV_2_53
     for i in range(iterations):
         v *= inertia
-        for k, scale, best in zip((2 * i + 1, 2 * i + 2), scales, (pbest, g[:, None])):
+        for k, scale, best in zip((2 * i + 1, 2 * i + 2), scales, (pbest, g)):
             np.multiply(block(k), scale, out=r)
             r *= np.subtract(best, x, out=diff)
             v += r
         np.clip(v, -clamp, clamp, out=v)
         x += v
-        # Reflective walls: bouncing keeps sampling dense next to 0 and 1,
-        # where clamped swarms stall on boundary plateaus.
-        v_bits ^= np.left_shift(np.greater(x_bits, _ONE_BITS, out=tmp), 63, out=tmp)
+        # reflective walls keep sampling dense next to 0 and 1, where clamped swarms stall on plateaus
+        v_bits ^= np.bitwise_and(np.subtract(_ONE_BITS, x_bits, out=tmp), _SIGN_BIT, out=tmp)
         np.abs(x, out=x)
         np.minimum(x, np.subtract(2.0, x, out=diff), out=x)
-        fx = _objective_into(x, f_rows, mop, *buffers)
-        np.negative(np.less(fx, fp, out=mask), out=mask)
+        fx = _objective_into(x, f, mop, *buffers)
+        np.right_shift(np.subtract(fx, fp, out=r).view(np.int64), 63, out=mask.view(np.int64))
         pbest_bits ^= np.bitwise_and(np.bitwise_xor(pbest_bits, x_bits, out=tmp), mask, out=tmp)
         np.minimum(fp, fx, out=fp)
-        bi = np.argmin(fp, axis=1)
-        bf = fp[rows, bi]
-        better = bf < fg
-        g = np.where(better, pbest[rows, bi], g)
-        fg = np.where(better, bf, fg)
+        f_min = fp.min(axis=0)
+        moved = np.flatnonzero(f_min < fg)
+        g[moved] = pbest[np.argmin(fp[:, moved], axis=0), moved]
+        fg = f_min
     return g, fg
 
 
@@ -257,13 +254,15 @@ def optimize_table(
     """Optimize the rounding probability at each fraction grid node.
 
     The objective depends on the input only through its grid fraction, so
-    each node f_j = j/(grid_size - 1) is an independent scalar problem; node
-    j draws from substream j of ``seed``, an integer in [0, 2^64), which
-    makes the result independent of how the nodes are batched
-    (``_BLOCK_NODES``).  The variance-only presets have the two exact
-    optima p = 0 and p = 1; their names pin which endpoint the table
-    stores, and no swarm runs for them.  A preset's table is labelled with
-    the preset's name, a ``MopConfig``'s with ``"custom"``.
+    each node of ``np.linspace(0, 1, grid_size)`` is an independent scalar
+    problem.  Node j is not always the double nearest j/(grid_size - 1): 144
+    of 1001 nodes miss it, until ROADMAP item 4 makes the nodes exact.  Node
+    j draws from substream j of ``seed``, an integer in [0, 2^64), so the
+    result does not depend on how the nodes are batched (``_BLOCK_NODES``).
+    The variance-only presets have the two exact optima p = 0 and p = 1;
+    their names pin which endpoint the table stores, and no swarm runs for
+    them.  A preset's table is labelled with the preset's name, a
+    ``MopConfig``'s with ``"custom"``.
     """
     grid_size = _integer(grid_size, "grid_size", 2)
     seed = _integer(seed, "seed", bits=64)  # checked here: the var-min presets build no stream
@@ -277,5 +276,5 @@ def optimize_table(
         p_star = np.empty(grid_size)
         for j in range(0, grid_size, _BLOCK_NODES):
             nodes = slice(j, j + _BLOCK_NODES)
-            p_star[nodes] = _pso_batch(fgrid[nodes, None], cfg, phases[nodes])[0]
+            p_star[nodes] = _pso_batch(fgrid[nodes], cfg, phases[nodes])[0]
     return ProbabilityTable(grid=fgrid, p=p_star, label="custom" if preset is None else preset.value)

@@ -7,6 +7,7 @@ the heavy optimized tables are built once per session by the fixtures.
 
 import hashlib
 import math
+import os
 import sys
 
 import numpy as np
@@ -373,7 +374,7 @@ def test_reproduce_matches_the_separate_commands(tmp_path, capsys, monkeypatch):
     runs = [("d1.json", ["optimize", "--preset", "d1", "--grid-size", "41"])]
     for name, argv in _c11_invocations(separate, monkeypatch):
         assert argv[-2:] == ["--seed", "1"]  # reproduce adds the seed
-        runs.append((name, [a.replace(str(separate), "{dir}") for a in argv[:-2]]))
+        runs.append((name, [a.removeprefix(f"{separate}{os.sep}") for a in argv[:-2]]))  # reproduce puts these in DIR
         assert cli_main(argv + ["--out", str(separate / name)]) == 0
     monkeypatch.setattr(srlab.cli, "_PAPER_RUNS", runs)
     assert cli_main(["reproduce", "--out", str(together), "--seed", "1"]) == 0

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -236,7 +237,7 @@ class TestOptimizeTable:
         cfg = preset_config(Preset.D1)
         for j in (0, 250, 777):  # node j alone, on substream j of seed 0
             phase = np.asarray([RandomStream(0).substream(j).phase], dtype=np.uint64)
-            p, _ = _pso_batch(np.full((1, _SWARM["swarm_size"]), d1_table.grid[j]), cfg, phase)
+            p, _ = _pso_batch(d1_table.grid[j:j + 1], cfg, phase)
             assert p[0] == d1_table.p[j]
 
     def test_paper_count_tables_pinned(self, tables_1001):
@@ -332,8 +333,8 @@ class TestReferenceSwarm:
         else:
             assert np.array_equal(bits(optimize_table(mop, grid_size=101, seed=seed).p), bits(g))
         # all 101 nodes in one swarm call: positions and fitness alike, and the same bits
-        # whether f is freshly allocated or starts at 16 mod 64
-        f = np.repeat(np.linspace(0.0, 1.0, 101)[:, None], _SWARM["swarm_size"], axis=1)
+        # whether the (nodes,) row f is freshly allocated or starts at 16 mod 64
+        f = np.linspace(0.0, 1.0, 101)
         phases = substream_phases(RandomStream(seed).phase, np.arange(101))
         for f_in in (f, copy_at(f, 16)):
             got = _pso_batch(f_in, mop, phases)
@@ -354,6 +355,18 @@ class TestReferenceSwarm:
         for c in (_SWARM["cognitive"], _SWARM["social"]):
             assert Fraction(c * _INV_2_53) == Fraction(c) / 2**53
         assert 0.0 < _SWARM["velocity_clamp"] <= 1.0
+        # the reflection flip, the sign bit of ONE_BITS - x_bits, is x outside [0, 1] on [-1, 2]
+        x = np.array([-1.0, -0.5, -5e-324, 0.0, 5e-324, 1.0, np.nextafter(1.0, 2.0), 1.5, 2.0])
+        flip = np.bitwise_and(np.subtract(distopt._ONE_BITS, bits(x)), distopt._SIGN_BIT)
+        assert flip.tolist() == [2**63 if v > 1.0 or v < 0.0 else 0 for v in x.tolist()]
+        # the best mask, the int64 (fx - fp) >> 63, is all ones exactly where fx < fp, for
+        # values that are finite and never -0.0: equal values, +0.0, the least subnormals,
+        # and values near the objective's bound theta1/16 + theta2 + PENALTY
+        tops = [t / 16 + (1.0 - t) + distopt.PENALTY for t in (0.0, 0.5, 1.0)]
+        values = [0.0, 5e-324, 1e-323, 0.02, 0.25, *tops, *(np.nextafter(t, d) for t in tops for d in (0, np.inf))]
+        fx, fp = (np.array(pair) for pair in zip(*itertools.product(values, repeat=2)))
+        lower = np.right_shift(np.subtract(fx, fp).view(np.int64), 63)
+        assert np.array_equal(lower, -(fx < fp).astype(np.int64))
 
     def test_random_configs_match_reference(self, monkeypatch):
         # 300 seeded configurations of the in-place swarm and objective, against the
@@ -369,8 +382,7 @@ class TestReferenceSwarm:
             f = np.concatenate([[0.0, 1.0], rng.random(int(rng.integers(0, 6)))])[:, None]
             phases = rng.integers(0, 2**64, f.size, dtype=np.uint64)
             g, fg = reference_pso_batch(lambda p: reference_objective(p, f, mop), phases, iterations)
-            f_rows = np.repeat(f, _SWARM["swarm_size"], axis=1)
-            got = _pso_batch(f_rows, mop, phases)
+            got = _pso_batch(f[:, 0], mop, phases)
             assert np.array_equal(bits(got[0]), bits(g)) and np.array_equal(bits(got[1]), bits(fg)), (mop, iterations)
             seen.add((theta1 == 0.0, b_max is not None))
         assert seen == {(False, False), (False, True), (True, False), (True, True)}  # theta1 = 0 with a cap too

@@ -614,6 +614,18 @@ class TestOneProcess:
         assert str(tmp_path / "contour.csv") in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["contour.csv"]
 
+    @pytest.mark.parametrize("argv", [["reproduce"], ["experiment", "sum"], ["optimize", "--preset", "d1"]])
+    def test_empty_out_exits_1_before_any_work(self, argv, tmp_path, capsys, monkeypatch):
+        # an empty --out names no file: reproduce must not write into the working directory, nor sum run its study
+        _no_work(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--out", "")
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("srlab: ") and len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
 
 @pytest.mark.parametrize(
     "argv",
